@@ -31,9 +31,9 @@ from .gbundle import (GBundle, act_on_vertical, arrow_bundle, base_bundle,
                       invariance_defect, is_invariant, vertical_tangent)
 from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, action_groupoid,
                        check_differentiability, check_groupoid_axioms,
-                       general_linear, groupoid_from_json_dict,
-                       groupoid_to_json_dict, linear_action, matrix_group,
-                       pair_groupoid, product_groupoid, tangent_groupoid)
+                       groupoid_from_json_dict, groupoid_to_json_dict,
+                       linear_action, matrix_group, pair_groupoid,
+                       product_groupoid, tangent_groupoid)
 from .report import CheckResult, Report, RunConfig, rng_for
 from .tanpoint import (TanPoint, add_fiber, apply_tangent, collapse_inner,
                        expand_inner, fiber_component, partial_tangent,
@@ -58,8 +58,8 @@ __all__ = [
     "ScalarField", "VectorField", "lie_bracket", "kernel_residual",
     "field_add", "field_scale", "act_on_function", "jacobian_at",
     "bracket_by_jacobians", "check_related", "check_bracket_laws",
-    "FiberedGroupoid", "pair_groupoid", "matrix_group", "general_linear",
-    "linear_action", "action_groupoid", "product_groupoid",
+    "FiberedGroupoid", "pair_groupoid", "matrix_group", "linear_action",
+    "action_groupoid", "product_groupoid",
     "tangent_groupoid", "check_groupoid_axioms", "check_differentiability",
     "groupoid_to_json_dict", "groupoid_from_json_dict", "BUILTIN_GROUPOIDS",
     "GBundle", "arrow_bundle", "base_bundle", "fiber_product_bundle",

@@ -1,9 +1,12 @@
 """Residual checks for the chart-level tangent structure.
 
-Every check samples random points and random smooth maps, evaluates
-both sides of one structural diagram, and reports the worst relative
-mismatch.  Checks draw from independent seeded substreams keyed by
-check name, so reports are reproducible and insensitive to ordering.
+Every check is a diagram: a generator that draws random points and
+random smooth maps for one chart dimension and yields the two sides of
+each structural identity.  One runner, :func:`_check`, loops over the
+dimensions, counts the samples and reports the worst relative mismatch;
+a residual that is not finite counts as infinite, so it fails.  Checks
+draw from independent seeded substreams keyed by check name, so reports
+are reproducible and insensitive to ordering.
 
 The block transformations enter through a :class:`TangentOps` table so
 tests can swap in deliberately corrupted operations and watch exactly
@@ -43,6 +46,24 @@ class TangentOps:
 DEFAULT_OPS = TangentOps()
 
 
+def _check(diagram, cases=None):
+    """The check ``(cfg, ops, rng) -> (samples, worst)`` of a diagram.
+
+    ``diagram(ops, rng, case, n)`` draws ``n`` samples for one case, a
+    chart dimension from ``cfg.dims`` unless ``cases`` fixes the cases,
+    and yields ``(lhs, rhs)`` pairs of points or block arrays that must
+    agree.
+    """
+    def check(cfg, ops, rng):
+        worst, runs = 0.0, cases or cfg.dims
+        for case in runs:
+            for lhs, rhs in diagram(ops, rng, case, cfg.samples):
+                worst = max(worst, residual(getattr(lhs, "blocks", lhs),
+                                            getattr(rhs, "blocks", rhs)))
+        return len(runs) * cfg.samples, worst
+    return check
+
+
 def _point(rng, dim, order, n) -> TanPoint:
     return TanPoint(order, rng.uniform(-1.0, 1.0, size=(1 << order, dim, n)))
 
@@ -55,13 +76,11 @@ def _share(rng, p: TanPoint, keep_masks) -> TanPoint:
     return TanPoint(p.order, arr)
 
 
-def _map(rng, d_in, d_out, depth=4) -> SmoothMap:
-    return SmoothMap(box_domain(d_in, -1.5, 1.5), box_domain(d_out),
-                     random_expr(rng, d_in, d_out, depth=depth))
-
-
-def _diff(a: TanPoint, b: TanPoint) -> float:
-    return residual(a.blocks, b.blocks)
+def _map(rng, d) -> SmoothMap:
+    """A random smooth map from a dim-d box into 1 to 3 dimensions."""
+    m = int(rng.integers(1, 4))
+    return SmoothMap(box_domain(d, -1.5, 1.5), box_domain(m),
+                     random_expr(rng, d, m, depth=4))
 
 
 def _zero_section(p_base: np.ndarray, order: int = 1) -> TanPoint:
@@ -70,308 +89,189 @@ def _zero_section(p_base: np.ndarray, order: int = 1) -> TanPoint:
 
 # -- naturality of the structure maps ---------------------------------
 
-def _c_nat_projection(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        p = _point(rng, d, 2, cfg.samples)
-        fp = ops.apply(f, p)
-        for level in (1, 2):
-            worst = max(worst, _diff(ops.project(fp, level),
-                                     ops.apply(f, ops.project(p, level))))
-        total += cfg.samples
-    return total, worst
+def _nat_projection(ops, rng, d, n):
+    f, p = _map(rng, d), _point(rng, d, 2, n)
+    fp = ops.apply(f, p)
+    for level in (1, 2):
+        yield ops.project(fp, level), ops.apply(f, ops.project(p, level))
 
 
-def _c_nat_zero(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        x = _point(rng, d, 0, cfg.samples)
-        worst = max(worst, _diff(ops.apply(f, ops.zero_lift(x)),
-                                 ops.zero_lift(ops.apply(f, x))))
-        total += cfg.samples
-    return total, worst
+def _nat_zero(ops, rng, d, n):
+    f, x = _map(rng, d), _point(rng, d, 0, n)
+    yield ops.apply(f, ops.zero_lift(x)), ops.zero_lift(ops.apply(f, x))
 
 
-def _c_nat_add(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        worst = max(worst, _diff(
-            ops.add_fiber(ops.apply(f, p), ops.apply(f, q)),
-            ops.apply(f, ops.add_fiber(p, q))))
-        total += cfg.samples
-    return total, worst
+def _nat_add(ops, rng, d, n):
+    f, p = _map(rng, d), _point(rng, d, 1, n)
+    q = _share(rng, p, [0])
+    yield (ops.add_fiber(ops.apply(f, p), ops.apply(f, q)),
+           ops.apply(f, ops.add_fiber(p, q)))
 
 
-def _c_nat_swap(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        p = _point(rng, d, 2, cfg.samples)
-        worst = max(worst, _diff(ops.swap_levels(ops.apply(f, p), 1),
-                                 ops.apply(f, ops.swap_levels(p, 1))))
-        total += cfg.samples
-    return total, worst
+def _nat_swap(ops, rng, d, n):
+    f, p = _map(rng, d), _point(rng, d, 2, n)
+    yield ops.swap_levels(ops.apply(f, p), 1), ops.apply(f, ops.swap_levels(p, 1))
 
 
-def _c_nat_vlift(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        p = _point(rng, d, 1, cfg.samples)
-        worst = max(worst, _diff(ops.vertical_lift(ops.apply(f, p), 1),
-                                 ops.apply(f, ops.vertical_lift(p, 1))))
-        total += cfg.samples
-    return total, worst
+def _nat_vlift(ops, rng, d, n):
+    f, p = _map(rng, d), _point(rng, d, 1, n)
+    yield (ops.vertical_lift(ops.apply(f, p), 1),
+           ops.apply(f, ops.vertical_lift(p, 1)))
 
 
-def _c_nat_scale(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        f = _map(rng, d, int(rng.integers(1, 4)))
-        p = _point(rng, d, 1, cfg.samples)
-        r = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        worst = max(worst, _diff(ops.scale_level(ops.apply(f, p), r, 1),
-                                 ops.apply(f, ops.scale_level(p, r, 1))))
-        total += cfg.samples
-    return total, worst
+def _nat_scale(ops, rng, d, n):
+    f, p = _map(rng, d), _point(rng, d, 1, n)
+    r = rng.uniform(-2.0, 2.0, size=n)
+    yield (ops.scale_level(ops.apply(f, p), r, 1),
+           ops.apply(f, ops.scale_level(p, r, 1)))
 
 
 # -- T1: pointwise fiber products, preserved by T ---------------------
 
 def _interleave(xi: TanPoint) -> TanPoint:
     # T(T2 U) leg -> T2(TU) leg: ((u,u1),(u2,u12)) viewed over the TU chart
-    arr = np.empty((2, 2 * xi.dim) + xi.batch_shape)
-    arr[0, : xi.dim] = xi.blocks[0]
-    arr[0, xi.dim:] = xi.blocks[2]
-    arr[1, : xi.dim] = xi.blocks[1]
-    arr[1, xi.dim:] = xi.blocks[3]
-    return TanPoint(1, arr)
+    return TanPoint(1, np.concatenate([xi.blocks[:2], xi.blocks[2:]], axis=1))
 
 
-def _c_t1_interleave(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        m = int(rng.integers(1, 4))
-        f = _map(rng, d, m)
-        xi = _point(rng, d, 2, cfg.samples)
-        zeta = _share(rng, xi, [0, 2])  # a T(T2)-pair shares u and u2
-        a, b = _interleave(xi), _interleave(zeta)
-        # well-defined: the interleaved pair shares its TU base point
-        worst = max(worst, residual(a.blocks[0], b.blocks[0]))
-        # preservation: T^2 f on each leg vs the chart tangent of Tf
-        tf_chart = SmoothMap(box_domain(2 * d, -9, 9), box_domain(2 * m),
-                             tangent_lift(f.body))
-        for leg, src in ((a, xi), (b, zeta)):
-            lhs = _interleave(ops.apply(f, src))
-            rhs = ops.apply(tf_chart, leg, check_domain=False)
-            worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _t1_interleave(ops, rng, d, n):
+    f = _map(rng, d)
+    xi = _point(rng, d, 2, n)
+    zeta = _share(rng, xi, [0, 2])  # a T(T2)-pair shares u and u2
+    a, b = _interleave(xi), _interleave(zeta)
+    # well-defined: the interleaved pair shares its TU base point
+    yield a.blocks[0], b.blocks[0]
+    # preservation: T^2 f on each leg vs the chart tangent of Tf
+    tf_chart = SmoothMap(box_domain(2 * d, -9, 9), box_domain(2 * f.cod.dim),
+                         tangent_lift(f.body))
+    for leg, src in ((a, xi), (b, zeta)):
+        yield (_interleave(ops.apply(f, src)),
+               ops.apply(tf_chart, leg, check_domain=False))
 
 
 # -- T2: bundle of abelian groups -------------------------------------
 
-def _c_t2_assoc(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        r = _share(rng, p, [0])
-        worst = max(worst, _diff(ops.add_fiber(ops.add_fiber(p, q), r),
-                                 ops.add_fiber(p, ops.add_fiber(q, r))))
-        total += cfg.samples
-    return total, worst
+def _t2_assoc(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    q, r = _share(rng, p, [0]), _share(rng, p, [0])
+    yield (ops.add_fiber(ops.add_fiber(p, q), r),
+           ops.add_fiber(p, ops.add_fiber(q, r)))
 
 
-def _c_t2_comm(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        worst = max(worst, _diff(ops.add_fiber(p, q), ops.add_fiber(q, p)))
-        total += cfg.samples
-    return total, worst
+def _t2_comm(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    q = _share(rng, p, [0])
+    yield ops.add_fiber(p, q), ops.add_fiber(q, p)
 
 
-def _c_t2_zero(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        z = _zero_section(p.base)
-        worst = max(worst, _diff(ops.add_fiber(p, z), p))
-        worst = max(worst, _diff(ops.add_fiber(z, p), p))
-        total += cfg.samples
-    return total, worst
+def _t2_zero(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    z = _zero_section(p.base)
+    yield ops.add_fiber(p, z), p
+    yield ops.add_fiber(z, p), p
 
 
-def _c_t2_inverse(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        worst = max(worst, _diff(ops.sub_fiber(p, p), _zero_section(p.base)))
-        worst = max(worst, _diff(ops.add_fiber(ops.sub_fiber(p, q), q), p))
-        total += cfg.samples
-    return total, worst
+def _t2_inverse(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    q = _share(rng, p, [0])
+    yield ops.sub_fiber(p, p), _zero_section(p.base)
+    yield ops.add_fiber(ops.sub_fiber(p, q), q), p
 
 
 # -- T3: the symmetric structure --------------------------------------
 
-def _c_t3_involution(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 2, cfg.samples)
-        worst = max(worst, _diff(ops.swap_levels(ops.swap_levels(p, 1), 1), p))
-        q = _point(rng, d, 3, cfg.samples)
-        worst = max(worst, _diff(ops.swap_levels(ops.swap_levels(q, 2), 2), q))
-        total += cfg.samples
-    return total, worst
+def _t3_involution(ops, rng, d, n):
+    for order in (2, 3):
+        p = _point(rng, d, order, n)
+        yield ops.swap_levels(ops.swap_levels(p, order - 1), order - 1), p
 
 
-def _c_t3_braid(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 3, cfg.samples)
-        lhs = ops.swap_levels(ops.swap_levels(ops.swap_levels(p, 1), 2), 1)
-        rhs = ops.swap_levels(ops.swap_levels(ops.swap_levels(p, 2), 1), 2)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _t3_braid(ops, rng, d, n):
+    p = _point(rng, d, 3, n)
+    s = ops.swap_levels
+    yield s(s(s(p, 1), 2), 1), s(s(s(p, 2), 1), 2)
 
 
-def _c_t3_projection(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 2, cfg.samples)
-        worst = max(worst, _diff(ops.project(ops.swap_levels(p, 1), 2),
-                                 ops.project(p, 1)))
-        total += cfg.samples
-    return total, worst
+def _t3_projection(ops, rng, d, n):
+    p = _point(rng, d, 2, n)
+    yield ops.project(ops.swap_levels(p, 1), 2), ops.project(p, 1)
 
 
-def _c_t3_add(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        xi = _point(rng, d, 2, cfg.samples)
-        zeta = _share(rng, xi, [0, 2])  # share blocks without level 1
-        lhs = ops.swap_levels(ops.add_fiber(xi, zeta, level=1), 1)
-        rhs = ops.add_fiber(ops.swap_levels(xi, 1), ops.swap_levels(zeta, 1),
-                            level=2)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _t3_add(ops, rng, d, n):
+    xi = _point(rng, d, 2, n)
+    zeta = _share(rng, xi, [0, 2])  # share blocks without level 1
+    yield (ops.swap_levels(ops.add_fiber(xi, zeta, level=1), 1),
+           ops.add_fiber(ops.swap_levels(xi, 1), ops.swap_levels(zeta, 1),
+                         level=2))
 
 
 # -- T4: vertical lift coherence --------------------------------------
 
-def _c_t4_projection(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        worst = max(worst, _diff(ops.project(ops.vertical_lift(p, 1), 2),
-                                 _zero_section(p.base)))
-        total += cfg.samples
-    return total, worst
+def _t4_projection(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    yield ops.project(ops.vertical_lift(p, 1), 2), _zero_section(p.base)
 
 
-def _c_t4_double(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        lam = ops.vertical_lift(p, 1)
-        worst = max(worst, _diff(ops.vertical_lift(lam, 2),
-                                 ops.vertical_lift(lam, 1)))
-        total += cfg.samples
-    return total, worst
+def _t4_double(ops, rng, d, n):
+    lam = ops.vertical_lift(_point(rng, d, 1, n), 1)
+    yield ops.vertical_lift(lam, 2), ops.vertical_lift(lam, 1)
 
 
-def _c_t4_add(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        lhs = ops.vertical_lift(ops.add_fiber(p, q), 1)
-        rhs = ops.add_fiber(ops.vertical_lift(p, 1), ops.vertical_lift(q, 1),
-                            level=2)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _t4_add(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    q = _share(rng, p, [0])
+    yield (ops.vertical_lift(ops.add_fiber(p, q), 1),
+           ops.add_fiber(ops.vertical_lift(p, 1), ops.vertical_lift(q, 1),
+                         level=2))
 
 
 # -- T5: swap fixes the lift ------------------------------------------
 
-def _c_t5_fix(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        lam = ops.vertical_lift(p, 1)
-        worst = max(worst, _diff(ops.swap_levels(lam, 1), lam))
-        total += cfg.samples
-    return total, worst
+def _t5_fix(ops, rng, d, n):
+    lam = ops.vertical_lift(_point(rng, d, 1, n), 1)
+    yield ops.swap_levels(lam, 1), lam
 
 
-def _c_t5_exchange(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 2, cfg.samples)
-        lhs = ops.swap_levels(
-            ops.swap_levels(ops.vertical_lift(p, 1), 2), 1)
-        rhs = ops.vertical_lift(ops.swap_levels(p, 1), 2)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _t5_exchange(ops, rng, d, n):
+    p = _point(rng, d, 2, n)
+    yield (ops.swap_levels(ops.swap_levels(ops.vertical_lift(p, 1), 2), 1),
+           ops.vertical_lift(ops.swap_levels(p, 1), 2))
 
 
 # -- T6: the lift is the kernel of the projected tangent --------------
 
-def _c_t6_kernel(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p1 = _point(rng, d, 1, cfg.samples)
-        p2 = _share(rng, p1, [0])
-        xi = ops.vertical_lift_pair(p1, p2)
-        # image lies in the kernel: the level-1 projected tangent vanishes
-        worst = max(worst, _diff(ops.project(xi, 1), _zero_section(p1.base)))
-        # and the construction is injective with explicit inverse
-        r1, r2 = tp.vertical_pair_parts(xi)
-        worst = max(worst, _diff(r1, p1))
-        worst = max(worst, _diff(r2, p2))
-        # conversely anything killed by the projected tangent arises so
-        arr = rng.uniform(-1.0, 1.0, size=(4, d, cfg.samples))
-        arr[2] = 0.0
-        flat = TanPoint(2, arr)
-        q1, q2 = tp.vertical_pair_parts(flat)
-        worst = max(worst, _diff(ops.vertical_lift_pair(q1, q2), flat))
-        total += cfg.samples
-    return total, worst
+def _t6_kernel(ops, rng, d, n):
+    p1 = _point(rng, d, 1, n)
+    p2 = _share(rng, p1, [0])
+    xi = ops.vertical_lift_pair(p1, p2)
+    # image lies in the kernel: the level-1 projected tangent vanishes
+    yield ops.project(xi, 1), _zero_section(p1.base)
+    # and the construction is injective with explicit inverse
+    r1, r2 = tp.vertical_pair_parts(xi)
+    yield r1, p1
+    yield r2, p2
+    # conversely anything killed by the projected tangent arises so
+    arr = rng.uniform(-1.0, 1.0, size=(4, d, n))
+    arr[2] = 0.0
+    flat = TanPoint(2, arr)
+    yield ops.vertical_lift_pair(*tp.vertical_pair_parts(flat)), flat
 
 
 # -- cartesianness ----------------------------------------------------
 
-def _c_cartesian(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d1, d2 in ((1, 1), (1, 2), (2, 1)):
-        m1 = int(rng.integers(1, 3))
-        m2 = int(rng.integers(1, 3))
-        e1 = random_expr(rng, d1, m1, depth=4)
-        e2 = random_expr(rng, d2, m2, depth=4)
-        dom = product_domain(box_domain(d1, -1.5, 1.5), box_domain(d2, -1.5, 1.5))
-        pairmap = SmoothMap(dom, box_domain(m1 + m2), parallel(e1, e2))
-        p = _point(rng, d1 + d2, 2, cfg.samples)
-        whole = ops.apply(pairmap, p)
-        left = ops.apply(SmoothMap(box_domain(d1, -1.5, 1.5), box_domain(m1), e1),
-                         TanPoint(2, p.blocks[:, :d1]))
-        right = ops.apply(SmoothMap(box_domain(d2, -1.5, 1.5), box_domain(m2), e2),
-                          TanPoint(2, p.blocks[:, d1:]))
-        worst = max(worst, residual(whole.blocks[:, :m1], left.blocks))
-        worst = max(worst, residual(whole.blocks[:, m1:], right.blocks))
-        total += cfg.samples
-    return total, worst
+def _cartesian(ops, rng, dims, n):
+    d1, d2 = dims
+    m1, m2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    e1 = random_expr(rng, d1, m1, depth=4)
+    e2 = random_expr(rng, d2, m2, depth=4)
+    dom = product_domain(box_domain(d1, -1.5, 1.5), box_domain(d2, -1.5, 1.5))
+    p = _point(rng, d1 + d2, 2, n)
+    whole = ops.apply(SmoothMap(dom, box_domain(m1 + m2), parallel(e1, e2)), p)
+    yield whole.blocks[:, :m1], ops.apply(
+        SmoothMap(box_domain(d1, -1.5, 1.5), box_domain(m1), e1),
+        TanPoint(2, p.blocks[:, :d1]))
+    yield whole.blocks[:, m1:], ops.apply(
+        SmoothMap(box_domain(d2, -1.5, 1.5), box_domain(m2), e2),
+        TanPoint(2, p.blocks[:, d1:]))
 
 
 # -- scalar multiplication --------------------------------------------
@@ -383,139 +283,101 @@ def _kappa_map(d: int) -> SmoothMap:
     return SmoothMap(dom, box_domain(2 * d), body, name="fiber_scale")
 
 
-def _c_scalar_lift(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        r = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        lhs = ops.vertical_lift(ops.scale_level(p, r, 1), 1)
-        rhs = ops.scale_level(ops.vertical_lift(p, 1), r, 2)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _scalar_lift(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    r = rng.uniform(-2.0, 2.0, size=n)
+    yield (ops.vertical_lift(ops.scale_level(p, r, 1), 1),
+           ops.scale_level(ops.vertical_lift(p, 1), r, 2))
 
 
-def _c_scalar_partial1(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        kappa = _kappa_map(d)
-        p = _point(rng, d, 1, cfg.samples)
-        r = rng.uniform(-1.0, 1.0, size=cfg.samples)
-        rdot = rng.uniform(-1.0, 1.0, size=cfg.samples)
-        arr = np.empty((2, 1 + 2 * d, cfg.samples))
-        arr[0, 0] = r
-        arr[0, 1:1 + d] = p.blocks[0]
-        arr[0, 1 + d:] = p.blocks[1]
-        arr[1, 0] = rdot
-        arr[1, 1:] = rng.uniform(-1.0, 1.0, size=(2 * d, cfg.samples))  # junk, zeroed
-        got = tp.expand_inner(tp.partial_tangent(kappa, 1, TanPoint(1, arr)))
-        want = ops.vertical_lift_pair(ops.scale_level(p, r, 1),
-                                      ops.scale_level(p, rdot, 1))
-        worst = max(worst, _diff(got, want))
-        total += cfg.samples
-    return total, worst
+def _scalar_partial1(ops, rng, d, n):
+    kappa = _kappa_map(d)
+    p = _point(rng, d, 1, n)
+    r = rng.uniform(-1.0, 1.0, size=n)
+    rdot = rng.uniform(-1.0, 1.0, size=n)
+    arr = np.empty((2, 1 + 2 * d, n))
+    arr[0, 0] = r
+    arr[0, 1:] = p.blocks.reshape(2 * d, n)
+    arr[1, 0] = rdot
+    arr[1, 1:] = rng.uniform(-1.0, 1.0, size=(2 * d, n))  # junk, zeroed
+    yield (tp.expand_inner(tp.partial_tangent(kappa, 1, TanPoint(1, arr))),
+           ops.vertical_lift_pair(ops.scale_level(p, r, 1),
+                                  ops.scale_level(p, rdot, 1)))
 
 
-def _c_scalar_partial2(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        kappa = _kappa_map(d)
-        xi = _point(rng, d, 2, cfg.samples)
-        r = rng.uniform(-1.0, 1.0, size=cfg.samples)
-        c = tp.collapse_inner(xi)
-        arr = np.empty((2, 1 + 2 * d, cfg.samples))
-        arr[0, 0] = r
-        arr[0, 1:] = c.blocks[0]
-        arr[1, 0] = rng.uniform(-1.0, 1.0, size=cfg.samples)  # junk, zeroed
-        arr[1, 1:] = c.blocks[1]
-        got = tp.expand_inner(tp.partial_tangent(kappa, 2, TanPoint(1, arr)))
-        want = ops.swap_levels(
-            ops.scale_level(ops.swap_levels(xi, 1), r, 2), 1)
-        worst = max(worst, _diff(got, want))
-        total += cfg.samples
-    return total, worst
+def _scalar_partial2(ops, rng, d, n):
+    kappa = _kappa_map(d)
+    xi = _point(rng, d, 2, n)
+    r = rng.uniform(-1.0, 1.0, size=n)
+    arr = np.empty((2, 1 + 2 * d, n))
+    arr[0, 0] = r
+    arr[1, 0] = rng.uniform(-1.0, 1.0, size=n)  # junk, zeroed
+    arr[:, 1:] = tp.collapse_inner(xi).blocks
+    yield (tp.expand_inner(tp.partial_tangent(kappa, 2, TanPoint(1, arr))),
+           ops.swap_levels(ops.scale_level(ops.swap_levels(xi, 1), r, 2), 1))
 
 
-def _c_scalar_assoc(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        r = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        s = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        worst = max(worst, _diff(ops.scale_level(ops.scale_level(p, s, 1), r, 1),
-                                 ops.scale_level(p, r * s, 1)))
-        total += cfg.samples
-    return total, worst
+def _scalar_assoc(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    r = rng.uniform(-2.0, 2.0, size=n)
+    s = rng.uniform(-2.0, 2.0, size=n)
+    yield (ops.scale_level(ops.scale_level(p, s, 1), r, 1),
+           ops.scale_level(p, r * s, 1))
 
 
-def _c_scalar_unit(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        worst = max(worst, _diff(ops.scale_level(p, 1.0, 1), p))
-        worst = max(worst, _diff(ops.scale_level(p, 0.0, 1),
-                                 _zero_section(p.base)))
-        total += cfg.samples
-    return total, worst
+def _scalar_unit(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    yield ops.scale_level(p, 1.0, 1), p
+    yield ops.scale_level(p, 0.0, 1), _zero_section(p.base)
 
 
-def _c_scalar_add_scalar(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        r = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        s = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        lhs = ops.scale_level(p, r + s, 1)
-        rhs = ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(p, s, 1),
-                            level=1)
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _scalar_add_scalar(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    r = rng.uniform(-2.0, 2.0, size=n)
+    s = rng.uniform(-2.0, 2.0, size=n)
+    yield (ops.scale_level(p, r + s, 1),
+           ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(p, s, 1),
+                         level=1))
 
 
-def _c_scalar_add_vector(cfg, ops, rng):
-    worst, total = 0.0, 0
-    for d in cfg.dims:
-        p = _point(rng, d, 1, cfg.samples)
-        q = _share(rng, p, [0])
-        r = rng.uniform(-2.0, 2.0, size=cfg.samples)
-        lhs = ops.scale_level(ops.add_fiber(p, q), r, 1)
-        rhs = ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(q, r, 1))
-        worst = max(worst, _diff(lhs, rhs))
-        total += cfg.samples
-    return total, worst
+def _scalar_add_vector(ops, rng, d, n):
+    p = _point(rng, d, 1, n)
+    q = _share(rng, p, [0])
+    r = rng.uniform(-2.0, 2.0, size=n)
+    yield (ops.scale_level(ops.add_fiber(p, q), r, 1),
+           ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(q, r, 1)))
 
 
 ALL_CHECKS: dict[str, Callable] = {
-    "T1/fiber_product_interleave": _c_t1_interleave,
-    "T2/add_assoc": _c_t2_assoc,
-    "T2/add_comm": _c_t2_comm,
-    "T2/add_inverse": _c_t2_inverse,
-    "T2/add_zero": _c_t2_zero,
-    "T3/braid": _c_t3_braid,
-    "T3/fiber_add_compat": _c_t3_add,
-    "T3/involution": _c_t3_involution,
-    "T3/projection_exchange": _c_t3_projection,
-    "T4/double_lift": _c_t4_double,
-    "T4/fiber_add_compat": _c_t4_add,
-    "T4/projection_zero": _c_t4_projection,
-    "T5/lift_exchange": _c_t5_exchange,
-    "T5/swap_fixes_lift": _c_t5_fix,
-    "T6/kernel_pullback": _c_t6_kernel,
-    "cartesian/pair_split": _c_cartesian,
-    "naturality/fiber_add": _c_nat_add,
-    "naturality/fiber_scale": _c_nat_scale,
-    "naturality/level_swap": _c_nat_swap,
-    "naturality/projection": _c_nat_projection,
-    "naturality/vertical_lift": _c_nat_vlift,
-    "naturality/zero_section": _c_nat_zero,
-    "scalar/add_scalar": _c_scalar_add_scalar,
-    "scalar/add_vector": _c_scalar_add_vector,
-    "scalar/assoc": _c_scalar_assoc,
-    "scalar/lift_compat": _c_scalar_lift,
-    "scalar/module_unit_zero": _c_scalar_unit,
-    "scalar/partial_slot1": _c_scalar_partial1,
-    "scalar/partial_slot2": _c_scalar_partial2,
+    "T1/fiber_product_interleave": _check(_t1_interleave),
+    "T2/add_assoc": _check(_t2_assoc),
+    "T2/add_comm": _check(_t2_comm),
+    "T2/add_inverse": _check(_t2_inverse),
+    "T2/add_zero": _check(_t2_zero),
+    "T3/braid": _check(_t3_braid),
+    "T3/fiber_add_compat": _check(_t3_add),
+    "T3/involution": _check(_t3_involution),
+    "T3/projection_exchange": _check(_t3_projection),
+    "T4/double_lift": _check(_t4_double),
+    "T4/fiber_add_compat": _check(_t4_add),
+    "T4/projection_zero": _check(_t4_projection),
+    "T5/lift_exchange": _check(_t5_exchange),
+    "T5/swap_fixes_lift": _check(_t5_fix),
+    "T6/kernel_pullback": _check(_t6_kernel),
+    "cartesian/pair_split": _check(_cartesian, cases=((1, 1), (1, 2), (2, 1))),
+    "naturality/fiber_add": _check(_nat_add),
+    "naturality/fiber_scale": _check(_nat_scale),
+    "naturality/level_swap": _check(_nat_swap),
+    "naturality/projection": _check(_nat_projection),
+    "naturality/vertical_lift": _check(_nat_vlift),
+    "naturality/zero_section": _check(_nat_zero),
+    "scalar/add_scalar": _check(_scalar_add_scalar),
+    "scalar/add_vector": _check(_scalar_add_vector),
+    "scalar/assoc": _check(_scalar_assoc),
+    "scalar/lift_compat": _check(_scalar_lift),
+    "scalar/module_unit_zero": _check(_scalar_unit),
+    "scalar/partial_slot1": _check(_scalar_partial1),
+    "scalar/partial_slot2": _check(_scalar_partial2),
 }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,9 +80,16 @@ def _load_groupoid(args) -> FiberedGroupoid:
                              f"column {err.colno}: {err.msg}") from None
         try:
             return groupoid_from_json_dict(data)
-        except ValueError as err:
-            raise InputError(f"{args.spec}: {err}") from None
+        except (ValueError, TypeError, AttributeError) as err:
+            raise InputError(f"{args.spec}: malformed spec: {err}") from None
     return BUILTIN_GROUPOIDS[args.suite]()
+
+
+def _check_flags(args) -> None:
+    if args.samples < 1:
+        raise InputError(f"--samples wants a positive count, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol wants a finite non-negative number, got {args.tol}")
 
 
 def _finish(report: Report, args) -> int:
@@ -226,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.run(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

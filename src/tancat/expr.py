@@ -325,11 +325,6 @@ def identity(n: int) -> Expr:
     return build(n, lambda xs: xs)
 
 
-def constant_map(values: Sequence[float], n_inputs: int = 0) -> Expr:
-    b = ExprBuilder(n_inputs)
-    return b.finish([b.const(v) for v in values])
-
-
 def select(e: Expr, indices: Sequence[int]) -> Expr:
     """Keep a subset (or reordering) of outputs."""
     return Expr(e.nodes, e.n_inputs, [e.outputs[i] for i in indices])
@@ -376,13 +371,6 @@ def reindex_inputs(e: Expr, slot_map: Sequence[int], n_inputs: int) -> Expr:
     b = ExprBuilder(n_inputs)
     args = [b.input(slot_map[i]) for i in range(e.n_inputs)]
     return b.finish(b.splice(e, args))
-
-
-def input_permutation(perm: Sequence[int]) -> Expr:
-    """The map sending slot list ``perm`` to the outputs in order."""
-    n = len(perm)
-    b = ExprBuilder(n)
-    return b.finish([b.input(p) for p in perm])
 
 
 def tangent_lift(e: Expr) -> Expr:

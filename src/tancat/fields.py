@@ -139,11 +139,18 @@ def act_on_function(v: VectorField, f: ScalarField, name: str = "") -> ScalarFie
 # -- the bracket ------------------------------------------------------
 
 def _bracket_parts(v: VectorField, w: VectorField, xs: list[Tower]):
-    vhat = v.fiber(xs)
-    what = w.fiber(xs)
-    a = w.fiber([join_top(x, c) for x, c in zip(xs, vhat)])
-    b = v.fiber([join_top(x, c) for x, c in zip(xs, what)])
-    return vhat, what, [split_top(t) for t in a], [split_top(t) for t in b]
+    """w at x + e v and v at x + e w, split at e, and their drift.
+
+    The drift is the worst residual of the bottom halves against the
+    plain fibers: the kernel certificate, infinite when any value is
+    not finite.
+    """
+    vhat, what = v.fiber(xs), w.fiber(xs)
+    a = [split_top(t) for t in w.fiber([join_top(x, c) for x, c in zip(xs, vhat)])]
+    b = [split_top(t) for t in v.fiber([join_top(x, c) for x, c in zip(xs, what)])]
+    drift = max([0.0] + [residual(lo.coeffs, plain.coeffs)
+                         for (lo, _), plain in zip(a + b, what + vhat)])
+    return a, b, drift
 
 
 def kernel_residual(v: VectorField, w: VectorField, points: np.ndarray) -> float:
@@ -152,14 +159,7 @@ def kernel_residual(v: VectorField, w: VectorField, points: np.ndarray) -> float
     Zero for any evaluator built purely from tower arithmetic; an
     evaluator that branches on order or injects noise shows up here.
     """
-    xs = _as_towers(points, v.dom.dim)
-    vhat, what, a, b = _bracket_parts(v, w, xs)
-    worst = 0.0
-    for i in range(len(xs)):
-        worst = max(worst,
-                    residual(b[i][0].coeffs, vhat[i].coeffs),
-                    residual(a[i][0].coeffs, what[i].coeffs))
-    return worst
+    return _bracket_parts(v, w, _as_towers(points, v.dom.dim))[2]
 
 
 def lie_bracket(v: VectorField, w: VectorField,
@@ -175,18 +175,13 @@ def lie_bracket(v: VectorField, w: VectorField,
         raise ValueError("bracket needs fields on one chart")
 
     def fn(xs: list[Tower]) -> list[Tower]:
-        vhat, what, a, b = _bracket_parts(v, w, xs)
-        worst = 0.0
-        for i in range(len(xs)):
-            worst = max(worst,
-                        residual(b[i][0].coeffs, vhat[i].coeffs),
-                        residual(a[i][0].coeffs, what[i].coeffs))
-        if worst > kernel_tol:
+        a, b, drift = _bracket_parts(v, w, xs)
+        if drift > kernel_tol:
             raise KernelViolationError(
                 f"bracket of {v.name or '?'}, {w.name or '?'}: crossed "
-                f"evaluations disagree with the plain fibers by {worst:.3e} "
+                f"evaluations disagree with the plain fibers by {drift:.3e} "
                 f"(tol {kernel_tol:.1e})")
-        return [a[i][1] - b[i][1] for i in range(len(xs))]
+        return [x[1] - y[1] for x, y in zip(a, b)]
 
     return VectorField(v.dom, fn, name or f"[{v.name},{w.name}]")
 

@@ -219,36 +219,22 @@ def tangent_groupoid(G: FiberedGroupoid, half: float = 2.0) -> FiberedGroupoid:
 
 
 def t_flatten(pt: TanPoint, sizes) -> np.ndarray:
-    """Iterated doubled-chart coordinates of a tangent point."""
-    if pt.order == 0:
-        return pt.blocks[0]
-    half = 1 << (pt.order - 1)
-    lo = t_flatten(TanPoint(pt.order - 1, pt.blocks[:half]), sizes)
-    hi = t_flatten(TanPoint(pt.order - 1, pt.blocks[half:]), sizes)
-    scale = 1 << (pt.order - 1)
-    parts, off = [], 0
-    for s in sizes:
-        parts.append(lo[off:off + s * scale])
-        parts.append(hi[off:off + s * scale])
-        off += s * scale
-    return np.concatenate(parts)
+    """Iterated doubled-chart coordinates of a tangent point.
+
+    Chart block by chart block (of the given sizes), the coordinates are
+    the tangent blocks in mask order.
+    """
+    parts = np.split(pt.blocks, np.cumsum(sizes)[:-1], axis=1)
+    return np.concatenate([part.reshape((-1,) + pt.batch_shape) for part in parts])
 
 
 def t_unflatten(arr: np.ndarray, sizes, order: int) -> TanPoint:
     """Inverse of :func:`t_flatten`."""
     arr = np.asarray(arr, dtype=float)
-    if order == 0:
-        return TanPoint(0, arr[None])
-    scale = 1 << (order - 1)
-    lo_parts, hi_parts = [], []
-    off = 0
-    for s in sizes:
-        lo_parts.append(arr[off:off + s * scale])
-        hi_parts.append(arr[off + s * scale:off + 2 * s * scale])
-        off += 2 * s * scale
-    lo = t_unflatten(np.concatenate(lo_parts), sizes, order - 1)
-    hi = t_unflatten(np.concatenate(hi_parts), sizes, order - 1)
-    return TanPoint(order, np.concatenate([lo.blocks, hi.blocks], axis=0))
+    parts = np.split(arr, np.cumsum(sizes)[:-1] << order)
+    return TanPoint(order, np.concatenate(
+        [part.reshape((1 << order, s) + arr.shape[1:])
+         for part, s in zip(parts, sizes)], axis=1))
 
 
 # -- order-n functor checks -------------------------------------------
@@ -476,10 +462,6 @@ def matrix_group(n: int, entry_half: float = 1.2, det_floor: float = 1e-6,
                        name="unit"),
         inverse=SmoothMap(arrows, arrows, build(nn, inv), name="inverse"),
         name=f"gl{n}")
-
-
-def general_linear(n: int, **kw) -> FiberedGroupoid:
-    return matrix_group(n, **kw)
 
 
 def linear_action(n: int, space: Domain | None = None) -> SmoothMap:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,17 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     digest = hashlib.sha256(label.encode("utf8")).digest()
     words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+
+
+def _strict(obj):
+    """``obj`` with each non-finite float written as "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -39,8 +51,10 @@ class CheckResult:
     @classmethod
     def from_residual(cls, name: str, samples: int, max_residual: float,
                       tolerance: float) -> "CheckResult":
+        """A check passes only with at least one sample and a residual
+        within the tolerance; a NaN residual fails."""
         return cls(name, samples, float(max_residual), tolerance,
-                   bool(max_residual <= tolerance))
+                   bool(samples >= 1 and max_residual <= tolerance))
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "samples": self.samples,
@@ -74,7 +88,8 @@ class Report:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(_strict(self.to_json_dict()), indent=2,
+                          sort_keys=True, allow_nan=False) + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []

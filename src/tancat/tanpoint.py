@@ -24,8 +24,9 @@ read-only.  Trailing axes of ``blocks`` are a broadcast batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,13 +38,19 @@ DEFAULT_MATCH_TOL = 1e-9
 
 
 def residual(a, b) -> float:
-    """Relative mismatch with an absolute floor near zero."""
+    """Relative mismatch with an absolute floor near zero.
+
+    Infinite when either side holds a value that is not finite, so a
+    NaN can never read as agreement.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 and b.size == 0:
         return 0.0
     num = float(np.max(np.abs(a - b)))
     den = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.inf
     return num / den
 
 
@@ -115,6 +122,28 @@ def _level_bit(order: int, level: int) -> int:
     return 1 << (level - 1)
 
 
+class _LevelTables(NamedTuple):
+    """Block index tables of one level of a point of one order."""
+    keep: np.ndarray  # the blocks without the level, in order: project
+    swap: np.ndarray  # swap[m]: block m with the level and the next exchanged
+    lift: np.ndarray  # lift[m]: where vertical_lift puts block m
+
+
+def _level_tables(order: int, level: int) -> _LevelTables:
+    m = np.arange(1 << order)
+    bit = 1 << (level - 1)
+    has = (m & bit) != 0
+    flip = ((m >> (level - 1)) ^ (m >> level)) & 1
+    # lift doubles the level's bit and moves the higher bits up one place
+    return _LevelTables(
+        m[~has], m ^ (flip * 3 * bit),
+        (m & (bit - 1)) | (has * 3 * bit) | ((m >> level) << (level + 1)))
+
+
+_LEVEL_TABLES = {(n, level): _level_tables(n, level)
+                 for n in range(1, MAX_ORDER + 1) for level in range(1, n + 1)}
+
+
 def apply_tangent(f: SmoothMap, p: TanPoint, check_domain: bool = True) -> TanPoint:
     """Evaluate the order-n tangent of ``f`` at ``p`` blockwise."""
     if check_domain and not np.all(f.dom.contains(p.base)):
@@ -129,14 +158,8 @@ def apply_tangent(f: SmoothMap, p: TanPoint, check_domain: bool = True) -> TanPo
 def project(p: TanPoint, level: int | None = None) -> TanPoint:
     """Forget one tangent level; remaining levels close ranks."""
     level = p.order if level is None else level
-    bit = _level_bit(p.order, level)
-    out = np.empty((1 << (p.order - 1),) + p.blocks.shape[1:])
-    for m in range(1 << p.order):
-        if m & bit:
-            continue
-        new = (m & (bit - 1)) | ((m >> level) << (level - 1))
-        out[new] = p.blocks[m]
-    return TanPoint(p.order - 1, out)
+    _level_bit(p.order, level)
+    return TanPoint(p.order - 1, p.blocks[_LEVEL_TABLES[p.order, level].keep])
 
 
 def zero_lift(p: TanPoint, levels: int = 1) -> TanPoint:
@@ -184,17 +207,9 @@ def _fiber_combine(p, q, sign, level, tol):
 
 def swap_levels(p: TanPoint, level: int) -> TanPoint:
     """Exchange tangent levels ``level`` and ``level + 1``."""
-    lo = _level_bit(p.order, level)
-    hi = _level_bit(p.order, level + 1)
-    out = np.empty_like(p.blocks)
-    for m in range(1 << p.order):
-        swapped = m & ~(lo | hi)
-        if m & lo:
-            swapped |= hi
-        if m & hi:
-            swapped |= lo
-        out[m] = p.blocks[swapped]
-    return TanPoint(p.order, out)
+    _level_bit(p.order, level)
+    _level_bit(p.order, level + 1)
+    return TanPoint(p.order, p.blocks[_LEVEL_TABLES[p.order, level].swap])
 
 
 def vertical_lift(p: TanPoint, level: int | None = None) -> TanPoint:
@@ -205,17 +220,12 @@ def vertical_lift(p: TanPoint, level: int | None = None) -> TanPoint:
     classical ``(u, u1) -> (u, 0, 0, u1)``.
     """
     level = p.order if level is None else level
-    bit = _level_bit(p.order, level)
+    _level_bit(p.order, level)
     order = p.order + 1
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
     out = np.zeros((1 << order,) + p.blocks.shape[1:])
-    for m in range(1 << p.order):
-        new = m & (bit - 1)
-        if m & bit:
-            new |= 0b11 << (level - 1)
-        new |= (m >> level) << (level + 1)
-        out[new] = p.blocks[m]
+    out[_LEVEL_TABLES[p.order, level].lift] = p.blocks
     return TanPoint(order, out)
 
 
@@ -301,33 +311,13 @@ def collapse_inner(p: TanPoint) -> TanPoint:
     n-1, dim 2d, with the remaining levels renumbered down."""
     if p.order == 0:
         raise ValueError("order-0 points have no level to collapse")
-    out_order = p.order - 1
-    arr = np.empty((1 << out_order, 2 * p.dim) + p.batch_shape)
-    for m in range(1 << out_order):
-        arr[m, : p.dim] = p.blocks[m << 1]
-        arr[m, p.dim:] = p.blocks[(m << 1) | 1]
-    return TanPoint(out_order, arr)
+    return TanPoint(p.order - 1, p.blocks.reshape(
+        (1 << (p.order - 1), 2 * p.dim) + p.batch_shape))
 
 
 def expand_inner(p: TanPoint) -> TanPoint:
     """Inverse of :func:`collapse_inner`; dim must be even."""
     if p.dim % 2:
         raise ValueError("dim must be even to expand")
-    d = p.dim // 2
-    arr = np.empty((1 << (p.order + 1), d) + p.batch_shape)
-    for m in range(1 << p.order):
-        arr[m << 1] = p.blocks[m, :d]
-        arr[(m << 1) | 1] = p.blocks[m, d:]
-    return TanPoint(p.order + 1, arr)
-
-
-def as_vector(p: TanPoint) -> np.ndarray:
-    """Flatten all blocks into one chart vector of length dim * 2**order."""
-    return p.blocks.reshape((-1,) + p.batch_shape)
-
-
-def from_vector(vec: np.ndarray, dim: int, order: int) -> TanPoint:
-    vec = np.asarray(vec, dtype=float)
-    if dim and vec.shape[0] != dim << order:
-        raise ValueError(f"vector length {vec.shape[0]} is not dim*2**order")
-    return TanPoint(order, vec.reshape((1 << order, dim) + vec.shape[1:]))
+    return TanPoint(p.order + 1, p.blocks.reshape(
+        (1 << (p.order + 1), p.dim // 2) + p.batch_shape))

@@ -13,6 +13,10 @@ from tancat.tanpoint import TanPoint
 FAST = RunConfig(seed=11, samples=60)
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_clean_suite_passes():
     rep = run_axiom_suite(FAST)
     assert rep.ok
@@ -86,6 +90,20 @@ def test_crossed_swap_caught_by_braid():
     assert "scalar/partial_slot2" not in failed
 
 
+def _nan_swap_dim2(p: TanPoint, level: int) -> TanPoint:
+    # all-NaN blocks on dim-2 charts; max(0.0, nan) is 0.0, so a reduction
+    # that does not treat NaN as a failure would pass every check below
+    q = tp.swap_levels(p, level)
+    return TanPoint(q.order, np.full_like(q.blocks, np.nan)) if q.dim == 2 else q
+
+
+def test_nan_residuals_fail():
+    ops = dataclasses.replace(DEFAULT_OPS, swap_levels=_nan_swap_dim2)
+    rep = run_axiom_suite(FAST, ops)
+    assert {c.name for c in rep.failures} == SWAP_CHECKS
+    assert all(np.isinf(c.max_residual) for c in rep.failures)
+
+
 def test_raising_op_reports_failure_not_crash():
     def broken(*a, **k):
         raise RuntimeError("no fiber addition today")
@@ -96,5 +114,8 @@ def test_raising_op_reports_failure_not_crash():
     bad = {c.name for c in rep.failures}
     assert "T2/add_assoc" in bad
     assert all(np.isinf(c.max_residual) for c in rep.failures)
+    # the report stays strict JSON, with the infinity written as a string
+    data = json.loads(rep.dumps(), parse_constant=_reject_constant)
+    assert {c["max_residual"] for c in data["checks"] if not c["pass"]} == {"inf"}
     # checks that never add fibers are untouched
     assert "T3/involution" not in bad

@@ -13,6 +13,7 @@ from tancat.domain import SmoothMap, box_domain
 from tancat.expr import build
 from tancat.groupoid import (BUILTIN_GROUPOIDS, groupoid_to_json_dict,
                              pair_groupoid)
+from tancat.report import CheckResult, Report
 
 
 def test_axioms_deterministic(tmp_path):
@@ -123,6 +124,44 @@ def test_unknown_suite_is_usage_error():
 def test_bad_dims_is_exit_2():
     assert main(["axioms", "--dims", "1,x"]) == 2
     assert main(["bracket", "--dims", ""]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
+                                   ["--tol", "-0.5"], ["--tol", "nan"],
+                                   ["--tol", "inf"]])
+def test_bad_flag_values_are_exit_2(flags, capsys):
+    assert main(["axioms", "--dims", "1"] + flags) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and flags[0] in cap.err
+
+
+@pytest.mark.parametrize("spec", [
+    {"base": {"dim": None}, "arrows": {"dim": 1}},
+    {"base": {"dim": 1}, "arrows": "x"},
+    [1, 2],
+])
+def test_malformed_spec_is_exit_2(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["groupoid", "--spec", str(path)]) == 2
+    assert "malformed spec" in capsys.readouterr().err
+
+
+def test_reports_are_strict_json():
+    rep = Report("strict", 1)
+    rep.add(CheckResult.from_residual("a/nan", 5, float("nan"), 1e-9))
+    rep.add(CheckResult.from_residual("b/no_samples", 0, 0.0, 1e-9))
+    rep.extra["bracket_table"] = [{"mean": [float("-inf"), 1.0],
+                                   "spread": float("inf")}]
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    data = json.loads(rep.dumps(), parse_constant=reject)
+    # a NaN residual fails, and so does a check that saw no sample
+    assert [(c["max_residual"], c["pass"]) for c in data["checks"]] == \
+        [("nan", False), (0.0, False)]
+    assert data["bracket_table"] == [{"mean": ["-inf", 1.0], "spread": "inf"}]
 
 
 def test_env_seed(tmp_path, monkeypatch):

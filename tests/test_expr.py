@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, build, compose, constant_map,
-                         identity, input_permutation, pair, parallel,
-                         reindex_inputs, select, tangent_lift)
+from tancat.expr import (Expr, ExprBuilder, build, compose, identity, pair,
+                         parallel, reindex_inputs, select, tangent_lift)
 from tancat.randexpr import random_expr
 from tancat.tower import Tower, split_top
 
@@ -155,15 +154,8 @@ def test_compose_pair_parallel_select():
     sel = select(both, [1])
     assert np.allclose(sel(np.array([[2.0], [3.0]])), [[6.0]])
 
-    perm = input_permutation([2, 0, 1])
-    assert np.allclose(perm(np.array([[1.0], [2.0], [3.0]])),
-                       [[3.0], [1.0], [2.0]])
-
     re = reindex_inputs(SQUARE, [1], 3)
     assert np.allclose(re(np.array([[9.0], [2.0], [9.0]])), [[4.0]])
-
-    cm = constant_map([1.5, -2.0])
-    assert np.allclose(cm(np.empty((0, 2))), [[1.5, 1.5], [-2.0, -2.0]])
 
     assert np.allclose(identity(2)(np.array([[1.0], [2.0]])),
                        [[1.0], [2.0]])

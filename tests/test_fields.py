@@ -5,7 +5,7 @@ import pytest
 
 from tancat.domain import SmoothMap, box_domain
 from tancat.errors import KernelViolationError
-from tancat.expr import build, log
+from tancat.expr import build, log, sin
 from tancat.fields import (ScalarField, VectorField, act_on_function,
                            bracket_by_jacobians, check_bracket_laws,
                            check_related, field_add, field_scale,
@@ -161,3 +161,22 @@ class TestKernelCertificate:
             lie_bracket(v, w).at(pts)
         # the honest pairing stays clean
         assert kernel_residual(v, v, pts) == 0.0
+
+    def test_nan_above_order_zero_violates(self):
+        # max(0.0, nan) is 0.0, so a certificate that does not treat NaN
+        # as a violation would pass this field and bracket it to NaN
+        dom = box_domain(2, -2, 2)
+        plain = vf(dom, lambda xs: [sin(xs[0]) * xs[1], xs[0]])
+
+        def nan_lift(xs):
+            out = plain.fiber(xs)
+            if xs[0].order == 0:
+                return out
+            return [Tower(t.order, np.full_like(t.coeffs, np.nan)) for t in out]
+
+        v = VectorField(dom, nan_lift, name="nan_lift")
+        w = vf(dom, lambda xs: [xs[1], -xs[0]])
+        pts = np.array([[0.7, -0.4], [0.3, 1.1]])
+        assert kernel_residual(v, w, pts) == np.inf
+        with pytest.raises(KernelViolationError):
+            lie_bracket(v, w).at(pts)

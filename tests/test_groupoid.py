@@ -122,6 +122,18 @@ class TestTangentGroupoid:
         flat = t_flatten(pt, [1, 2])
         back = t_unflatten(flat, [1, 2], 2)
         assert np.array_equal(back.blocks, pt.blocks)
+        # chart block by chart block, the tangent blocks in mask order
+        assert np.array_equal(flat[:4], blocks[:, 0])
+        assert np.array_equal(flat[4:], blocks[:, 1:].reshape(8, 7))
+        for order in range(5):
+            for sizes in ([1, 2], [0, 2], [3, 0, 1]):
+                for batch in ((), (5,), (2, 3)):
+                    shape = (1 << order, sum(sizes)) + batch
+                    pt = TanPoint(order, rng.uniform(-1, 1, size=shape))
+                    flat = t_flatten(pt, sizes)
+                    assert flat.shape == (sum(sizes) << order,) + batch
+                    back = t_unflatten(flat, sizes, order)
+                    assert np.array_equal(back.blocks, pt.blocks)
 
 
 def _transpose_compose(G: FiberedGroupoid) -> FiberedGroupoid:

@@ -8,6 +8,7 @@ from tancat.domain import SmoothMap, box_domain, product_domain
 from tancat.errors import FiberMismatchError, StructureError
 from tancat.expr import build
 from tancat.tanpoint import TanPoint, residual
+from tancat.tower import MAX_ORDER
 
 
 def pt(order, *cols):
@@ -41,6 +42,14 @@ class TestBasics:
         # relative for large magnitudes, absolute near zero
         assert residual(np.array([1e8]), np.array([1e8 + 1.0])) < 1e-7
         assert residual(np.array([0.0]), np.array([1e-12])) <= 1e-12
+
+    def test_residual_is_infinite_off_the_finite_reals(self):
+        one = np.array([1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            assert residual(np.array([bad]), one) == np.inf
+            assert residual(one, np.array([bad])) == np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert residual(np.array([np.inf]), np.array([np.inf])) == np.inf
 
 
 class TestProjections:
@@ -115,6 +124,54 @@ class TestSwapAndLift:
             tp.vertical_lift_pair(pt(1, 5, 2), pt(1, 6, 3))
 
 
+# every (order, level) key of the block index tables
+KEYS = [(n, level) for n in range(1, MAX_ORDER + 1) for level in range(1, n + 1)]
+
+
+def _rand(order):
+    shape = (1 << order, 2, 3)
+    return TanPoint(order, np.random.default_rng(order).normal(size=shape))
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("order,level", KEYS)
+    def test_project_after_zero_lift(self, order, level):
+        p = _rand(order - 1)
+        lifted = tp.zero_lift(p)
+        assert np.array_equal(tp.project(lifted, order).blocks, p.blocks)
+        if level < order:
+            assert np.array_equal(tp.project(lifted, level).blocks,
+                                  tp.zero_lift(tp.project(p, level)).blocks)
+
+    @pytest.mark.parametrize("order,level", [k for k in KEYS if k[1] < k[0]])
+    def test_swap_is_an_involution(self, order, level):
+        p = _rand(order)
+        once = tp.swap_levels(p, level)
+        assert np.array_equal(once.block(level + 1), p.block(level))
+        assert np.array_equal(tp.swap_levels(once, level).blocks, p.blocks)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_swap_braid(self, order):
+        p, s = _rand(order), tp.swap_levels
+        for lo in range(1, order - 1):
+            hi = lo + 1
+            assert np.array_equal(s(s(s(p, lo), hi), lo).blocks,
+                                  s(s(s(p, hi), lo), hi).blocks)
+
+    @pytest.mark.parametrize("order,level", [k for k in KEYS if k[0] < MAX_ORDER])
+    def test_vertical_lift_doubles_one_level(self, order, level):
+        # (u, u1) -> (u, 0, 0, u1) at every level: a block holding the
+        # level moves to the block holding both copies, higher levels
+        # move up one place, and the blocks holding one copy vanish
+        p = _rand(order)
+        want = np.zeros((2 << order,) + p.blocks.shape[1:])
+        for m in range(1 << order):
+            low = m & ((1 << (level - 1)) - 1)
+            both = 3 << (level - 1) if m >> (level - 1) & 1 else 0
+            want[low | both | (m >> level) << (level + 1)] = p.blocks[m]
+        assert np.array_equal(tp.vertical_lift(p, level).blocks, want)
+
+
 class TestChartDoubling:
     def test_collapse_expand(self):
         p = pt(2, 1, 2, 3, 4)
@@ -123,12 +180,6 @@ class TestChartDoubling:
         assert np.array_equal(c.blocks, [[1, 2], [3, 4]])
         back = tp.expand_inner(c)
         assert np.array_equal(back.blocks, p.blocks)
-
-    def test_vector_roundtrip(self):
-        p = TanPoint(2, np.arange(8.0).reshape(4, 2))
-        v = tp.as_vector(p)
-        assert v.shape == (8,)
-        assert np.array_equal(tp.from_vector(v, 2, 2).blocks, p.blocks)
 
 
 def _scalar_product_map():
