@@ -23,8 +23,8 @@ import numpy as np
 from .domain import Domain
 from .errors import StructureError, VerticalityError
 from .expr import Expr
-from .fields import (ScalarField, VectorField, act_on_function, field_add,
-                     field_scale, lie_bracket, check_related)
+from .fields import (ScalarField, VectorField, act_on_function, field_scale,
+                     lie_bracket, check_related)
 from .gbundle import GBundle, arrow_bundle, invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr

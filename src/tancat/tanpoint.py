@@ -47,7 +47,8 @@ def residual(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.size == 0 and b.size == 0:
         return 0.0
-    num = float(np.max(np.abs(a - b)))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
+        num = float(np.max(np.abs(a - b)))
     den = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     if not (math.isfinite(num) and math.isfinite(den)):
         return math.inf

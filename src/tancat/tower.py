@@ -30,28 +30,26 @@ MAX_ORDER = 4
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
-def _disjoint_pairs(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables for subset convolution at the given order.
+def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Index pairs for the tower product at the given order.
 
-    Returns ``(left, right, starts)`` where ``left``/``right`` list every
-    pair of disjoint masks and ``starts`` marks, for each result mask,
-    the first position of its group.  Pairs are sorted by (result mask,
-    left mask); the sort keeps the summation order of the masks without
-    the top generator identical to the order used one level down, which
-    makes dropping the outermost level bit-exact.
+    With the coefficient axis viewed as ``(2,) * order``, axis 0 being
+    the outermost generator, entry ``left - 1`` is ``(hit, miss)`` for
+    left mask ``left``: ``hit`` selects every result mask that contains
+    ``left`` and ``miss`` every right mask disjoint from it, in the same
+    order.  Both are basic indices, so they select views.  The trailing
+    ``...`` keeps a fully indexed unbatched block a writable 0-d view.
     """
-    pairs = []
-    for left in range(1 << order):
-        for right in range(1 << order):
-            if left & right == 0:
-                pairs.append((left | right, left, right))
-    pairs.sort()
-    out = np.array(pairs, dtype=np.intp)
-    starts = np.searchsorted(out[:, 0], np.arange(1 << order))
-    return out[:, 1].copy(), out[:, 2].copy(), starts.astype(np.intp)
+    table = []
+    for left in range(1, 1 << order):
+        bits = [left >> (order - 1 - axis) & 1 for axis in range(order)]
+        hit = tuple(1 if bit else slice(None) for bit in bits) + (...,)
+        miss = tuple(0 if bit else slice(None) for bit in bits) + (...,)
+        table.append((hit, miss))
+    return tuple(table)
 
 
-_MUL_TABLES = {n: _disjoint_pairs(n) for n in range(MAX_ORDER + 1)}
+_MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
 
 
 def _align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +206,24 @@ def _scale_array_inverse(arr: np.ndarray) -> np.ndarray:
 
 
 def tower_mul(a: Tower, b: Tower) -> Tower:
-    """Product in the tower ring: subset convolution over disjoint masks."""
+    """Product in the tower ring: subset convolution over disjoint masks.
+
+    Each result mask sums its terms in increasing left mask, starting
+    from ``a[0] * b[r]``.  The masks without the outermost generator
+    therefore get exactly the sums of the product one order down, so
+    dropping that generator commutes with the product bit for bit.
+    """
     if a.order != b.order:
         raise ValueError(f"tower order mismatch: {a.order} vs {b.order}")
-    left, right, starts = _MUL_TABLES[a.order]
+    split = (2,) * a.order
     ca, cb = _align(a.coeffs, b.coeffs)
-    prod = ca[left] * cb[right]
-    return Tower._raw(a.order, np.add.reduceat(prod, starts, axis=0))
+    out = ca[0] * cb
+    out_view = out.reshape(split + out.shape[1:])
+    cb_view = cb.reshape(split + cb.shape[1:])
+    for row, (hit, miss) in zip(ca[1:], _MUL_VIEWS[a.order]):
+        acc = out_view[hit]
+        acc += row * cb_view[miss]
+    return Tower._raw(a.order, out)
 
 
 def extend(a: Tower, levels: int = 1) -> Tower:

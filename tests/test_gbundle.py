@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat.domain import SmoothMap, box_domain, product_domain
-from tancat.errors import StructureError, VerticalityError
+from tancat.errors import (KernelViolationError, StructureError,
+                           VerticalityError)
 from tancat.expr import ExprBuilder, build
 from tancat.fields import ScalarField, VectorField, lie_bracket
 from tancat.gbundle import (GBundle, act_on_vertical, arrow_bundle,
@@ -16,6 +17,7 @@ from tancat.gbundle import (GBundle, act_on_vertical, arrow_bundle,
                             is_invariant, vertical_tangent)
 from tancat.groupoid import BUILTIN_GROUPOIDS, pair_groupoid
 from tancat.report import rng_for
+from tancat.tower import Tower
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,35 @@ def test_matrix_invariance_discrimination(gpds):
     bad = VectorField.from_expr(B.total, _right_mul(E12))
     assert max(invariance_defect(B, good, rng, 150).values()) < 1e-14
     assert invariance_defect(B, bad, rng, 150)["equivariance"] > 0.05
+
+
+def test_nan_field_is_not_invariant(gpds):
+    B = arrow_bundle(gpds["pair"])
+    rng = rng_for(22, "gbundle/naninv")
+    good = VectorField.from_expr(
+        B.total, build(4, lambda s: [0.0, 0.0, s[3] * s[3], s[2]]))
+    w = VectorField.from_expr(
+        B.total, build(4, lambda s: [0.0, 0.0, 1.0 + 0.0 * s[2], s[3]]))
+    f = ScalarField.from_expr(B.total, build(4, lambda s: [s[2] * s[3]]))
+
+    def nan_from(order):
+        def fn(xs):
+            out = good.fiber(xs)
+            if xs[0].order < order:
+                return out
+            return [Tower(t.order, np.full_like(t.coeffs, np.nan)) for t in out]
+        return VectorField(B.total, fn, name=f"nan_from_order{order}")
+
+    # the defects are residuals, which read NaN as inf, so the max in
+    # is_invariant cannot drop them
+    nan_values = nan_from(0)
+    assert invariance_defect(B, nan_values, rng, 50) == {
+        "verticality": np.inf, "equivariance": np.inf}
+    assert not is_invariant(B, nan_values, rng, 50)
+    # the defects read order-0 values only; NaN above order 0 is caught
+    # by the kernel certificate of the closure's bracket instead
+    with pytest.raises(KernelViolationError):
+        check_invariant_closure(B, [nan_from(1), w], f, rng, 50)
 
 
 def test_invariant_closure_pair(gpds):

@@ -8,10 +8,11 @@ import pytest
 
 from tancat.domain import SmoothMap, box_domain
 from tancat.errors import StructureError
-from tancat.expr import ExprBuilder, reindex_inputs
+from tancat.expr import ExprBuilder, build, reindex_inputs
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              action_groupoid, check_differentiability,
-                             check_groupoid_axioms, groupoid_from_json_dict,
+                             check_groupoid_axioms, check_tangent_functor,
+                             groupoid_from_json_dict,
                              groupoid_to_json_dict, linear_action,
                              matrix_group, pair_groupoid, product_groupoid,
                              t_flatten, t_unflatten, tangent_domain,
@@ -157,7 +158,25 @@ def _break_unit(G: FiberedGroupoid) -> FiberedGroupoid:
         G, unit=SmoothMap(G.unit.dom, G.unit.cod, body, name="unit_doubled"))
 
 
+def _nan_inverse(G: FiberedGroupoid) -> FiberedGroupoid:
+    body = build(G.arrow_dim, lambda xs: [x * np.nan for x in xs])
+    return dataclasses.replace(
+        G, inverse=SmoothMap(G.inverse.dom, G.inverse.cod, body,
+                             name="inverse_nan"))
+
+
 class TestSabotage:
+    def test_nan_inverse_fails_the_inverse_laws(self):
+        # residual reads NaN as inf, so the max over both sides of a law
+        # cannot drop it the way max(0.0, nan) == 0.0 would
+        G = _nan_inverse(BUILTIN_GROUPOIDS["action_gl2"]())
+        res = check_groupoid_axioms(G, rng_for(16, "groupoid/nan"), 60)
+        bad = {k for k, v in res.items() if not v <= TOL}
+        assert bad == {"inverse_exchange", "inverse_left", "inverse_right"}
+        assert all(res[k] == np.inf for k in bad)
+        tangent = check_tangent_functor(G, rng_for(16, "groupoid/tnan"), 1, 30)
+        assert tangent["inverse_laws"] == np.inf
+
     def test_flipped_composition_is_caught_where_it_matters(self):
         G = _transpose_compose(BUILTIN_GROUPOIDS["action_gl2"]())
         rng = rng_for(13, "groupoid/flip")

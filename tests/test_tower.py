@@ -52,14 +52,28 @@ def test_order2_square_worked_example():
     assert np.allclose(sq.coeffs, [1.0, 2.0, 2.0, 2.0])
 
 
+def per_sample(coeffs, batch):
+    # batch axes trail the coefficient axis: pad on the right, then broadcast
+    padded = coeffs.reshape(coeffs.shape + (1,) * (1 + len(batch) - coeffs.ndim))
+    return np.broadcast_to(padded, coeffs.shape[:1] + batch)
+
+
 @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
 def test_product_matches_bruteforce_oracle(order):
     rng = np.random.default_rng(1234 + order)
-    for _ in range(20):
-        a = rng.uniform(-2, 2, size=1 << order)
-        b = rng.uniform(-2, 2, size=1 << order)
-        got = (Tower(order, a) * Tower(order, b)).coeffs
-        assert np.allclose(got, oracle_mul(order, a, b), atol=1e-13)
+    for shape_a, shape_b in [((), ()), ((7,), (7,)), ((2, 3), (2, 3)),
+                             ((5,), ()), ((), (5,)), ((4, 1), (4, 6))]:
+        batch = np.broadcast_shapes(shape_a, shape_b)
+        for _ in range(20):
+            a = rng.uniform(-2, 2, size=(1 << order,) + shape_a)
+            b = rng.uniform(-2, 2, size=(1 << order,) + shape_b)
+            got = (Tower(order, a) * Tower(order, b)).coeffs
+            assert got.shape == (1 << order,) + batch
+            a_full, b_full = per_sample(a, batch), per_sample(b, batch)
+            for idx in np.ndindex(batch):
+                at = (slice(None),) + idx
+                assert np.allclose(got[at], oracle_mul(order, a_full[at], b_full[at]),
+                                   atol=1e-13)
 
 
 def test_square_of_generator_vanishes():
@@ -205,11 +219,14 @@ def test_split_join_roundtrip():
 def test_restriction_to_lower_order_is_bit_exact():
     # dropping the outermost generator commutes with arithmetic, bitwise
     rng = np.random.default_rng(42)
-    for _ in range(10):
-        a3 = Tower(3, rng.uniform(0.5, 2.0, size=8))
-        b3 = Tower(3, rng.uniform(0.5, 2.0, size=8))
-        a2, b2 = split_top(a3)[0], split_top(b3)[0]
-        assert np.all(split_top(a3 * b3)[0].coeffs == (a2 * b2).coeffs)
-        assert np.all(split_top(lift_primitive("exp", a3))[0].coeffs
-                      == lift_primitive("exp", a2).coeffs)
-        assert np.all(split_top(a3 / b3)[0].coeffs == (a2 / b2).coeffs)
+    for order in range(1, MAX_ORDER + 1):
+        for batch in ((), (9,)):
+            for _ in range(10):
+                size = (1 << order,) + batch
+                a = Tower(order, rng.uniform(0.5, 2.0, size=size))
+                b = Tower(order, rng.uniform(0.5, 2.0, size=size))
+                a_lo, b_lo = split_top(a)[0], split_top(b)[0]
+                assert np.all(split_top(a * b)[0].coeffs == (a_lo * b_lo).coeffs)
+                assert np.all(split_top(lift_primitive("exp", a))[0].coeffs
+                              == lift_primitive("exp", a_lo).coeffs)
+                assert np.all(split_top(a / b)[0].coeffs == (a_lo / b_lo).coeffs)
