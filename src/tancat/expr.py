@@ -16,18 +16,21 @@ which hash-cons nodes so repeated subterms are shared.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .tower import Tower, lift_primitive, pow_int
+from .tower import Tower, lift_primitive, pow_int, reciprocal
 
-_BINARY = ("add", "sub", "mul", "div")
+_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv}
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
-_ARITY.update({op: 2 for op in _BINARY})
+_ARITY.update({op: 2 for op in _BINARY_OPS})
 _ARITY.update({op: 1 for op in _UNARY_PRIMS})
 
 
@@ -41,9 +44,16 @@ class Node:
 
 class Expr:
     """An immutable program with ``n_inputs`` arguments and a tuple of
-    output node ids."""
+    output node ids.
 
-    __slots__ = ("nodes", "n_inputs", "outputs")
+    Construction validates the nodes and compiles them, in one pass, into
+    a schedule: constant nodes stay floats, nodes whose operands are all
+    constant are folded into floats, and every other node becomes a step
+    that computes its tower from the values of earlier nodes.
+    """
+
+    __slots__ = ("nodes", "n_inputs", "outputs", "_consts", "_slots",
+                 "_lifted", "_steps", "_const_outputs")
 
     def __init__(self, nodes: Sequence[Node], n_inputs: int,
                  outputs: Sequence[int]) -> None:
@@ -51,32 +61,57 @@ class Expr:
         outputs = tuple(int(i) for i in outputs)
         if n_inputs < 0:
             raise ValueError("n_inputs must be nonnegative")
+        consts: list[float | None] = [None] * len(nodes)
+        slots, lifted, steps = [], set(), []
         for nid, node in enumerate(nodes):
             if node.op not in _ARITY:
                 raise ValueError(f"node {nid}: unknown op {node.op!r}")
             if len(node.args) != _ARITY[node.op]:
                 raise ValueError(f"node {nid}: op {node.op!r} takes "
                                  f"{_ARITY[node.op]} args, got {len(node.args)}")
+            args_const = True
             for a in node.args:
                 if not 0 <= a < nid:
                     raise ValueError(f"node {nid}: arg {a} not topologically "
                                      "earlier")
+                if consts[a] is None:
+                    args_const = False
             if node.op == "input":
                 if node.index is None or not 0 <= node.index < n_inputs:
                     raise ValueError(f"node {nid}: input slot {node.index} out "
                                      f"of range for {n_inputs} inputs")
-            elif node.op == "const":
+                slots.append((nid, node.index))
+                continue
+            if node.op == "const":
                 if node.value is None:
                     raise ValueError(f"node {nid}: const without value")
-            elif node.op == "pow_int":
-                if node.index is None:
-                    raise ValueError(f"node {nid}: pow_int without exponent")
+                consts[nid] = float(node.value)
+                continue
+            if node.op == "pow_int" and node.index is None:
+                raise ValueError(f"node {nid}: pow_int without exponent")
+            step = _step(node, consts)
+            if args_const:
+                consts[nid] = _fold(*step, consts)
+                if consts[nid] is not None:
+                    continue
+                # not folded: it runs at evaluate, on constant towers of
+                # the evaluation's order and batch shape
+                lifted.update(node.args)
+            elif node.op == "div" and consts[node.args[1]] == 0.0:
+                lifted.add(node.args[1])  # so recip raises, as for a tower
+            steps.append((nid, *step))
         for o in outputs:
             if not 0 <= o < len(nodes):
                 raise ValueError(f"output id {o} out of range")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
         object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "_consts", tuple(consts))
+        object.__setattr__(self, "_slots", tuple(slots))
+        object.__setattr__(self, "_lifted", tuple(sorted(lifted)))
+        object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "_const_outputs", tuple(sorted(
+            {o for o in outputs if consts[o] is not None} - lifted)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -113,36 +148,22 @@ class Expr:
             order = 0 if order is None else order
             batch_shape = () if batch_shape is None else tuple(batch_shape)
 
-        vals: list[Tower] = []
-        for nid, node in enumerate(self.nodes):
-            try:
-                vals.append(self._eval_node(node, vals, inputs, order, batch_shape))
-            except DomainError as err:
-                raise DomainError(f"node {nid} ({node.op}): {err}") from err
-        return [vals[i] for i in self.outputs]
+        def constant(c: float) -> Tower:
+            return Tower.constant(np.full(batch_shape, c), order)
 
-    @staticmethod
-    def _eval_node(node, vals, inputs, order, batch_shape):
-        op = node.op
-        if op == "input":
-            return inputs[node.index]
-        if op == "const":
-            return Tower.constant(np.full(batch_shape, node.value), order)
-        a = vals[node.args[0]]
-        if op == "neg":
-            return -a
-        if op == "pow_int":
-            return pow_int(a, node.index)
-        if op in _UNARY_PRIMS:
-            return lift_primitive(op, a)
-        b = vals[node.args[1]]
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a / b  # div
+        vals = list(self._consts)
+        for nid, slot in self._slots:
+            vals[nid] = inputs[slot]
+        for nid in self._lifted:
+            vals[nid] = constant(vals[nid])
+        try:
+            for nid, fn, a, b in self._steps:
+                vals[nid] = fn(vals[a], vals[b])
+        except DomainError as err:
+            raise DomainError(f"node {nid} ({self.nodes[nid].op}): {err}") from err
+        for nid in self._const_outputs:
+            vals[nid] = constant(vals[nid])
+        return [vals[i] for i in self.outputs]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Order-0 evaluation on an array of shape (n_inputs, ...)."""
@@ -181,6 +202,63 @@ class Expr:
             return cls(nodes, int(data["inputs"]), data["outputs"])
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed expression AST: {err}") from err
+
+
+def _unary(prim: str) -> Callable:
+    def step(x, _):
+        return lift_primitive(prim, x)
+    return step
+
+
+def _const_over(c, t):
+    return c * reciprocal(t)
+
+
+_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
+_UNARY_OPS["neg"] = lambda x, _: -x
+
+
+def _step(node: Node, consts: Sequence[float | None]) -> tuple:
+    """``(fn, a, b)``: ``fn(value of a, value of b)`` computes ``node``.
+
+    A constant operand is a float, so a node with one takes Tower's scalar
+    paths.  ``tower_mul``, ``lift_primitive`` and ``pow_int`` are looked
+    up when a step runs, not bound here.  Unary steps ignore ``b``.
+    """
+    op, args = node.op, node.args
+    a = b = args[0]
+    if op in _BINARY_OPS:
+        b = args[1]
+        if op == "div" and (consts[a] is None) != (consts[b] is None):
+            if consts[a] is not None:
+                return _const_over, a, b
+            if consts[b] != 0.0:
+                # the bits of t * recip(c), which t / c would not keep
+                inv = 1.0 / consts[b]
+                return (lambda x, _: x * inv), a, b
+        return _BINARY_OPS[op], a, b
+    if op == "pow_int":
+        k = node.index
+        return (lambda x, _: pow_int(x, k)), a, b
+    return _UNARY_OPS[op], a, b
+
+
+def _fold(fn: Callable, a: int, b: int,
+          consts: Sequence[float | None]) -> float | None:
+    """The float ``fn`` gives on the constants ``a`` and ``b``, or None if
+    it raises a domain error or is not finite there.
+
+    A non-finite value is left to the constant towers of the evaluation:
+    above order 0, ``lift_primitive`` turns an infinite derivative into
+    NaN coefficients (0 * inf), which an order-0 fold would not give.
+    """
+    x, y = (Tower.constant(np.full(1, consts[i])) for i in (a, b))
+    try:
+        with np.errstate(all="ignore"):
+            value = float(fn(x, y).coeffs[0, 0])
+    except DomainError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 # -- building ---------------------------------------------------------

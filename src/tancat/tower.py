@@ -326,7 +326,8 @@ def lift_primitive(name: str, a: Tower) -> Tower:
 
     The series around the real part is exact here: the nilpotent part of
     an order-n tower has vanishing (n+1)-st power, so summing derivative
-    terms up to order n reproduces the primitive's full n-jet.
+    terms up to order n reproduces the primitive's full n-jet.  The terms
+    are added into one array in increasing degree.
     """
     try:
         prim = _PRIMITIVES[name]
@@ -335,18 +336,19 @@ def lift_primitive(name: str, a: Tower) -> Tower:
     base = a.coeffs[0]
     prim.check(base)
     derivs = prim.jets(base, a.order)
-    out = Tower.constant(derivs[0], a.order)
-    if a.order == 0:
-        return out
-    nil_arr = a.coeffs.copy()
-    nil_arr[0] = 0.0
-    nil = Tower._raw(a.order, nil_arr)
-    power = nil
-    for k in range(1, a.order + 1):
-        out = out + power * np.asarray(derivs[k] / _FACTORIAL[k])
-        if k < a.order:
-            power = tower_mul(power, nil)
-    return out
+    out = np.zeros(a.coeffs.shape)
+    out[0] = derivs[0]
+    if a.order:
+        nil_arr = a.coeffs.copy()
+        nil_arr[0] = 0.0
+        power = nil = Tower._raw(a.order, nil_arr)
+        term = np.empty_like(out)
+        for k in range(1, a.order + 1):
+            np.multiply(power.coeffs, derivs[k] / _FACTORIAL[k], out=term)
+            out += term
+            if k < a.order:
+                power = tower_mul(power, nil)
+    return Tower._raw(a.order, out)
 
 
 def reciprocal(a: Tower) -> Tower:

@@ -1,15 +1,17 @@
 """Expression DSL: worked jets, finite-difference oracle, serialization."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, build, compose, identity, pair,
-                         parallel, reindex_inputs, select, tangent_lift)
+from tancat.expr import (Expr, ExprBuilder, build, compose, exp, identity,
+                         log, pair, parallel, reindex_inputs, select,
+                         tangent_lift)
 from tancat.randexpr import random_expr
-from tancat.tower import Tower, split_top
+from tancat.tower import Tower, lift_primitive, pow_int, split_top
 
 
 def tower(order, *coeffs):
@@ -64,10 +66,106 @@ def test_validation_rejects_malformed_graphs():
 
 
 def test_domain_error_carries_node_id():
-    e = build(1, lambda xs: [__import__("tancat.expr", fromlist=["log"]).log(xs[0])])
+    e = build(1, lambda xs: [log(xs[0])])
     with pytest.raises(DomainError) as err:
         e.evaluate([tower(0, -2.0)])
-    assert "node" in str(err.value) and "log" in str(err.value)
+    assert str(err.value).startswith("node 1 (log): ")
+
+
+def reference_evaluate(e, inputs, order=None, batch_shape=None):
+    """Node-by-node interpreter: every constant a full tower of the batch."""
+    if inputs:
+        order = inputs[0].order
+        batch_shape = np.broadcast_shapes(*[t.batch_shape for t in inputs])
+    else:
+        order = 0 if order is None else order
+        batch_shape = () if batch_shape is None else tuple(batch_shape)
+    vals = []
+    for nid, node in enumerate(e.nodes):
+        op = node.op
+        try:
+            if op == "input":
+                v = inputs[node.index]
+            elif op == "const":
+                v = Tower.constant(np.full(batch_shape, node.value), order)
+            elif op == "neg":
+                v = -vals[node.args[0]]
+            elif op == "pow_int":
+                v = pow_int(vals[node.args[0]], node.index)
+            elif len(node.args) == 1:
+                v = lift_primitive(op, vals[node.args[0]])
+            else:
+                a, b = (vals[i] for i in node.args)
+                v = {"add": operator.add, "sub": operator.sub,
+                     "mul": operator.mul, "div": operator.truediv}[op](a, b)
+        except DomainError as err:
+            raise DomainError(f"node {nid} ({op}): {err}") from err
+        vals.append(v)
+    return [vals[i] for i in e.outputs]
+
+
+def assert_matches_reference(e, inputs, **kw):
+    got = e.evaluate(inputs, **kw)
+    want = reference_evaluate(e, inputs, **kw)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.order == w.order
+        assert g.coeffs.shape == w.coeffs.shape
+        assert np.array_equal(g.coeffs, w.coeffs, equal_nan=True)
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("order", range(5))
+def test_schedule_matches_reference_interpreter(order, batch):
+    rng = np.random.default_rng(100 + 10 * order + len(batch))
+    for _ in range(20):
+        n_in = int(rng.integers(1, 4))
+        e = random_expr(rng, n_in, int(rng.integers(1, 4)),
+                        depth=int(rng.integers(1, 7)))
+        ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order,) + batch))
+               for _ in range(n_in)]
+        assert_matches_reference(e, ins)
+
+
+def test_constant_outputs_match_reference():
+    # a constant-only output beside a batched input keeps the batch shape;
+    # exp(800.0) overflows, so it is not folded
+    e = build(1, lambda xs: [2.0 * 3.0 - 1.0, xs[0] / 3.0, 5.0 / xs[0],
+                             xs[0] - 2.0, 7.0,
+                             xs[0] + exp(xs[0].builder.const(800.0))])
+    x = Tower(2, np.random.default_rng(1).uniform(0.5, 2.0, size=(4, 6)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_reference(e, [x])
+        out = e.evaluate([x])
+    assert out[0].coeffs.shape == (4, 6)
+    assert np.all(out[0].coeffs[0] == 5.0) and np.all(out[0].coeffs[1:] == 0.0)
+
+
+def test_zero_input_expression_matches_reference():
+    b = ExprBuilder(0)
+    two = b.const(2.0)
+    e = b.finish([two, two * two + 1.0, log(two)])
+    for order, batch in ((0, ()), (3, (4,)), (2, (2, 3))):
+        assert_matches_reference(e, [], order=order, batch_shape=batch)
+        out = e.evaluate([], order=order, batch_shape=batch)
+        assert all(t.order == order and t.batch_shape == batch for t in out)
+
+
+@pytest.mark.parametrize("make, op", [
+    (lambda b, x: x / 0.0, "div"),
+    (lambda b, x: x + b.const(1.0) / b.const(0.0), "div"),
+    (lambda b, x: x + log(b.const(-1.0)), "log"),
+])
+def test_constant_domain_errors_surface_at_evaluate(make, op):
+    b = ExprBuilder(1)
+    e = b.finish([make(b, b.input(0))])  # builds without error
+    x = Tower(1, np.ones((2, 3)))
+    with pytest.raises(DomainError) as got:
+        e.evaluate([x])
+    with pytest.raises(DomainError) as want:
+        reference_evaluate(e, [x])
+    assert str(got.value) == str(want.value)
+    assert f"({op}): " in str(got.value)
 
 
 def test_finite_difference_oracle_10k_random_dags():

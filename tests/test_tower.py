@@ -227,6 +227,7 @@ def test_restriction_to_lower_order_is_bit_exact():
                 b = Tower(order, rng.uniform(0.5, 2.0, size=size))
                 a_lo, b_lo = split_top(a)[0], split_top(b)[0]
                 assert np.all(split_top(a * b)[0].coeffs == (a_lo * b_lo).coeffs)
-                assert np.all(split_top(lift_primitive("exp", a))[0].coeffs
-                              == lift_primitive("exp", a_lo).coeffs)
+                for prim in ("exp", "log", "sin", "cos", "sqrt", "recip"):
+                    assert np.all(split_top(lift_primitive(prim, a))[0].coeffs
+                                  == lift_primitive(prim, a_lo).coeffs), prim
                 assert np.all(split_top(a / b)[0].coeffs == (a_lo / b_lo).coeffs)
