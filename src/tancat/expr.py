@@ -249,8 +249,9 @@ def _fold(fn: Callable, a: int, b: int,
     it raises a domain error or is not finite there.
 
     A non-finite value is left to the constant towers of the evaluation:
-    above order 0, ``lift_primitive`` turns an infinite derivative into
-    NaN coefficients (0 * inf), which an order-0 fold would not give.
+    above order 0, an infinite derivative makes the derivative slots of a
+    constant tower NaN (0 * inf), which a float constant would not give;
+    its value slot keeps the order-0 value.
     """
     x, y = (Tower.constant(np.full(1, consts[i])) for i in (a, b))
     try:

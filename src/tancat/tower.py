@@ -326,8 +326,10 @@ def lift_primitive(name: str, a: Tower) -> Tower:
 
     The series around the real part is exact here: the nilpotent part of
     an order-n tower has vanishing (n+1)-st power, so summing derivative
-    terms up to order n reproduces the primitive's full n-jet.  The terms
-    are added into one array in increasing degree.
+    terms up to order n reproduces the primitive's full n-jet.  The value
+    slot is written once, with the primitive's value; the terms are added
+    into the other slots in increasing degree.  So an infinite derivative
+    makes derivative slots NaN (0 * inf) but never the value.
     """
     try:
         prim = _PRIMITIVES[name]
@@ -342,10 +344,10 @@ def lift_primitive(name: str, a: Tower) -> Tower:
         nil_arr = a.coeffs.copy()
         nil_arr[0] = 0.0
         power = nil = Tower._raw(a.order, nil_arr)
-        term = np.empty_like(out)
+        term = np.empty_like(out[1:])
         for k in range(1, a.order + 1):
-            np.multiply(power.coeffs, derivs[k] / _FACTORIAL[k], out=term)
-            out += term
+            np.multiply(power.coeffs[1:], derivs[k] / _FACTORIAL[k], out=term)
+            out[1:] += term
             if k < a.order:
                 power = tower_mul(power, nil)
     return Tower._raw(a.order, out)

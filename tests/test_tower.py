@@ -231,3 +231,15 @@ def test_restriction_to_lower_order_is_bit_exact():
                     assert np.all(split_top(lift_primitive(prim, a))[0].coeffs
                                   == lift_primitive(prim, a_lo).coeffs), prim
                 assert np.all(split_top(a / b)[0].coeffs == (a_lo / b_lo).coeffs)
+
+
+def test_infinite_derivative_keeps_the_value():
+    # the derivative of 1/x overflows at 1e-70; 0 * inf there must not
+    # reach the value slot, which order 0 gives as 1e70
+    with np.errstate(over="ignore", invalid="ignore"):
+        tiny = lift_primitive("recip", Tower(4, [1e-70] + [0.0] * 15))
+        big = lift_primitive("exp", Tower(1, [800.0, 1.0]))
+        value = lift_primitive("recip", Tower(0, [1e-70])).coeffs[0]
+    assert tiny.coeffs[0] == value == 1e70
+    assert np.all(np.isnan(tiny.coeffs[1:]))
+    assert np.array_equal(big.coeffs, [np.inf, np.inf])
