@@ -19,21 +19,21 @@ from .axioms import ALL_CHECKS, DEFAULT_OPS, TangentOps, run_axiom_suite
 from .domain import Domain, SmoothMap, box_domain, product_domain
 from .errors import (DomainError, FiberMismatchError, KernelViolationError,
                      SamplerError, StructureError, VerticalityError)
-from .expr import (Expr, ExprBuilder, build, compose, cos, exp, log, pair,
-                   parallel, reindex_inputs, select, sin, sqrt, tangent_lift)
+from .expr import (Expr, ExprBuilder, build, cos, exp, log, parallel,
+                   reindex_inputs, sin, sqrt, tangent_lift)
 from .fields import (ScalarField, VectorField, act_on_function,
                      bracket_by_jacobians, check_bracket_laws, check_related,
                      field_add, field_scale, jacobian_at, kernel_residual,
                      lie_bracket)
-from .gbundle import (GBundle, act_on_vertical, arrow_bundle, base_bundle,
+from .gbundle import (GBundle, act_on_vertical, arrow_bundle,
                       check_bundle_axioms, check_invariant_closure,
-                      check_vertical_structure, fiber_product_bundle,
-                      invariance_defect, is_invariant, vertical_tangent)
+                      check_vertical_structure, invariance_defect,
+                      is_invariant, vertical_tangent)
 from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, action_groupoid,
                        check_differentiability, check_groupoid_axioms,
                        groupoid_from_json_dict, groupoid_to_json_dict,
                        linear_action, matrix_group, pair_groupoid,
-                       product_groupoid, tangent_groupoid)
+                       tangent_groupoid)
 from .report import CheckResult, Report, RunConfig, rng_for
 from .tanpoint import (TanPoint, add_fiber, apply_tangent, collapse_inner,
                        expand_inner, fiber_component, partial_tangent,
@@ -46,9 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_ORDER", "Tower", "extend", "join_top", "split_top",
-    "Expr", "ExprBuilder", "build", "compose", "cos", "exp", "log", "pair",
-    "parallel", "sin", "sqrt",
-    "reindex_inputs", "select", "tangent_lift",
+    "Expr", "ExprBuilder", "build", "cos", "exp", "log", "parallel", "sin",
+    "sqrt", "reindex_inputs", "tangent_lift",
     "Domain", "SmoothMap", "box_domain", "product_domain",
     "TanPoint", "apply_tangent", "project", "zero_lift", "add_fiber",
     "sub_fiber", "swap_levels", "vertical_lift", "vertical_lift_pair",
@@ -59,13 +58,12 @@ __all__ = [
     "field_add", "field_scale", "act_on_function", "jacobian_at",
     "bracket_by_jacobians", "check_related", "check_bracket_laws",
     "FiberedGroupoid", "pair_groupoid", "matrix_group", "linear_action",
-    "action_groupoid", "product_groupoid",
-    "tangent_groupoid", "check_groupoid_axioms", "check_differentiability",
-    "groupoid_to_json_dict", "groupoid_from_json_dict", "BUILTIN_GROUPOIDS",
-    "GBundle", "arrow_bundle", "base_bundle", "fiber_product_bundle",
-    "vertical_tangent", "act_on_vertical", "invariance_defect",
-    "is_invariant", "check_bundle_axioms", "check_vertical_structure",
-    "check_invariant_closure",
+    "action_groupoid", "tangent_groupoid", "check_groupoid_axioms",
+    "check_differentiability", "groupoid_to_json_dict",
+    "groupoid_from_json_dict", "BUILTIN_GROUPOIDS",
+    "GBundle", "arrow_bundle", "vertical_tangent", "act_on_vertical",
+    "invariance_defect", "is_invariant", "check_bundle_axioms",
+    "check_vertical_structure", "check_invariant_closure",
     "Algebroid", "Section", "algebroid_of", "anchor_field",
     "extend_to_invariant", "restrict_to_unit", "algebroid_bracket",
     "section_add", "section_scale", "pullback_target",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import Domain
 from .errors import StructureError, VerticalityError
-from .expr import Expr
+from .expr import Expr, build
 from .fields import (ScalarField, VectorField, act_on_function, field_scale,
                      lie_bracket, check_related)
 from .gbundle import GBundle, arrow_bundle, invariance_defect
@@ -64,13 +64,9 @@ class Section:
     @classmethod
     def constant(cls, base: Domain, vec, name: str = "") -> "Section":
         vec = np.asarray(vec, dtype=float)
-
-        def fn(xs, like):
-            return [extend(Tower.constant(
-                np.broadcast_to(vec[i], like.batch_shape)), like.order)
-                for i in range(len(vec))]
-
-        return cls(base, len(vec), fn, name or "const")
+        return cls.from_expr(base, len(vec),
+                             build(base.dim, lambda xs: list(vec)),
+                             name or "const")
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 values, shape (rank, ...)."""

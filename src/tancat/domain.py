@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplerError
-from .expr import Expr, compose, reindex_inputs
+from .expr import Expr, reindex_inputs
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,21 @@ def box_domain(dim: int, lo: float = -1.0, hi: float = 1.0, *,
 
 
 def product_domain(a: Domain, b: Domain, name: str = "") -> Domain:
-    """Product chart with the factor split recorded for partial tangents."""
-    box = np.concatenate([a.box, b.box], axis=0) if a.dim + b.dim else np.zeros((0, 2))
-    lift_a = [reindex_inputs(c, list(range(a.dim)), a.dim + b.dim)
-              for c in a.constraints]
-    lift_b = [reindex_inputs(c, list(range(a.dim, a.dim + b.dim)),
-                             a.dim + b.dim) for c in b.constraints]
-    return Domain(dim=a.dim + b.dim, box=box,
-                  constraints=tuple(lift_a) + tuple(lift_b),
-                  name=name or f"{a.name}x{b.name}",
-                  split=(a.dim, b.dim))
+    """Product chart with the factor split recorded for partial tangents.
+
+    Each factor's constraints and sampling guards watch its own slots.
+    """
+    dim = a.dim + b.dim
+
+    def lift(attr: str) -> tuple[Expr, ...]:
+        return tuple(reindex_inputs(c, list(range(off, off + f.dim)), dim)
+                     for f, off in ((a, 0), (b, a.dim))
+                     for c in getattr(f, attr))
+
+    return Domain(dim=dim, box=np.concatenate([a.box, b.box]),
+                  constraints=lift("constraints"),
+                  name=name or f"{a.name}x{b.name}", split=(a.dim, b.dim),
+                  sample_constraints=lift("sample_constraints"))
 
 
 @dataclass(frozen=True)
@@ -146,12 +151,6 @@ class SmoothMap:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.body(points)
-
-    def then(self, other: "SmoothMap", name: str = "") -> "SmoothMap":
-        if other.dom.dim != self.cod.dim:
-            raise ValueError("composition dimension mismatch")
-        return SmoothMap(self.dom, other.cod, compose(other.body, self.body),
-                         name or f"{other.name}.{self.name}")
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom.to_json_dict(), "cod": self.cod.to_json_dict(),

@@ -400,38 +400,6 @@ def build(n_inputs: int, fn: Callable) -> Expr:
 
 # -- graph utilities --------------------------------------------------
 
-def identity(n: int) -> Expr:
-    return build(n, lambda xs: xs)
-
-
-def select(e: Expr, indices: Sequence[int]) -> Expr:
-    """Keep a subset (or reordering) of outputs."""
-    return Expr(e.nodes, e.n_inputs, [e.outputs[i] for i in indices])
-
-
-def compose(outer: Expr, inner: Expr) -> Expr:
-    """outer after inner; inner's outputs feed outer's inputs."""
-    if inner.n_outputs != outer.n_inputs:
-        raise ValueError(f"arity mismatch: inner yields {inner.n_outputs}, "
-                         f"outer takes {outer.n_inputs}")
-    b = ExprBuilder(inner.n_inputs)
-    mid = b.splice(inner, b.inputs())
-    return b.finish(b.splice(outer, mid))
-
-
-def pair(*exprs: Expr) -> Expr:
-    """Concatenate outputs of expressions sharing one input tuple."""
-    n = exprs[0].n_inputs
-    if any(e.n_inputs != n for e in exprs):
-        raise ValueError("pair requires a common input arity")
-    b = ExprBuilder(n)
-    xs = b.inputs()
-    outs: list[Handle] = []
-    for e in exprs:
-        outs.extend(b.splice(e, xs))
-    return b.finish(outs)
-
-
 def parallel(*exprs: Expr) -> Expr:
     """Run expressions side by side on a concatenated input tuple."""
     total = sum(e.n_inputs for e in exprs)
@@ -460,34 +428,45 @@ def tangent_lift(e: Expr) -> Expr:
     yields the second tangent, and so on.
     """
     b = ExprBuilder(2 * e.n_inputs)
+    xs = b.inputs()
+    vals, dots = _emit_tangent(b, e, xs[:e.n_inputs], xs[e.n_inputs:])
+    return b.finish(vals + dots)
+
+
+def _emit_tangent(b: ExprBuilder, e: Expr, xs: Sequence[Handle],
+                  dxs: Sequence[Handle]) -> tuple[list[Handle], list[Handle]]:
+    """Write the forward-mode nodes of ``e`` into ``b``.
+
+    ``xs`` and ``dxs`` are the handles of the values and directions of
+    ``e``'s inputs; the result is the values and directions of its
+    outputs.
+    """
     zero = b.const(0.0)
     vals: list[Handle] = []
     dots: list[Handle] = []
     for node in e.nodes:
         op = node.op
         if op == "input":
-            v = b.input(node.index)
-            d = b.input(e.n_inputs + node.index)
+            v = xs[node.index]
+            d = dxs[node.index]
         elif op == "const":
             v = b.const(node.value)
             d = zero
         else:
             a, da = vals[node.args[0]], dots[node.args[0]]
+            if len(node.args) == 2:
+                c, dc = vals[node.args[1]], dots[node.args[1]]
             if op == "neg":
                 v, d = -a, -da
             elif op == "add":
-                bb, db = vals[node.args[1]], dots[node.args[1]]
-                v, d = a + bb, da + db
+                v, d = a + c, da + dc
             elif op == "sub":
-                bb, db = vals[node.args[1]], dots[node.args[1]]
-                v, d = a - bb, da - db
+                v, d = a - c, da - dc
             elif op == "mul":
-                bb, db = vals[node.args[1]], dots[node.args[1]]
-                v, d = a * bb, a * db + bb * da
+                v, d = a * c, a * dc + c * da
             elif op == "div":
-                bb, db = vals[node.args[1]], dots[node.args[1]]
-                v = a / bb
-                d = (da - v * db) / bb
+                v = a / c
+                d = (da - v * dc) / c
             elif op == "pow_int":
                 k = node.index
                 v = a ** k
@@ -516,5 +495,4 @@ def tangent_lift(e: Expr) -> Expr:
                 raise ValueError(f"unknown op {op!r}")
         vals.append(v)
         dots.append(d)
-    outs = [vals[o] for o in e.outputs] + [dots[o] for o in e.outputs]
-    return b.finish(outs)
+    return [vals[o] for o in e.outputs], [dots[o] for o in e.outputs]

@@ -24,8 +24,8 @@ import numpy as np
 from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
-from .tanpoint import TanPoint, residual
-from .tower import Tower, extend, join_top, split_top
+from .tanpoint import residual
+from .tower import Tower, join_top, split_top
 
 KERNEL_TOL = 1e-10
 
@@ -73,17 +73,6 @@ class VectorField:
                              f"{dom.dim} -> {dom.dim} fiber map")
         return cls(dom, lambda xs: body.evaluate(xs), name)
 
-    @classmethod
-    def constant(cls, dom: Domain, vec) -> "VectorField":
-        vec = np.asarray(vec, dtype=float)
-
-        def fn(xs: list[Tower]) -> list[Tower]:
-            like = xs[0]
-            return [extend(Tower.constant(np.broadcast_to(vec[i], like.batch_shape)),
-                           like.order) for i in range(len(vec))]
-
-        return cls(dom, fn, name="const")
-
     def fiber(self, xs: Sequence[Tower]) -> list[Tower]:
         out = self.fn(list(xs))
         if len(out) != self.dom.dim:
@@ -98,11 +87,6 @@ class VectorField:
         if not out:
             return np.zeros((0,) + batch)
         return np.stack([np.broadcast_to(t.coeffs[0], batch) for t in out])
-
-    def section_at(self, points: np.ndarray) -> TanPoint:
-        """The section as an order-1 tangent point over the chart."""
-        points = np.asarray(points, dtype=float)
-        return TanPoint(1, np.stack([points, self.at(points)]))
 
 
 # -- pointwise module structure ---------------------------------------

@@ -21,7 +21,6 @@ import numpy as np
 from . import tanpoint as tp
 from .domain import Domain, SmoothMap
 from .errors import StructureError, VerticalityError
-from .expr import ExprBuilder
 from .fields import VectorField
 from .groupoid import FiberedGroupoid
 from .tanpoint import TanPoint, apply_tangent, residual
@@ -231,47 +230,3 @@ def check_invariant_closure(B: GBundle, fields, base_fn,
 def arrow_bundle(G: FiberedGroupoid) -> GBundle:
     """The groupoid acting on its own arrows by right composition."""
     return GBundle(G, G.arrows, G.compose, name=f"arrows({G.name})")
-
-
-def base_bundle(G: FiberedGroupoid) -> GBundle:
-    """The base as a rank-0 bundle: arrows just move the anchor."""
-    from .domain import product_domain
-    p, a = G.base.dim, G.arrow_dim
-    b = ExprBuilder(p + a)
-    body = b.finish(b.inputs()[p:2 * p])
-    base = Domain(G.base.dim, G.base.box, G.base.constraints,
-                  name=G.base.name, split=(p, 0),
-                  sample_constraints=G.base.sample_constraints)
-    act = SmoothMap(product_domain(base, G.arrows), base, body, name="move")
-    return GBundle(G, base, act, name=f"base({G.name})")
-
-
-def fiber_product_bundle(B1: GBundle, B2: GBundle) -> GBundle:
-    """Pointwise product over a shared base groupoid."""
-    if B1.gpd is not B2.gpd:
-        raise StructureError("bundles must share one groupoid")
-    G = B1.gpd
-    p, a = G.base.dim, G.arrow_dim
-    r1, r2 = B1.rank, B2.rank
-    box = np.concatenate([B1.total.box, B2.total.box[p:]])
-    from .expr import reindex_inputs
-    c1 = tuple(reindex_inputs(c, list(range(p + r1)), p + r1 + r2)
-               for c in B1.total.constraints)
-    sl2 = list(range(p)) + list(range(p + r1, p + r1 + r2))
-    c2 = tuple(reindex_inputs(c, sl2, p + r1 + r2)
-               for c in B2.total.constraints)
-    total = Domain(p + r1 + r2, box, c1 + c2,
-                   name=f"{B1.total.name}*{B2.total.name}",
-                   split=(p, r1 + r2))
-
-    b = ExprBuilder(p + r1 + r2 + a)
-    hs = b.inputs()
-    x, f1 = hs[:p], hs[p:p + r1]
-    f2, g = hs[p + r1:p + r1 + r2], hs[p + r1 + r2:]
-    o1 = b.splice(B1.act.body, x + f1 + g)
-    o2 = b.splice(B2.act.body, x + f2 + g)
-    body = b.finish(o1[:p] + o1[p:] + o2[p:])
-    from .domain import product_domain
-    return GBundle(G, total, SmoothMap(product_domain(total, G.arrows),
-                                       total, body, name="act"),
-                   name=f"{B1.name}*{B2.name}")

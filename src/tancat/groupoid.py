@@ -22,8 +22,7 @@ import numpy as np
 
 from .domain import Domain, SmoothMap, box_domain, product_domain
 from .errors import SamplerError, StructureError
-from .expr import (Expr, ExprBuilder, build, reindex_inputs, select,
-                   tangent_lift)
+from .expr import Expr, ExprBuilder, _emit_tangent, build, reindex_inputs
 from .tanpoint import TanPoint, apply_tangent, residual
 
 
@@ -147,28 +146,27 @@ def tangent_chart_map(e: Expr, in_sizes, out_sizes) -> Expr:
     """Lift a chart map to doubled charts laid out block-by-block.
 
     Each chart block of size s becomes (values, velocities) of size 2s;
-    the forward-mode transform works in all-values-then-all-velocities
-    order, so this is a rewiring of :func:`tangent_lift`.
+    the forward-mode nodes of :func:`tangent_lift` are written straight
+    into this layout.
     """
     s_in, s_out = sum(in_sizes), sum(out_sizes)
     if e.n_inputs != s_in or e.n_outputs != s_out:
         raise ValueError("block sizes do not match the expression arity")
-    lifted = tangent_lift(e)
-    slot_map = [0] * (2 * s_in)
-    flat, pos = 0, 0
+    b = ExprBuilder(2 * s_in)
+    hs = b.inputs()
+    xs, dxs = [], []
+    pos = 0
     for s in in_sizes:
-        for l in range(s):
-            slot_map[flat + l] = pos + l
-            slot_map[s_in + flat + l] = pos + s + l
-        flat += s
+        xs += hs[pos:pos + s]
+        dxs += hs[pos + s:pos + 2 * s]
         pos += 2 * s
-    picks: list[int] = []
+    vals, dots = _emit_tangent(b, e, xs, dxs)
+    outs = []
     flat = 0
     for s in out_sizes:
-        picks.extend(range(flat, flat + s))
-        picks.extend(range(s_out + flat, s_out + flat + s))
+        outs += vals[flat:flat + s] + dots[flat:flat + s]
         flat += s
-    return select(reindex_inputs(lifted, slot_map, 2 * s_in), picks)
+    return b.finish(outs)
 
 
 def tangent_domain(dom: Domain, sizes, half: float = 2.0,
@@ -320,21 +318,29 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
                               samples: int = 100) -> dict[str, float]:
     """Doubled-chart structure maps versus tower evaluation of the same
     maps; closing this square is what makes the tangent groupoid an
-    object of the same kind rather than a formal symbol."""
+    object of the same kind rather than a formal symbol.
+
+    The compose and unit maps are lifted level by level as
+    :func:`tangent_groupoid` lifts them; the other maps and the charts
+    of the tangent groupoids are not compared, so they are not built.
+    """
     p, q = G.base.dim, G.fiber_dim
     sizes = [p, q]
     res: dict[str, float] = {}
-    H = G
+    compose, unit = G.compose.body, G.unit.body
     for order in (1, 2):
-        H = tangent_groupoid(H)
+        k = 1 << (order - 1)    # the level below has blocks k * p, k * q
+        compose = tangent_chart_map(compose, [k * p, k * q] * 2,
+                                    [k * p, k * q])
+        unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
         g, h = _tangent_string(G, rng, order, samples, 2)
         tower = _tcompose(G, g, h)
-        chart = H.compose(np.concatenate([t_flatten(g, sizes),
-                                          t_flatten(h, sizes)]))
+        chart = compose(np.concatenate([t_flatten(g, sizes),
+                                        t_flatten(h, sizes)]))
         key = "chart_route/order%d" % order
         res[key] = residual(chart, t_flatten(tower, sizes))
         x = apply_tangent(G.target, h, check_domain=False)
-        chart_u = H.unit(t_flatten(x, [p]))
+        chart_u = unit(t_flatten(x, [p]))
         tower_u = apply_tangent(G.unit, x, check_domain=False)
         res[key + "_unit"] = residual(chart_u, t_flatten(tower_u, sizes))
     return res
@@ -363,14 +369,7 @@ def _slots(n: int, idx) -> Expr:
 def pair_groupoid(space: Domain, name: str = "") -> FiberedGroupoid:
     """Arrows are ordered pairs (source, target) of chart points."""
     p = space.dim
-    lift = lambda c, off: reindex_inputs(c, list(range(off, off + p)), 2 * p)
-    arrows = Domain(2 * p, np.concatenate([space.box, space.box]),
-                    tuple(lift(c, 0) for c in space.constraints)
-                    + tuple(lift(c, p) for c in space.constraints),
-                    name=f"pairs({space.name})", split=(p, p),
-                    sample_constraints=tuple(
-                        lift(c, off) for off in (0, p)
-                        for c in space.sample_constraints))
+    arrows = product_domain(space, space, name=f"pairs({space.name})")
     idx = list(range(4 * p))
     return FiberedGroupoid(
         base=space,
@@ -505,16 +504,8 @@ def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
         raise StructureError(f"unit does not act as the identity "
                              f"(residual {defect:.3e})")
 
-    lift = lambda c, off, k: reindex_inputs(c, list(range(off, off + k)),
-                                            p + ng)
-    arrows = Domain(
-        p + ng, np.concatenate([space.box, group.arrows.box]),
-        tuple(lift(c, 0, p) for c in space.constraints)
-        + tuple(lift(c, p, ng) for c in group.arrows.constraints),
-        name=f"{space.name}x{group.name}", split=(p, ng),
-        sample_constraints=tuple(
-            lift(c, 0, p) for c in space.sample_constraints)
-        + tuple(lift(c, p, ng) for c in group.arrows.sample_constraints))
+    arrows = product_domain(space, group.arrows,
+                            name=f"{space.name}x{group.name}")
 
     def tgt():
         b = ExprBuilder(p + ng)
@@ -550,70 +541,6 @@ def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
         unit=SmoothMap(space, arrows, unit(), name="unit"),
         inverse=SmoothMap(arrows, arrows, inv(), name="inverse"),
         name=name or f"{group.name}:{space.name}")
-
-
-def product_groupoid(G: FiberedGroupoid, H: FiberedGroupoid,
-                     name: str = "") -> FiberedGroupoid:
-    """Componentwise structure on interleaved base-first charts."""
-    pg, qg = G.base.dim, G.fiber_dim
-    ph, qh = H.base.dim, H.fiber_dim
-    base = product_domain(G.base, H.base)
-    p, q = pg + ph, qg + qh
-    a = p + q
-
-    def arrow_slots(off):
-        # chart layout (bG, bH, fG, fH); factor arrows are (b, f)
-        g = list(range(off, off + pg)) + list(range(off + p, off + p + qg))
-        h = (list(range(off + pg, off + p))
-             + list(range(off + p + qg, off + a)))
-        return g, h
-
-    gsl, hsl = arrow_slots(0)
-    box = np.concatenate([G.arrows.box[:pg], H.arrows.box[:ph],
-                          G.arrows.box[pg:], H.arrows.box[ph:]])
-
-    def relift(cons, slots):
-        return tuple(reindex_inputs(c, slots, a) for c in cons)
-
-    arrows = Domain(a, box,
-                    relift(G.arrows.constraints, gsl)
-                    + relift(H.arrows.constraints, hsl),
-                    name=f"{G.arrows.name}x{H.arrows.name}", split=(p, q),
-                    sample_constraints=relift(G.arrows.sample_constraints, gsl)
-                    + relift(H.arrows.sample_constraints, hsl))
-
-    def both(mapG: SmoothMap, mapH: SmoothMap, n_in, slices, out_mix):
-        b = ExprBuilder(n_in)
-        hs = b.inputs()
-        og = b.splice(mapG.body, [hs[i] for i in slices[0]])
-        oh = b.splice(mapH.body, [hs[i] for i in slices[1]])
-        return b.finish(out_mix(og, oh))
-
-    def mix_arrow(og, oh):
-        return (og[:pg] + oh[:ph] + og[pg:] + oh[ph:])
-
-    def mix_base(og, oh):
-        return og + oh
-
-    gsl2, hsl2 = arrow_slots(a)
-    return FiberedGroupoid(
-        base=base,
-        arrows=arrows,
-        target=SmoothMap(arrows, base,
-                         both(G.target, H.target, a, (gsl, hsl), mix_base),
-                         name="target"),
-        compose=SmoothMap(product_domain(arrows, arrows), arrows,
-                          both(G.compose, H.compose, 2 * a,
-                               (gsl + gsl2, hsl + hsl2), mix_arrow),
-                          name="compose"),
-        unit=SmoothMap(base, arrows,
-                       both(G.unit, H.unit, p,
-                            (list(range(pg)), list(range(pg, p))), mix_arrow),
-                       name="unit"),
-        inverse=SmoothMap(arrows, arrows,
-                          both(G.inverse, H.inverse, a, (gsl, hsl), mix_arrow),
-                          name="inverse"),
-        name=name or f"{G.name}x{H.name}")
 
 
 # -- serialization and builtins ---------------------------------------

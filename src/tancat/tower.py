@@ -111,16 +111,8 @@ class Tower:
     # -- views --------------------------------------------------------
 
     @property
-    def real(self) -> np.ndarray:
-        """The coefficient of the empty subset."""
-        return self.coeffs[0]
-
-    @property
     def batch_shape(self) -> tuple:
         return self.coeffs.shape[1:]
-
-    def block(self, mask: int) -> np.ndarray:
-        return self.coeffs[mask]
 
     def __repr__(self) -> str:
         return f"Tower(order={self.order}, coeffs={self.coeffs!r})"

@@ -144,7 +144,8 @@ def test_gate_rejects_broken_groupoid():
 
 def test_restrict_requires_verticality():
     al = algebroid_of(pair_groupoid(box_domain(1, name="interval")))
-    tilted = VectorField.constant(al.gpd.arrows, [1.0, 0.0])
+    tilted = VectorField.from_expr(al.gpd.arrows,
+                                   build(2, lambda xs: [1.0, 0.0]))
     with pytest.raises(VerticalityError):
         restrict_to_unit(al, tilted)
     s = restrict_to_unit(al, tilted, check=False)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, build, compose, exp, identity,
-                         log, pair, parallel, reindex_inputs, select,
-                         tangent_lift)
+from tancat.expr import (Expr, ExprBuilder, build, exp, log, parallel,
+                         reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
 from tancat.tower import Tower, lift_primitive, pow_int, split_top
 
@@ -237,26 +236,12 @@ def test_json_rejects_malformed_input():
         Expr.from_json_dict({"nodes": [{"op": "add"}]})
 
 
-def test_compose_pair_parallel_select():
-    add = build(2, lambda xs: [xs[0] + xs[1]])
-    double_both = build(2, lambda xs: [2.0 * xs[0], 2.0 * xs[1]])
-    comp = compose(add, double_both)
-    assert np.allclose(comp(np.array([[1.0], [2.0]])), [[6.0]])
-
-    both = pair(add, build(2, lambda xs: [xs[0] * xs[1]]))
-    assert np.allclose(both(np.array([[2.0], [3.0]])), [[5.0], [6.0]])
-
+def test_parallel_and_reindex_inputs():
     side = parallel(SQUARE, CUBE)
     assert np.allclose(side(np.array([[2.0], [3.0]])), [[4.0], [27.0]])
 
-    sel = select(both, [1])
-    assert np.allclose(sel(np.array([[2.0], [3.0]])), [[6.0]])
-
     re = reindex_inputs(SQUARE, [1], 3)
     assert np.allclose(re(np.array([[9.0], [2.0], [9.0]])), [[4.0]])
-
-    assert np.allclose(identity(2)(np.array([[1.0], [2.0]])),
-                       [[1.0], [2.0]])
 
 
 def test_tangent_lift_agrees_with_tower_jets():

@@ -29,14 +29,14 @@ def _rand_field(rng, dom, depth=4):
 class TestWorkedExamples:
     def test_rotation_against_translation(self):
         v = vf(D2, lambda xs: [-xs[1], xs[0]])
-        w = VectorField.constant(D2, [1.0, 0.0])
+        w = vf(D2, lambda xs: [1.0, 0.0])
         out = lie_bracket(v, w).at(np.array([[0.3], [1.1]]))
         assert out[:, 0] == pytest.approx([0.0, -1.0], abs=1e-15)
 
     def test_scaling_against_translation(self):
         d1 = box_domain(1, 0.1, 3.0)
         v = vf(d1, lambda xs: [xs[0]])
-        w = VectorField.constant(d1, [1.0])
+        w = vf(d1, lambda xs: [1.0])
         out = lie_bracket(v, w).at(np.array([[1.7]]))
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
@@ -125,7 +125,7 @@ class TestLaws:
         dom = box_domain(1, -1.2, 1.2)
         cod = box_domain(2, -2, 2)
         phi = SmoothMap(dom, cod, build(1, lambda xs: [xs[0], xs[0] * xs[0]]))
-        v = VectorField.constant(dom, [1.0])
+        v = vf(dom, lambda xs: [1.0])
         w = vf(cod, lambda ys: [1.0, 2 * ys[0]])
         pts = np.linspace(-1, 1, 11)[None]
         assert check_related(phi, v, w, pts) < 1e-15

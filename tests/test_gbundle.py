@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat.domain import SmoothMap, box_domain, product_domain
-from tancat.errors import (KernelViolationError, StructureError,
-                           VerticalityError)
+from tancat.errors import KernelViolationError, VerticalityError
 from tancat.expr import ExprBuilder, build
 from tancat.fields import ScalarField, VectorField, lie_bracket
 from tancat.gbundle import (GBundle, act_on_vertical, arrow_bundle,
-                            base_bundle, check_bundle_axioms,
-                            check_invariant_closure, check_vertical_structure,
-                            fiber_product_bundle, invariance_defect,
+                            check_bundle_axioms, check_invariant_closure,
+                            check_vertical_structure, invariance_defect,
                             is_invariant, vertical_tangent)
 from tancat.groupoid import BUILTIN_GROUPOIDS, pair_groupoid
 from tancat.report import rng_for
@@ -46,26 +44,6 @@ def test_arrow_bundle_axioms(gpds):
         B = arrow_bundle(G)
         res = check_bundle_axioms(B, rng, 150)
         assert max(res.values()) < 1e-12, (name, res)
-
-
-def test_base_bundle_axioms(gpds):
-    rng = rng_for(21, "gbundle/base")
-    for name, G in gpds.items():
-        B = base_bundle(G)
-        assert B.rank == 0
-        res = check_bundle_axioms(B, rng, 150)
-        assert max(res.values()) < 1e-12, (name, res)
-
-
-def test_fiber_product_bundle(gpds):
-    rng = rng_for(21, "gbundle/product")
-    B = arrow_bundle(gpds["pair"])
-    BB = fiber_product_bundle(B, B)
-    assert BB.rank == 2 * B.rank
-    assert max(check_bundle_axioms(BB, rng, 150).values()) < 1e-12
-    assert max(check_vertical_structure(BB, rng, 80).values()) < 1e-12
-    with pytest.raises(StructureError):
-        fiber_product_bundle(B, arrow_bundle(gpds["matrix2"]))
 
 
 def test_vertical_structure(gpds):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tancat.domain import SmoothMap, box_domain
+from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError
 from tancat.expr import ExprBuilder, build, reindex_inputs
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
@@ -14,7 +14,7 @@ from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              check_groupoid_axioms, check_tangent_functor,
                              groupoid_from_json_dict,
                              groupoid_to_json_dict, linear_action,
-                             matrix_group, pair_groupoid, product_groupoid,
+                             matrix_group, pair_groupoid,
                              t_flatten, t_unflatten, tangent_domain,
                              tangent_groupoid)
 from tancat.report import rng_for
@@ -89,11 +89,26 @@ class TestAxioms:
         assert np.array_equal(a[:p], G.target(b))
         assert np.array_equal(b[:p], G.target(c))
 
-    def test_product_groupoid(self):
-        G = product_groupoid(pair_groupoid(box_domain(1)), matrix_group(2))
-        rng = rng_for(9, "groupoid/prod")
-        assert worst(check_groupoid_axioms(G, rng, 100)) < 1e-12
-        assert worst(check_differentiability(G, rng, 40)) < TOL
+
+def test_product_domain_lifts_sampling_guards():
+    # each factor's guard must watch its own slots: a disk guard on the
+    # plane and |det| >= 0.25 on gl2, in either factor order
+    gl2 = matrix_group(2).arrows
+    disk = Domain(2, name="disk", sample_constraints=(
+        build(2, lambda x: [0.25 - x[0] * x[0] - x[1] * x[1]]),))
+    rng = rng_for(10, "groupoid/product_guards")
+    for first, second, at in ((disk, gl2, 2), (gl2, disk, 0)):
+        prod = product_domain(first, second)
+        assert len(prod.sample_constraints) == 2
+        pts = prod.sample(rng, 400)
+        m = pts[at:at + 4]
+        x = np.delete(pts, np.s_[at:at + 4], axis=0)
+        assert np.all(np.abs(m[0] * m[3] - m[1] * m[2]) >= 0.25)
+        assert np.all(x[0] * x[0] + x[1] * x[1] < 0.25)
+    arrows = BUILTIN_GROUPOIDS["action_gl2"]().arrows
+    assert len(arrows.sample_constraints) == 1
+    m = arrows.sample(rng, 400)[2:]
+    assert np.all(np.abs(m[0] * m[3] - m[1] * m[2]) >= 0.25)
 
 
 class TestTangentGroupoid:
