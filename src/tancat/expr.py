@@ -336,7 +336,9 @@ class ExprBuilder:
 
     def node(self, op: str, args: tuple[int, ...] = (), value=None,
              index=None) -> Handle:
-        key = (op, args, value, index)
+        # 0.0 == -0.0, so the sign joins the key to keep the two apart
+        sign = None if value is None else math.copysign(1.0, value)
+        key = (op, args, value, index, sign)
         nid = self._memo.get(key)
         if nid is None:
             nid = len(self._nodes)

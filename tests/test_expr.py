@@ -244,6 +244,13 @@ def test_parallel_and_reindex_inputs():
     assert np.allclose(re(np.array([[9.0], [2.0], [9.0]])), [[4.0]])
 
 
+def test_signed_zero_constants_stay_apart():
+    # hash-consing must not merge 0.0 into an earlier -0.0 node
+    e = build(1, lambda xs: [xs[0] * -0.0, 0.0, -0.0])
+    outs = e.evaluate([tower(0, 1.0)])
+    assert [bool(np.signbit(t.coeffs[0])) for t in outs] == [True, False, True]
+
+
 def test_tangent_lift_agrees_with_tower_jets():
     # two independent routes to the first tangent: the source transform
     # evaluated at order 0 and the original program at order 1
