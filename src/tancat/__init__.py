@@ -5,9 +5,9 @@ block-represented tangent points carry the classical structure maps
 (projection, fiber addition, the level swap, vertical lifts, fiber
 scaling), which a swappable axiom suite verifies on random charts.
 On top of that sit vector fields with a kernel-certified bracket,
-fibered groupoids with their tangent groupoids, right actions with
-invariant fields, and the differentiation of a groupoid into its
-algebroid.  The ``tancat`` command produces deterministic JSON
+fibered groupoids with their tangent groupoids, the invariant fields
+of a groupoid's right action on its own arrows, and the
+differentiation of a groupoid into its algebroid.  The ``tancat`` command produces deterministic JSON
 verification reports for all of it.
 """
 
@@ -25,8 +25,7 @@ from .fields import (ScalarField, VectorField, act_on_function,
                      bracket_by_jacobians, check_bracket_laws, check_related,
                      field_add, field_scale, jacobian_at, kernel_residual,
                      lie_bracket)
-from .gbundle import (GBundle, act_on_vertical, arrow_bundle,
-                      check_bundle_axioms, check_invariant_closure,
+from .gbundle import (act_on_vertical, check_invariant_closure,
                       check_vertical_structure, invariance_defect,
                       is_invariant, vertical_tangent)
 from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, action_groupoid,
@@ -61,9 +60,8 @@ __all__ = [
     "action_groupoid", "tangent_groupoid", "check_groupoid_axioms",
     "check_differentiability", "groupoid_to_json_dict",
     "groupoid_from_json_dict", "BUILTIN_GROUPOIDS",
-    "GBundle", "arrow_bundle", "vertical_tangent", "act_on_vertical",
-    "invariance_defect", "is_invariant", "check_bundle_axioms",
-    "check_vertical_structure", "check_invariant_closure",
+    "vertical_tangent", "act_on_vertical", "invariance_defect",
+    "is_invariant", "check_vertical_structure", "check_invariant_closure",
     "Algebroid", "Section", "algebroid_of", "anchor_field",
     "extend_to_invariant", "restrict_to_unit", "algebroid_bracket",
     "section_add", "section_scale", "pullback_target",

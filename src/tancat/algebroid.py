@@ -25,12 +25,12 @@ from .errors import StructureError, VerticalityError
 from .expr import Expr, build
 from .fields import (ScalarField, VectorField, act_on_function, field_scale,
                      lie_bracket, check_related)
-from .gbundle import GBundle, arrow_bundle, invariance_defect
+from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import rng_for
 from .tanpoint import residual
-from .tower import Tower, extend, join_top, split_top
+from .tower import Tower, extend, join_top, split_top, stack_values
 
 GATE_TOL = 1e-9
 
@@ -47,35 +47,13 @@ class Section:
     fn: SectionFn
     name: str = ""
 
-    @classmethod
-    def from_expr(cls, base: Domain, rank: int, body: Expr,
-                  name: str = "") -> "Section":
-        if body.n_inputs != base.dim or len(body.outputs) != rank:
-            raise ValueError(f"section over dim {base.dim} with rank {rank} "
-                             f"needs a {base.dim} -> {rank} map, got "
-                             f"{body.n_inputs} -> {len(body.outputs)}")
-
-        def fn(xs, like):
-            return body.evaluate(xs, order=like.order,
-                                 batch_shape=like.batch_shape)
-
-        return cls(base, rank, fn, name)
-
-    @classmethod
-    def constant(cls, base: Domain, vec, name: str = "") -> "Section":
-        vec = np.asarray(vec, dtype=float)
-        return cls.from_expr(base, len(vec),
-                             build(base.dim, lambda xs: list(vec)),
-                             name or "const")
-
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 values, shape (rank, ...)."""
         points = np.asarray(points, dtype=float)
         batch = points.shape[1:]
         like = Tower.constant(np.zeros(batch))
         xs = [Tower.constant(points[i]) for i in range(self.base.dim)]
-        out = self.fn(xs, like)
-        return np.stack([np.broadcast_to(t.coeffs[0], batch) for t in out])
+        return stack_values(self.fn(xs, like), batch)
 
 
 def section_add(a: Section, b: Section, name: str = "") -> Section:
@@ -108,7 +86,6 @@ def section_scale(f, a: Section, name: str = "") -> Section:
 @dataclass(frozen=True)
 class Algebroid:
     gpd: FiberedGroupoid
-    bundle: GBundle
     name: str = ""
 
     @property
@@ -117,17 +94,28 @@ class Algebroid:
 
     @property
     def rank(self) -> int:
-        return self.gpd.arrows.dim - self.gpd.base.dim
+        return self.gpd.fiber_dim
 
     def section(self, body: Expr, name: str = "") -> Section:
-        return Section.from_expr(self.base, self.rank, body, name)
+        p, q = self.base.dim, self.rank
+        if body.n_inputs != p or len(body.outputs) != q:
+            raise ValueError(f"section over dim {p} with rank {q} needs a "
+                             f"{p} -> {q} map, got {body.n_inputs} -> "
+                             f"{len(body.outputs)}")
+
+        def fn(xs, like):
+            return body.evaluate(xs, order=like.order,
+                                 batch_shape=like.batch_shape)
+
+        return Section(self.base, q, fn, name)
 
     def constant_section(self, vec, name: str = "") -> Section:
         vec = np.asarray(vec, dtype=float)
         if len(vec) != self.rank:
             raise ValueError(f"rank {self.rank} section from a "
                              f"{len(vec)}-vector")
-        return Section.constant(self.base, vec, name)
+        return self.section(build(self.base.dim, lambda xs: list(vec)),
+                            name or "const")
 
 
 def algebroid_of(G: FiberedGroupoid, rng: np.random.Generator | None = None,
@@ -145,7 +133,7 @@ def algebroid_of(G: FiberedGroupoid, rng: np.random.Generator | None = None,
         raise StructureError(
             f"cannot differentiate {G.name or 'groupoid'}: axiom residuals "
             + ", ".join(f"{k}={v:.3e}" for k, v in sorted(bad.items())))
-    return Algebroid(G, arrow_bundle(G), name=f"A({G.name})")
+    return Algebroid(G, name=f"A({G.name})")
 
 
 def anchor_field(al: Algebroid, a: Section) -> VectorField:
@@ -200,7 +188,7 @@ def restrict_to_unit(al: Algebroid, v: VectorField, check: bool = True,
     p = G.base.dim
     if check:
         rng = rng_for(31, "algebroid/verticality")
-        pts = al.base.sample(rng, 64) if p else np.zeros((0, 8))
+        pts = al.base.sample(rng, 64)
         anchor_part = v.at(G.unit(pts))[:p]
         drift = residual(anchor_part, np.zeros_like(anchor_part))
         if drift > tol:
@@ -273,7 +261,7 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         f = (ScalarField.from_expr(al.base, body, name="f") if p
              else ScalarField(al.base, lambda xs: Tower.constant(0.7),
                               name="f"))
-    pts = al.base.sample(rng, samples) if p else np.zeros((0, samples))
+    pts = al.base.sample(rng, samples)
     gs = G.sample_arrows(rng, samples)
 
     res: dict[str, float] = {}
@@ -286,7 +274,7 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         extend_to_invariant(al, restrict_to_unit(al, phi_a)).at(gs),
         phi_a.at(gs))
     res["phi_invariant"] = max(
-        invariance_defect(al.bundle, phi_a, rng, samples).values())
+        invariance_defect(G, phi_a, rng, samples).values())
 
     ab = algebroid_bracket(al, a, b)
     res["antisymmetry"] = residual(ab.at(pts),
@@ -303,17 +291,13 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         rhs = rhs + section_scale(act_on_function(rho_a, f), b).at(pts)
     res["leibniz"] = residual(lhs, rhs)
 
-    if p:
-        rho_ab = anchor_field(al, ab)
-        res["anchor_morphism"] = residual(
-            rho_ab.at(pts), lie_bracket(rho_a, anchor_field(al, b)).at(pts))
-        res["t_related"] = max(
-            check_related(G.target, extend_to_invariant(al, s),
-                          anchor_field(al, s), gs)
-            for s in sections)
-    else:
-        res["anchor_morphism"] = 0.0
-        res["t_related"] = 0.0
+    res["anchor_morphism"] = residual(
+        anchor_field(al, ab).at(pts),
+        lie_bracket(rho_a, anchor_field(al, b)).at(pts))
+    res["t_related"] = max(
+        check_related(G.target, extend_to_invariant(al, s),
+                      anchor_field(al, s), gs)
+        for s in sections)
 
     res["phi_module"] = residual(
         extend_to_invariant(al, section_scale(f, a)).at(gs),
@@ -331,7 +315,7 @@ def bracket_table(al: Algebroid, points: np.ndarray,
     """
     if sections is None:
         frame = np.eye(al.rank)
-        sections = [Section.constant(al.base, frame[i], name=f"e{i + 1}")
+        sections = [al.constant_section(frame[i], name=f"e{i + 1}")
                     for i in range(al.rank)]
     rows = []
     for i in range(len(sections)):

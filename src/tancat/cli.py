@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .algebroid import algebroid_of, bracket_table, check_algebroid_laws
 from .axioms import run_axiom_suite
 from .domain import box_domain
@@ -149,9 +147,7 @@ def _cmd_differentiate(args) -> int:
     for k, v in sorted(laws.items()):
         rep.add(CheckResult.from_residual("laws/" + k, args.samples, v,
                                           args.tol))
-    n_pts = 16
-    pts = (al.base.sample(rng_for(seed, "cli/differentiate/table"), n_pts)
-           if al.base.dim else np.zeros((0, n_pts)))
+    pts = al.base.sample(rng_for(seed, "cli/differentiate/table"), 16)
     rep.extra["base_dim"] = al.base.dim
     rep.extra["rank"] = al.rank
     rep.extra["bracket_table"] = bracket_table(al, pts)

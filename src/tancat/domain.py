@@ -15,6 +15,9 @@ import numpy as np
 from .errors import SamplerError
 from .expr import Expr, reindex_inputs
 
+# rejection-sampling rounds before a sampler gives up
+MAX_ROUNDS = 64
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -57,8 +60,7 @@ class Domain:
             ok &= c(points)[0] > 0.0
         return ok
 
-    def sample(self, rng: np.random.Generator, n: int,
-               max_rounds: int = 64) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Rejection-sample n member points, shape (dim, n)."""
         if self.dim == 0:
             return np.zeros((0, n))
@@ -66,7 +68,7 @@ class Domain:
         preds = self.constraints + self.sample_constraints
         chunks: list[np.ndarray] = []
         have = 0
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             want = max(n - have, 1)
             draw = rng.uniform(lo[:, None], hi[:, None], size=(self.dim, 2 * want))
             ok = np.ones(draw.shape[1], dtype=bool)
@@ -80,7 +82,7 @@ class Domain:
                 return np.concatenate(chunks, axis=1)[:, :n]
         raise SamplerError(
             f"domain {self.name or self.dim}: rejection budget exhausted "
-            f"({have}/{n} points after {max_rounds} rounds)")
+            f"({have}/{n} points after {MAX_ROUNDS} rounds)")
 
     # -- serialization ------------------------------------------------
 

@@ -33,5 +33,5 @@ class SamplerError(RuntimeError):
 
 
 class StructureError(ValueError):
-    """A groupoid / bundle / algebroid construction failed a structural
+    """A groupoid or algebroid construction failed a structural
     precondition (axiom suite failure, missing product split, ...)."""

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tower import Tower, lift_primitive, pow_int, reciprocal
+from .tower import Tower, lift_primitive, pow_int, reciprocal, stack_values
 
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
                "div": operator.truediv}
@@ -173,10 +173,7 @@ class Expr:
                              f"shape {points.shape}")
         batch = points.shape[1:]
         towers = [Tower.constant(points[i]) for i in range(self.n_inputs)]
-        outs = self.evaluate(towers, batch_shape=batch)
-        if not outs:
-            return np.zeros((0,) + batch)
-        return np.stack([np.broadcast_to(t.coeffs[0], batch) for t in outs])
+        return stack_values(self.evaluate(towers, batch_shape=batch), batch)
 
     # -- serialization ------------------------------------------------
 

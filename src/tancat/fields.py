@@ -25,7 +25,7 @@ from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
 from .tanpoint import residual
-from .tower import Tower, join_top, split_top
+from .tower import Tower, join_top, split_top, stack_values
 
 KERNEL_TOL = 1e-10
 
@@ -83,10 +83,7 @@ class VectorField:
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 fiber values, shape (dim, ...)."""
         out = self.fiber(_as_towers(points, self.dom.dim))
-        batch = np.asarray(points).shape[1:]
-        if not out:
-            return np.zeros((0,) + batch)
-        return np.stack([np.broadcast_to(t.coeffs[0], batch) for t in out])
+        return stack_values(out, np.asarray(points).shape[1:])
 
 
 # -- pointwise module structure ---------------------------------------
@@ -146,12 +143,11 @@ def kernel_residual(v: VectorField, w: VectorField, points: np.ndarray) -> float
     return _bracket_parts(v, w, _as_towers(points, v.dom.dim))[2]
 
 
-def lie_bracket(v: VectorField, w: VectorField,
-                kernel_tol: float = KERNEL_TOL, name: str = "") -> VectorField:
+def lie_bracket(v: VectorField, w: VectorField, name: str = "") -> VectorField:
     """The bracket field (Dw)v - (Dv)w, with its kernel certificate.
 
     Every evaluation checks that the even parts of the crossed
-    evaluations reproduce the plain fibers to within ``kernel_tol``
+    evaluations reproduce the plain fibers to within ``KERNEL_TOL``
     (relative); a violation means the two evaluators do not present one
     consistent smooth section and the bracket would be meaningless.
     """
@@ -160,11 +156,11 @@ def lie_bracket(v: VectorField, w: VectorField,
 
     def fn(xs: list[Tower]) -> list[Tower]:
         a, b, drift = _bracket_parts(v, w, xs)
-        if drift > kernel_tol:
+        if drift > KERNEL_TOL:
             raise KernelViolationError(
                 f"bracket of {v.name or '?'}, {w.name or '?'}: crossed "
                 f"evaluations disagree with the plain fibers by {drift:.3e} "
-                f"(tol {kernel_tol:.1e})")
+                f"(tol {KERNEL_TOL:.1e})")
         return [x[1] - y[1] for x, y in zip(a, b)]
 
     return VectorField(v.dom, fn, name or f"[{v.name},{w.name}]")
@@ -207,9 +203,11 @@ def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
     points = np.asarray(points, dtype=float)
     xs = _as_towers(points, v.dom.dim)
     vhat = v.fiber(xs)
-    out = phi.body.evaluate([join_top(x, c) for x, c in zip(xs, vhat)])
-    pushed = np.stack([split_top(t)[1].coeffs[0] for t in out])
-    base = np.stack([split_top(t)[0].coeffs[0] for t in out])
+    out = [split_top(t) for t in
+           phi.body.evaluate([join_top(x, c) for x, c in zip(xs, vhat)])]
+    batch = points.shape[1:]
+    base = stack_values([lo for lo, _ in out], batch)
+    pushed = stack_values([hi for _, hi in out], batch)
     return residual(pushed, w.at(base))
 
 

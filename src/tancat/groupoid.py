@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Domain, SmoothMap, box_domain, product_domain
+from .domain import MAX_ROUNDS, Domain, SmoothMap, box_domain, product_domain
 from .errors import SamplerError, StructureError
 from .expr import Expr, ExprBuilder, _emit_tangent, build, reindex_inputs
 from .tanpoint import TanPoint, apply_tangent, residual
@@ -72,8 +72,8 @@ class FiberedGroupoid:
     def sample_arrows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.arrows.sample(rng, n)
 
-    def _with_source(self, rng: np.random.Generator, base_pts: np.ndarray,
-                     max_rounds: int = 64) -> np.ndarray:
+    def _with_source(self, rng: np.random.Generator,
+                     base_pts: np.ndarray) -> np.ndarray:
         """Arrows with the given source points; only the constraint
         expressions are enforced (the bases are taken as given)."""
         p, q = self.base.dim, self.fiber_dim
@@ -83,7 +83,7 @@ class FiberedGroupoid:
         out = np.empty((p + q, n))
         out[:p] = base_pts
         need = np.ones(n, dtype=bool)
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             idx = np.flatnonzero(need)
             if not idx.size:
                 return out
@@ -169,9 +169,9 @@ def tangent_chart_map(e: Expr, in_sizes, out_sizes) -> Expr:
     return b.finish(outs)
 
 
-def tangent_domain(dom: Domain, sizes, half: float = 2.0,
-                   name: str = "") -> Domain:
-    """The doubled chart; constraints keep watching the value slots."""
+def tangent_domain(dom: Domain, sizes, name: str = "") -> Domain:
+    """The doubled chart, with velocity slots in [-2, 2]; constraints
+    keep watching the value slots."""
     if sum(sizes) != dom.dim:
         raise ValueError("block sizes do not sum to the chart dimension")
     rows = []
@@ -179,7 +179,7 @@ def tangent_domain(dom: Domain, sizes, half: float = 2.0,
     flat, pos = 0, 0
     for s in sizes:
         rows.append(dom.box[flat:flat + s])
-        rows.append(np.tile([-half, half], (s, 1)))
+        rows.append(np.tile([-2.0, 2.0], (s, 1)))
         for l in range(s):
             slot_map[flat + l] = pos + l
         flat += s
@@ -195,11 +195,11 @@ def tangent_domain(dom: Domain, sizes, half: float = 2.0,
                                            for c in dom.sample_constraints))
 
 
-def tangent_groupoid(G: FiberedGroupoid, half: float = 2.0) -> FiberedGroupoid:
+def tangent_groupoid(G: FiberedGroupoid) -> FiberedGroupoid:
     """Apply the tangent construction to every chart and structure map."""
     p, q = G.base.dim, G.fiber_dim
-    base_t = tangent_domain(G.base, [p], half)
-    arrows_t = tangent_domain(G.arrows, [p, q], half)
+    base_t = tangent_domain(G.base, [p])
+    arrows_t = tangent_domain(G.arrows, [p, q])
     lift = tangent_chart_map
     return FiberedGroupoid(
         base=base_t,
@@ -237,21 +237,19 @@ def t_unflatten(arr: np.ndarray, sizes, order: int) -> TanPoint:
 
 # -- order-n functor checks -------------------------------------------
 
-def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int,
-                    half: float = 1.0) -> TanPoint:
+def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> TanPoint:
     vals = G.sample_arrows(rng, n)
-    blocks = rng.uniform(-half, half, size=(1 << order, G.arrow_dim, n))
+    blocks = rng.uniform(-1.0, 1.0, size=(1 << order, G.arrow_dim, n))
     blocks[0] = vals
     return TanPoint(order, blocks)
 
 
-def _force_source(G: FiberedGroupoid, rng, tgt: TanPoint,
-                  half: float = 1.0) -> TanPoint:
+def _force_source(G: FiberedGroupoid, rng, tgt: TanPoint) -> TanPoint:
     """A random tangent arrow whose tangent source is the given point."""
     p = G.base.dim
     n = tgt.batch_shape[0]
     vals = G._with_source(rng, np.asarray(tgt.blocks[0]))
-    blocks = rng.uniform(-half, half, size=(1 << tgt.order, G.arrow_dim, n))
+    blocks = rng.uniform(-1.0, 1.0, size=(1 << tgt.order, G.arrow_dim, n))
     blocks[0] = vals
     blocks[:, :p] = tgt.blocks
     return TanPoint(tgt.order, blocks)
@@ -404,20 +402,20 @@ def _det_handle(xs, n: int):
     return _minor_det(xs, n, list(range(n)), list(range(n)))
 
 
-def matrix_group(n: int, entry_half: float = 1.2, det_floor: float = 1e-6,
-                 sample_det: float = 0.25) -> FiberedGroupoid:
+def matrix_group(n: int) -> FiberedGroupoid:
     """The invertible n x n matrices as a groupoid over a point.
 
-    The chart keeps det^2 above ``det_floor``; sampling additionally
-    keeps |det| >= ``sample_det`` so inverses stay well-conditioned.
+    Entries lie in [-1.2, 1.2].  The chart keeps det^2 above 1e-6;
+    sampling additionally keeps |det| >= 0.25 so inverses stay
+    well-conditioned.
     """
     if n < 1 or n > 3:
         raise ValueError("matrix groups are built for n in 1..3")
     nn = n * n
     base = Domain(0, np.zeros((0, 2)), name="pt")
-    chart_con = build(nn, lambda xs: [_det_handle(xs, n) ** 2 - det_floor])
-    samp_con = build(nn, lambda xs: [_det_handle(xs, n) ** 2 - sample_det ** 2])
-    arrows = Domain(nn, np.tile([-entry_half, entry_half], (nn, 1)),
+    chart_con = build(nn, lambda xs: [_det_handle(xs, n) ** 2 - 1e-6])
+    samp_con = build(nn, lambda xs: [_det_handle(xs, n) ** 2 - 0.25 ** 2])
+    arrows = Domain(nn, np.tile([-1.2, 1.2], (nn, 1)),
                     (chart_con,), name=f"gl{n}", split=(0, nn),
                     sample_constraints=(samp_con,))
 

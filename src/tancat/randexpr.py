@@ -15,13 +15,14 @@ import numpy as np
 from .expr import Expr, ExprBuilder, cos, exp, log, sin, sqrt
 
 _BOUND_CAP = 30.0
+_INPUT_BOUND = 1.5   # magnitude bound assumed for every input
 
 
 def random_expr(rng: np.random.Generator, n_in: int, n_out: int,
-                depth: int = 6, input_bound: float = 1.5) -> Expr:
+                depth: int = 6) -> Expr:
     """Draw a random smooth program ``R^n_in -> R^n_out``."""
     b = ExprBuilder(n_in)
-    pool: list[tuple] = [(b.input(i), input_bound) for i in range(n_in)]
+    pool: list[tuple] = [(b.input(i), _INPUT_BOUND) for i in range(n_in)]
     for _ in range(2):
         c = float(rng.uniform(-1.0, 1.0))
         pool.append((b.const(c), abs(c)))

@@ -19,7 +19,7 @@ between threads.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,6 +216,18 @@ def tower_mul(a: Tower, b: Tower) -> Tower:
         acc = out_view[hit]
         acc += row * cb_view[miss]
     return Tower._raw(a.order, out)
+
+
+def stack_values(towers: Sequence[Tower], batch_shape: tuple) -> np.ndarray:
+    """The towers' order-0 coefficients, shape ``(len(towers), *batch_shape)``.
+
+    Each value is broadcast to the batch; no towers give an empty
+    leading axis.
+    """
+    out = np.empty((len(towers),) + tuple(batch_shape))
+    for row, t in zip(out, towers):
+        row[...] = t.coeffs[0]
+    return out
 
 
 def extend(a: Tower, levels: int = 1) -> Tower:

@@ -190,7 +190,7 @@ def test_criterion_06_invariant_closure(gpds):
             b = ExprBuilder(0)
             f = ScalarField.from_expr(al.base, b.finish([b.const(0.8)]))
         fields = [extend_to_invariant(al, s) for s in secs]
-        res = check_invariant_closure(al.bundle, fields,
+        res = check_invariant_closure(al.gpd, fields,
                                       pullback_target(al, f), rng, 200)
         worst = max(worst, max(res.values()))
     ok = worst <= 1e-8

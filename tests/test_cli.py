@@ -4,15 +4,16 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tancat.cli import main
-from tancat.domain import SmoothMap, box_domain
+from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.expr import build
-from tancat.groupoid import (BUILTIN_GROUPOIDS, groupoid_to_json_dict,
-                             pair_groupoid)
+from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
+                             groupoid_to_json_dict, pair_groupoid)
 from tancat.report import CheckResult, Report
 
 
@@ -83,6 +84,33 @@ def test_differentiate_rejects_broken_groupoid(tmp_path):
     failed = [c["name"] for c in rep["checks"] if not c["pass"]]
     assert failed and all(n.startswith("gate/") for n in failed)
     assert "bracket_table" not in rep    # stops before differentiating
+
+
+def test_differentiate_rank_zero_groupoid(tmp_path):
+    # the unit groupoid of an interval: every arrow is a unit, so the
+    # fiber and every section are empty
+    line = box_domain(1, name="interval")
+    units = Domain(1, line.box, name="units", split=(1, 0))
+    ident = build(1, lambda s: [s[0]])
+    G = FiberedGroupoid(
+        base=line, arrows=units, target=SmoothMap(units, line, ident),
+        compose=SmoothMap(product_domain(units, units), units,
+                          build(2, lambda s: [s[1]])),
+        unit=SmoothMap(line, units, ident),
+        inverse=SmoothMap(units, units, ident), name="units(interval)")
+    spec = tmp_path / "units.json"
+    spec.write_text(json.dumps(groupoid_to_json_dict(G)))
+    out = tmp_path / "rep.json"
+    assert main(["differentiate", "--spec", str(spec), "--samples", "40",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["base_dim"] == 1 and rep["rank"] == 0
+    assert rep["bracket_table"] == []
+    # the same gate and law checks as a positive-rank groupoid
+    golden = Path(__file__).parent / "golden" / "differentiate-pair.json"
+    want = [c["name"] for c in json.loads(golden.read_text())["checks"]]
+    assert [c["name"] for c in rep["checks"]] == want
+    assert all(c["pass"] and c["samples"] == 40 for c in rep["checks"])
 
 
 def test_bracket_subcommand(tmp_path):
