@@ -305,26 +305,42 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     return res
 
 
-def bracket_table(al: Algebroid, points: np.ndarray,
-                  sections: Sequence[Section] | None = None) -> list[dict]:
+def _frame_section(al: Algebroid, vecs: np.ndarray, name: str) -> Section:
+    """The section whose value in pair slot ``k`` is ``vecs[k]``.
+
+    The pair slot is the first batch axis of the points it is evaluated
+    at; the values broadcast along the axes after it.
+    """
+    cols = vecs.T[:, :, None]
+
+    def fn(xs, like):
+        return [Tower.constant(c, like.order) for c in cols]
+
+    return Section(al.base, al.rank, fn, name)
+
+
+def bracket_table(al: Algebroid, points: np.ndarray) -> list[dict]:
     """Brackets of the constant frame sections, summarized over points.
 
     Each row reports the mean coefficients of [e_i, e_j] over the
     points and the largest pointwise deviation from that mean, which is
-    zero exactly when the bracket section is constant.
+    zero exactly when the bracket section is constant.  All pairs
+    i < j are one evaluation, with the pairs along a batch axis, so the
+    kernel certificate covers the whole table.
     """
-    if sections is None:
-        frame = np.eye(al.rank)
-        sections = [al.constant_section(frame[i], name=f"e{i + 1}")
-                    for i in range(al.rank)]
+    points = np.asarray(points, dtype=float)
+    i, j = np.triu_indices(al.rank, 1)
+    frame = np.eye(al.rank)
+    grid = np.broadcast_to(points[:, None],
+                           (points.shape[0], len(i)) + points.shape[1:])
+    vals = algebroid_bracket(al, _frame_section(al, frame[i], "e_i"),
+                             _frame_section(al, frame[j], "e_j")).at(grid)
     rows = []
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            vals = algebroid_bracket(al, sections[i], sections[j]).at(points)
-            mean = vals.mean(axis=1)
-            rows.append({
-                "i": i, "j": j,
-                "mean": [float(x) for x in mean],
-                "spread": float(np.abs(vals - mean[:, None]).max(initial=0.0)),
-            })
+    for k in range(len(i)):
+        mean = vals[:, k].mean(axis=1)
+        rows.append({
+            "i": int(i[k]), "j": int(j[k]),
+            "mean": [float(x) for x in mean],
+            "spread": float(np.abs(vals[:, k] - mean[:, None]).max(initial=0.0)),
+        })
     return rows

@@ -17,20 +17,18 @@ which hash-cons nodes so repeated subterms are shared.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .tower import Tower, lift_primitive, pow_int, reciprocal, stack_values
+from .tower import (Tower, _add, _constant, _div, _lift, _mul, _order_of,
+                    _pow, _sub, stack_values)
 
-_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-               "div": operator.truediv}
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
-_ARITY.update({op: 2 for op in _BINARY_OPS})
+_ARITY.update({op: 2 for op in ("add", "sub", "mul", "div")})
 _ARITY.update({op: 1 for op in _UNARY_PRIMS})
 
 
@@ -49,11 +47,14 @@ class Expr:
     Construction validates the nodes and compiles them, in one pass, into
     a schedule: constant nodes stay floats, nodes whose operands are all
     constant are folded into floats, and every other node becomes a step
-    that computes its tower from the values of earlier nodes.
+    that computes its coefficient array from the arrays of earlier nodes.
+    Arrays live in registers: the input slots first, then one constant
+    tower per constant that a step or an output needs as a tower, then
+    one per step, in schedule order.
     """
 
-    __slots__ = ("nodes", "n_inputs", "outputs", "_consts", "_slots",
-                 "_lifted", "_steps", "_const_outputs")
+    __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
+                 "_out_regs")
 
     def __init__(self, nodes: Sequence[Node], n_inputs: int,
                  outputs: Sequence[int]) -> None:
@@ -62,7 +63,8 @@ class Expr:
         if n_inputs < 0:
             raise ValueError("n_inputs must be nonnegative")
         consts: list[float | None] = [None] * len(nodes)
-        slots, lifted, steps = [], set(), []
+        reg: dict[int, int] = {}
+        lifted, steps = set(), []
         for nid, node in enumerate(nodes):
             if node.op not in _ARITY:
                 raise ValueError(f"node {nid}: unknown op {node.op!r}")
@@ -80,7 +82,7 @@ class Expr:
                 if node.index is None or not 0 <= node.index < n_inputs:
                     raise ValueError(f"node {nid}: input slot {node.index} out "
                                      f"of range for {n_inputs} inputs")
-                slots.append((nid, node.index))
+                reg[nid] = node.index
                 continue
             if node.op == "const":
                 if node.value is None:
@@ -103,15 +105,17 @@ class Expr:
         for o in outputs:
             if not 0 <= o < len(nodes):
                 raise ValueError(f"output id {o} out of range")
+        lifted.update(o for o in outputs if consts[o] is not None)
+        lifted = sorted(lifted)
+        numbered = lifted + [step[0] for step in steps]
+        reg.update((nid, n_inputs + k) for k, nid in enumerate(numbered))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "_consts", tuple(consts))
-        object.__setattr__(self, "_slots", tuple(slots))
-        object.__setattr__(self, "_lifted", tuple(sorted(lifted)))
-        object.__setattr__(self, "_steps", tuple(steps))
-        object.__setattr__(self, "_const_outputs", tuple(sorted(
-            {o for o in outputs if consts[o] is not None} - lifted)))
+        object.__setattr__(self, "_lifted", tuple(consts[i] for i in lifted))
+        object.__setattr__(self, "_steps", tuple(
+            (nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps))
+        object.__setattr__(self, "_out_regs", tuple(reg[o] for o in outputs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -131,39 +135,43 @@ class Expr:
         """Run the program on tower arguments.
 
         ``order`` and ``batch_shape`` seed constants when there are no
-        inputs to infer them from (zero-dimensional charts).
+        inputs to infer them from (zero-dimensional charts).  The steps
+        run on coefficient arrays; each output is wrapped once, and a
+        repeated output is one shared tower.
         """
-        inputs = list(inputs)
         if len(inputs) != self.n_inputs:
             raise ValueError(f"expected {self.n_inputs} inputs, got {len(inputs)}")
-        if inputs:
-            orders = {t.order for t in inputs}
-            if len(orders) != 1:
-                raise ValueError(f"mixed input orders {sorted(orders)}")
-            order = orders.pop() if order is None else order
-            if order != inputs[0].order:
+        regs = [t.coeffs for t in inputs]
+        if regs:
+            shape = regs[0].shape
+            batch_shape = shape[1:]
+            if any(r.shape != shape for r in regs):
+                orders = {t.order for t in inputs}
+                if len(orders) != 1:
+                    raise ValueError(f"mixed input orders {sorted(orders)}")
+                batch_shape = np.broadcast_shapes(*[r.shape[1:] for r in regs])
+            if order is not None and order != inputs[0].order:
                 raise ValueError("explicit order disagrees with the inputs")
-            batch_shape = np.broadcast_shapes(*[t.batch_shape for t in inputs])
+            order = inputs[0].order
         else:
             order = 0 if order is None else order
             batch_shape = () if batch_shape is None else tuple(batch_shape)
-
-        def constant(c: float) -> Tower:
-            return Tower.constant(np.full(batch_shape, c), order)
-
-        vals = list(self._consts)
-        for nid, slot in self._slots:
-            vals[nid] = inputs[slot]
-        for nid in self._lifted:
-            vals[nid] = constant(vals[nid])
+        for c in self._lifted:
+            regs.append(_constant(np.full(batch_shape, c), order))
         try:
             for nid, fn, a, b in self._steps:
-                vals[nid] = fn(vals[a], vals[b])
+                regs.append(fn(regs[a], regs[b]))
         except DomainError as err:
             raise DomainError(f"node {nid} ({self.nodes[nid].op}): {err}") from err
-        for nid in self._const_outputs:
-            vals[nid] = constant(vals[nid])
-        return [vals[i] for i in self.outputs]
+        towers: dict[int, Tower] = {}
+        out = []
+        for r in self._out_regs:
+            t = towers.get(r)
+            if t is None:
+                t = towers[r] = (inputs[r] if r < self.n_inputs
+                                 else Tower._raw(order, regs[r]))
+            out.append(t)
+        return out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Order-0 evaluation on an array of shape (n_inputs, ...)."""
@@ -203,40 +211,56 @@ class Expr:
 
 def _unary(prim: str) -> Callable:
     def step(x, _):
-        return lift_primitive(prim, x)
+        return _lift(prim, x)
     return step
 
 
-def _const_over(c, t):
-    return c * reciprocal(t)
-
-
+_BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
 _UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
 _UNARY_OPS["neg"] = lambda x, _: -x
 
 
-def _step(node: Node, consts: Sequence[float | None]) -> tuple:
-    """``(fn, a, b)``: ``fn(value of a, value of b)`` computes ``node``.
+def _with_const(op: str, c: float, const_left: bool) -> Callable:
+    """The step for ``op`` with the constant ``c`` on one side.
 
-    A constant operand is a float, so a node with one takes Tower's scalar
-    paths.  ``tower_mul``, ``lift_primitive`` and ``pow_int`` are looked
-    up when a step runs, not bound here.  Unary steps ignore ``b``.
+    It does Tower's float operations for that operand: ``t + c`` and
+    ``c + t`` add the constant tower ``[c, 0, ...]`` to ``t``, so
+    ``-0.0 + 0.0`` gives ``+0.0`` above the value slot; ``t * c`` and
+    ``t / c`` scale by a float; ``c / t`` is ``recip(t) * c``.
+    """
+    if op == "add":
+        return lambda x, _: _add(x, _constant(c, _order_of(x)))
+    if op == "sub":
+        if const_left:
+            return lambda x, _: _sub(_constant(c, _order_of(x)), x)
+        return lambda x, _: _sub(x, _constant(c, _order_of(x)))
+    if op == "mul":
+        return lambda x, _: x * c
+    if const_left:
+        return lambda x, _: _lift("recip", x) * c
+    inv = 1.0 / c  # the bits of t * recip(c), which t / c would not keep
+    return lambda x, _: x * inv
+
+
+def _step(node: Node, consts: Sequence[float | None]) -> tuple:
+    """``(fn, a, b)``: ``fn(array of a, array of b)`` computes ``node``.
+
+    A constant operand is bound into ``fn`` (see ``_with_const``), and
+    both indices then name the other operand.  Unary steps ignore ``b``.
     """
     op, args = node.op, node.args
     a = b = args[0]
     if op in _BINARY_OPS:
         b = args[1]
-        if op == "div" and (consts[a] is None) != (consts[b] is None):
-            if consts[a] is not None:
-                return _const_over, a, b
-            if consts[b] != 0.0:
-                # the bits of t * recip(c), which t / c would not keep
-                inv = 1.0 / consts[b]
-                return (lambda x, _: x * inv), a, b
-        return _BINARY_OPS[op], a, b
+        ca, cb = consts[a], consts[b]
+        if (ca is None) == (cb is None) or (op == "div" and cb == 0.0):
+            return _BINARY_OPS[op], a, b
+        if ca is not None:
+            return _with_const(op, ca, True), b, b
+        return _with_const(op, cb, False), a, a
     if op == "pow_int":
         k = node.index
-        return (lambda x, _: pow_int(x, k)), a, b
+        return (lambda x, _: _pow(x, k)), a, b
     return _UNARY_OPS[op], a, b
 
 
@@ -250,10 +274,10 @@ def _fold(fn: Callable, a: int, b: int,
     constant tower NaN (0 * inf), which a float constant would not give;
     its value slot keeps the order-0 value.
     """
-    x, y = (Tower.constant(np.full(1, consts[i])) for i in (a, b))
+    x, y = (np.full((1, 1), consts[i]) for i in (a, b))
     try:
         with np.errstate(all="ignore"):
-            value = float(fn(x, y).coeffs[0, 0])
+            value = float(fn(x, y)[0, 0])
     except DomainError:
         return None
     return value if math.isfinite(value) else None

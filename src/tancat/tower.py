@@ -12,9 +12,14 @@ generator ``e_i`` is present, so ``coeffs[0]`` is the real part and
 has length ``2**order``; trailing axes, if present, are a broadcast
 batch of independent towers.
 
-Instances are immutable (the coefficient array is marked read-only);
-every operation returns a fresh tower, so values can be shared freely
-between threads.
+The arithmetic lives in array kernels (``_mul``, ``_lift``, ``_pow``,
+``_add``, ``_sub``) that take coefficient arrays and return fresh ones;
+:class:`Tower`'s operators, :func:`tower_mul`, :func:`lift_primitive`
+and :func:`pow_int` are thin wrappers over them.  Returned towers are
+immutable (the coefficient array is marked read-only), so values can be
+shared freely between threads.  ``Expr.evaluate`` runs its schedule on
+the kernels directly: its intermediates are private writable arrays,
+and only the towers it returns are wrapped, read-only.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
 _MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
 
 
+def _order_of(c: np.ndarray) -> int:
+    return len(c).bit_length() - 1
+
+
 def _align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # batch axes trail, so pad the shorter shape with singleton axes
     if x.ndim < y.ndim:
@@ -60,6 +69,113 @@ def _align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = y.reshape(y.shape + (1,) * (x.ndim - y.ndim))
     return x, y
 
+
+# -- array kernels ------------------------------------------------------
+#
+# Each kernel takes coefficient arrays (coefficient axis first) and
+# returns a fresh array; none writes into its operands.  ``Tower`` and
+# the functions below wrap them, and ``Expr.evaluate`` runs its
+# schedule on them directly.
+
+def _constant(value, order: int) -> np.ndarray:
+    """Coefficients of a real (or a batch of reals) at the given order."""
+    base = np.asarray(value, dtype=np.float64)
+    arr = np.zeros((1 << order,) + base.shape)
+    arr[0] = base
+    return arr
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = _align(x, y)
+    return x + y
+
+
+def _sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = _align(x, y)
+    return x - y
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product in the tower ring: subset convolution over disjoint masks.
+
+    Each result mask sums its terms in increasing left mask, starting
+    from ``x[0] * y[r]``.  The masks without the outermost generator
+    therefore get exactly the sums of the product one order down, so
+    dropping that generator commutes with the product bit for bit.
+    Orders 0 and 1 are the first term and the first iteration of the
+    strided loop, written out.
+    """
+    x, y = _align(x, y)
+    out = x[0] * y
+    n = len(x)
+    if n == 2:
+        out[1] += x[1] * y[0]
+    elif n > 2:
+        split = (2,) * _order_of(x)
+        out_view = out.reshape(split + out.shape[1:])
+        y_view = y.reshape(split + y.shape[1:])
+        for row, (hit, miss) in zip(x[1:], _MUL_VIEWS[len(split)]):
+            acc = out_view[hit]
+            acc += row * y_view[miss]
+    return out
+
+
+def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _mul(x, _lift("recip", y))
+
+
+def _lift(name: str, c: np.ndarray) -> np.ndarray:
+    """A scalar primitive on coefficients, by its truncated Taylor series.
+
+    The series around the real part is exact here: the nilpotent part of
+    an order-n tower has vanishing (n+1)-st power, so summing derivative
+    terms up to order n reproduces the primitive's full n-jet.  The value
+    slot is written once, with the primitive's value; the terms are added
+    into the other slots in increasing degree.  So an infinite derivative
+    makes derivative slots NaN (0 * inf) but never the value.
+    """
+    try:
+        prim = _PRIMITIVES[name]
+    except KeyError:
+        raise ValueError(f"unknown primitive {name!r}") from None
+    order = _order_of(c)
+    base = c[0]
+    prim.check(base)
+    derivs = prim.jets(base, order)
+    out = np.zeros(c.shape)
+    out[0] = derivs[0]
+    if order:
+        nil = c.copy()
+        nil[0] = 0.0
+        power = nil
+        term = np.empty_like(out[1:])
+        for k in range(1, order + 1):
+            np.multiply(power[1:], derivs[k] / _FACTORIAL[k], out=term)
+            out[1:] += term
+            if k < order:
+                power = _mul(power, nil)
+    return out
+
+
+def _pow(c: np.ndarray, exponent: int) -> np.ndarray:
+    """Integer power by square-and-multiply; ``c`` itself for exponent 1."""
+    if exponent < 0:
+        return _lift("recip", _pow(c, -exponent))
+    if exponent == 0:
+        return _constant(np.ones(c.shape[1:]), _order_of(c))
+    result = None
+    square = c
+    k = exponent
+    while k:
+        if k & 1:
+            result = square if result is None else _mul(result, square)
+        k >>= 1
+        if k:
+            square = _mul(square, square)
+    return result
+
+
+# -- towers ---------------------------------------------------------------
 
 class Tower:
     """One element of the order-n nilpotent tower ring."""
@@ -94,10 +210,7 @@ class Tower:
     @classmethod
     def constant(cls, value, order: int = 0) -> "Tower":
         """Embed a real (or a batch of reals) as a tower of the given order."""
-        base = np.asarray(value, dtype=np.float64)
-        arr = np.zeros((1 << order,) + base.shape)
-        arr[0] = base
-        return cls._raw(order, arr)
+        return cls._raw(order, _constant(value, order))
 
     @classmethod
     def generator(cls, order: int, index: int, batch_shape: tuple = ()) -> "Tower":
@@ -119,22 +232,22 @@ class Tower:
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other) -> "Tower | None":
+    def _coerce(self, other) -> "np.ndarray | None":
+        """The coefficients of a tower operand, or of a constant one."""
         if isinstance(other, Tower):
             if other.order != self.order:
                 raise ValueError(
                     f"tower order mismatch: {self.order} vs {other.order}")
-            return other
+            return other.coeffs
         if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            return Tower.constant(other, self.order)
+            return _constant(other, self.order)
         return None
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = _align(self.coeffs, rhs.coeffs)
-        return Tower._raw(self.order, a + b)
+        return Tower._raw(self.order, _add(self.coeffs, rhs))
 
     __radd__ = __add__
 
@@ -142,15 +255,13 @@ class Tower:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = _align(self.coeffs, rhs.coeffs)
-        return Tower._raw(self.order, a - b)
+        return Tower._raw(self.order, _sub(self.coeffs, rhs))
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = _align(rhs.coeffs, self.coeffs)
-        return Tower._raw(self.order, a - b)
+        return Tower._raw(self.order, _sub(rhs, self.coeffs))
 
     def __neg__(self):
         return Tower._raw(self.order, -self.coeffs)
@@ -183,7 +294,7 @@ class Tower:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return tower_mul(rhs, reciprocal(self))
+        return Tower._raw(self.order, _div(rhs, self.coeffs))
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)):
@@ -198,24 +309,10 @@ def _scale_array_inverse(arr: np.ndarray) -> np.ndarray:
 
 
 def tower_mul(a: Tower, b: Tower) -> Tower:
-    """Product in the tower ring: subset convolution over disjoint masks.
-
-    Each result mask sums its terms in increasing left mask, starting
-    from ``a[0] * b[r]``.  The masks without the outermost generator
-    therefore get exactly the sums of the product one order down, so
-    dropping that generator commutes with the product bit for bit.
-    """
+    """Product in the tower ring (see ``_mul``)."""
     if a.order != b.order:
         raise ValueError(f"tower order mismatch: {a.order} vs {b.order}")
-    split = (2,) * a.order
-    ca, cb = _align(a.coeffs, b.coeffs)
-    out = ca[0] * cb
-    out_view = out.reshape(split + out.shape[1:])
-    cb_view = cb.reshape(split + cb.shape[1:])
-    for row, (hit, miss) in zip(ca[1:], _MUL_VIEWS[a.order]):
-        acc = out_view[hit]
-        acc += row * cb_view[miss]
-    return Tower._raw(a.order, out)
+    return Tower._raw(a.order, _mul(a.coeffs, b.coeffs))
 
 
 def stack_values(towers: Sequence[Tower], batch_shape: tuple) -> np.ndarray:
@@ -326,35 +423,8 @@ _PRIMITIVES: dict[str, _Primitive] = {
 
 
 def lift_primitive(name: str, a: Tower) -> Tower:
-    """Apply a scalar primitive to a tower via its truncated Taylor series.
-
-    The series around the real part is exact here: the nilpotent part of
-    an order-n tower has vanishing (n+1)-st power, so summing derivative
-    terms up to order n reproduces the primitive's full n-jet.  The value
-    slot is written once, with the primitive's value; the terms are added
-    into the other slots in increasing degree.  So an infinite derivative
-    makes derivative slots NaN (0 * inf) but never the value.
-    """
-    try:
-        prim = _PRIMITIVES[name]
-    except KeyError:
-        raise ValueError(f"unknown primitive {name!r}") from None
-    base = a.coeffs[0]
-    prim.check(base)
-    derivs = prim.jets(base, a.order)
-    out = np.zeros(a.coeffs.shape)
-    out[0] = derivs[0]
-    if a.order:
-        nil_arr = a.coeffs.copy()
-        nil_arr[0] = 0.0
-        power = nil = Tower._raw(a.order, nil_arr)
-        term = np.empty_like(out[1:])
-        for k in range(1, a.order + 1):
-            np.multiply(power.coeffs[1:], derivs[k] / _FACTORIAL[k], out=term)
-            out[1:] += term
-            if k < a.order:
-                power = tower_mul(power, nil)
-    return Tower._raw(a.order, out)
+    """Apply a scalar primitive to a tower (see ``_lift``)."""
+    return Tower._raw(a.order, _lift(name, a.coeffs))
 
 
 def reciprocal(a: Tower) -> Tower:
@@ -363,20 +433,7 @@ def reciprocal(a: Tower) -> Tower:
 
 def pow_int(a: Tower, exponent: int) -> Tower:
     """Integer power; negative exponents require a nonzero base point."""
-    if exponent < 0:
-        return reciprocal(pow_int(a, -exponent))
-    if exponent == 0:
-        return Tower.constant(np.ones(a.batch_shape), a.order)
-    result = None
-    square = a
-    k = exponent
-    while k:
-        if k & 1:
-            result = square if result is None else tower_mul(result, square)
-        k >>= 1
-        if k:
-            square = tower_mul(square, square)
-    return result
+    return Tower._raw(a.order, _pow(a.coeffs, exponent))
 
 
 def allclose(a: Tower, b: Tower, tol: float = 1e-12) -> bool:

@@ -11,11 +11,12 @@ from tancat.algebroid import (Section, algebroid_bracket, algebroid_of,
                               check_algebroid_laws, extend_to_invariant,
                               pullback_target, restrict_to_unit, section_add,
                               section_scale)
-from tancat.domain import SmoothMap, box_domain
+from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
 from tancat.fields import ScalarField, VectorField, bracket_by_jacobians
-from tancat.groupoid import BUILTIN_GROUPOIDS, pair_groupoid
+from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, matrix_group,
+                             pair_groupoid)
 from tancat.report import rng_for
 
 
@@ -202,6 +203,46 @@ def test_bracket_table(als):
     assert np.abs(np.array(by_pair[(1, 2)]["mean"])
                   - np.array({(r["i"], r["j"]): r for r in rows}[(1, 2)]["mean"])
                   ).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
+def test_bracket_table_is_the_loop_over_pairs(als, name):
+    # the one batched evaluation gives the bits of one bracket per pair
+    al = als[name]
+    pts = al.base.sample(rng_for(7, "cli/differentiate/table"), 16)
+    frame = np.eye(al.rank)
+    e = [al.constant_section(frame[i]) for i in range(al.rank)]
+    want = []
+    for i in range(al.rank):
+        for j in range(i + 1, al.rank):
+            vals = algebroid_bracket(al, e[i], e[j]).at(pts)
+            mean = vals.mean(axis=1)
+            want.append({"i": i, "j": j, "mean": [float(x) for x in mean],
+                         "spread": float(np.abs(vals - mean[:, None])
+                                         .max(initial=0.0))})
+    assert want
+    assert repr(bracket_table(al, pts)) == repr(want)
+
+
+def _units_of_interval() -> FiberedGroupoid:
+    """The unit groupoid of an interval: rank 0, every arrow a unit."""
+    line = box_domain(1, name="interval")
+    units = Domain(1, line.box, name="units", split=(1, 0))
+    ident = build(1, lambda s: [s[0]])
+    return FiberedGroupoid(
+        base=line, arrows=units, target=SmoothMap(units, line, ident),
+        compose=SmoothMap(product_domain(units, units), units,
+                          build(2, lambda s: [s[1]])),
+        unit=SmoothMap(line, units, ident),
+        inverse=SmoothMap(units, units, ident), name="units(interval)")
+
+
+@pytest.mark.parametrize("make, rank", [(lambda: matrix_group(1), 1),
+                                        (_units_of_interval, 0)])
+def test_bracket_table_without_pairs(make, rank):
+    al = algebroid_of(make())
+    assert al.rank == rank
+    assert bracket_table(al, al.base.sample(rng_for(7, "table"), 16)) == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Expression DSL: worked jets, finite-difference oracle, serialization."""
 
 import json
+import math
 import operator
 
 import numpy as np
@@ -10,7 +11,8 @@ from tancat.errors import DomainError
 from tancat.expr import (Expr, ExprBuilder, build, exp, log, parallel,
                          reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
-from tancat.tower import Tower, lift_primitive, pow_int, split_top
+from tancat.tower import (Tower, lift_primitive, pow_int, reciprocal,
+                          split_top)
 
 
 def tower(order, *coeffs):
@@ -103,6 +105,69 @@ def reference_evaluate(e, inputs, order=None, batch_shape=None):
     return [vals[i] for i in e.outputs]
 
 
+def float_reference_evaluate(e, inputs, order=None, batch_shape=None):
+    """Node-by-node interpreter on Tower's operators, constants as floats.
+
+    This reads the schedule's contract one node at a time.  A node whose
+    operands are all floats is computed on order-0 towers of shape (1,)
+    and stays a float when finite; otherwise it runs on constant towers
+    of the whole batch.  With one float operand, ``t / c`` is
+    ``t * (1 / c)`` for nonzero ``c`` and ``c / t`` is
+    ``reciprocal(t) * c``.  Constant outputs are towers of the batch.
+    """
+    if inputs:
+        order = inputs[0].order
+        batch_shape = np.broadcast_shapes(*[t.batch_shape for t in inputs])
+    else:
+        order = 0 if order is None else order
+        batch_shape = () if batch_shape is None else tuple(batch_shape)
+
+    def tower_of(v):
+        if isinstance(v, Tower):
+            return v
+        return Tower.constant(np.full(batch_shape, v), order)
+
+    def apply(node, args):
+        op = node.op
+        if op == "neg":
+            return -args[0]
+        if op == "pow_int":
+            return pow_int(args[0], node.index)
+        if len(args) == 1:
+            return lift_primitive(op, args[0])
+        a, b = args
+        if op == "div" and isinstance(a, float):
+            return reciprocal(b) * a
+        if op == "div" and isinstance(b, float):
+            return a * (1.0 / b) if b != 0.0 else a / tower_of(b)
+        return {"add": operator.add, "sub": operator.sub,
+                "mul": operator.mul, "div": operator.truediv}[op](a, b)
+
+    vals = []
+    for nid, node in enumerate(e.nodes):
+        op = node.op
+        try:
+            if op == "input":
+                v = inputs[node.index]
+            elif op == "const":
+                v = float(node.value)
+            elif all(isinstance(vals[i], float) for i in node.args):
+                try:
+                    with np.errstate(all="ignore"):
+                        v = float(apply(node, [Tower.constant(np.full(1, vals[i]))
+                                               for i in node.args]).coeffs[0, 0])
+                except DomainError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    v = apply(node, [tower_of(vals[i]) for i in node.args])
+            else:
+                v = apply(node, [vals[i] for i in node.args])
+        except DomainError as err:
+            raise DomainError(f"node {nid} ({op}): {err}") from err
+        vals.append(v)
+    return [tower_of(vals[i]) for i in e.outputs]
+
+
 def assert_matches_reference(e, inputs, **kw):
     got = e.evaluate(inputs, **kw)
     want = reference_evaluate(e, inputs, **kw)
@@ -111,6 +176,18 @@ def assert_matches_reference(e, inputs, **kw):
         assert g.order == w.order
         assert g.coeffs.shape == w.coeffs.shape
         assert np.array_equal(g.coeffs, w.coeffs, equal_nan=True)
+
+
+def assert_matches_float_reference(e, inputs):
+    # the signs of zeros too, which == does not tell apart
+    got = e.evaluate(inputs)
+    want = float_reference_evaluate(e, inputs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.order == w.order
+        assert g.coeffs.shape == w.coeffs.shape
+        assert np.array_equal(g.coeffs, w.coeffs, equal_nan=True)
+        assert np.array_equal(np.signbit(g.coeffs), np.signbit(w.coeffs))
 
 
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
@@ -124,6 +201,65 @@ def test_schedule_matches_reference_interpreter(order, batch):
         ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order,) + batch))
                for _ in range(n_in)]
         assert_matches_reference(e, ins)
+
+
+@pytest.mark.parametrize("shapes", [((5,), (1,)), ((), (2, 3)), ((1,), (), (4,))],
+                         ids=str)
+@pytest.mark.parametrize("order", range(5))
+def test_schedule_matches_reference_on_broadcast_batches(order, shapes):
+    # inputs of different batch shapes take the broadcast path
+    rng = np.random.default_rng(300 + 10 * order + len(shapes[0]))
+    for _ in range(20):
+        e = random_expr(rng, len(shapes), int(rng.integers(1, 4)),
+                        depth=int(rng.integers(1, 7)))
+        ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order,) + s))
+               for s in shapes]
+        assert_matches_float_reference(e, ins)
+
+
+SIGNED = build(2, lambda xs: [xs[0] + 0.0, 0.0 + xs[0], xs[0] - 0.0,
+                              0.0 - xs[0], -0.0 - xs[0], xs[0] * -0.0,
+                              -xs[0], xs[0] / -2.0, 2.0 / xs[1],
+                              xs[0] * xs[1], xs[0] / xs[1], xs[1] ** 0,
+                              xs[0] ** 3, xs[1] ** -2, exp(xs[0]) + xs[1]])
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_schedule_matches_reference_on_signed_zeros_and_infinities(order):
+    # -0.0 and inf in any slot; the bits, NaNs included, must match
+    rng = np.random.default_rng(400 + order)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf])
+    exprs = [SIGNED] + [random_expr(rng, 2, 3, depth=int(rng.integers(1, 7)))
+                        for _ in range(20)]
+    for e in exprs:
+        ins = []
+        for _ in range(2):
+            c = rng.uniform(-1.5, 1.5, size=(1 << order, 8))
+            hit = rng.random(c.shape) < 0.3
+            c[hit] = rng.choice(special, size=int(hit.sum()))
+            c[:, 0] = -0.0     # one sample of signed zeros only
+            ins.append(Tower(order, c))
+        ins[1] = Tower(order, np.where(ins[1].coeffs[:1] == 0.0, 1.5,
+                                       ins[1].coeffs))  # keep 2/y defined
+        with np.errstate(all="ignore"):
+            assert_matches_float_reference(e, ins)
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_outputs_that_are_inputs_and_repeated_outputs(order):
+    b = ExprBuilder(2)
+    x, y = b.inputs()
+    s = x * y + 1.0
+    e = b.finish([x, s, y ** 1, s, 2.0, x, 2.0])
+    rng = np.random.default_rng(500 + order)
+    ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order, 3)))
+           for _ in range(2)]
+    assert_matches_float_reference(e, ins)
+    out = e.evaluate(ins)
+    assert out[0] is ins[0] and out[5] is ins[0]
+    assert out[1] is out[3] and out[4] is out[6]
+    assert np.array_equal(out[2].coeffs, ins[1].coeffs)
+    assert not any(t.coeffs.flags.writeable for t in out)
 
 
 def test_constant_outputs_match_reference():

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat.errors import DomainError
-from tancat.tower import (MAX_ORDER, Tower, allclose, extend, join_top,
-                          lift_primitive, pow_int, reciprocal, split_top,
-                          tower_mul)
+from tancat.tower import (_MUL_VIEWS, MAX_ORDER, Tower, _align, allclose,
+                          extend, join_top, lift_primitive, pow_int,
+                          reciprocal, split_top, tower_mul)
 
 
 def oracle_mul(order, a, b):
@@ -214,6 +214,39 @@ def test_split_join_roundtrip():
     assert allclose(join_top(lo, hi), a, 0.0)
     assert np.all(extend(lo).coeffs[:4] == lo.coeffs)
     assert np.all(extend(lo).coeffs[4:] == 0.0)
+
+
+def strided_mul(x, y):
+    """The product's general strided loop, run at any order."""
+    x, y = _align(x, y)
+    split = (2,) * (len(x).bit_length() - 1)
+    out = x[0] * y
+    out_view = out.reshape(split + out.shape[1:])
+    y_view = y.reshape(split + y.shape[1:])
+    for row, (hit, miss) in zip(x[1:], _MUL_VIEWS[len(split)]):
+        acc = out_view[hit]
+        acc += row * y_view[miss]
+    return out
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((6,), (6,)), ((6,), ()),
+                                    ((), (6,)), ((2, 3), (1,))], ids=str)
+@pytest.mark.parametrize("order", [0, 1])
+def test_low_order_products_match_the_strided_loop(order, shapes):
+    # the order-0 and order-1 paths are the loop's first term and first
+    # iteration; signed zeros and infinities must keep their bits
+    rng = np.random.default_rng(60 + order)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    for _ in range(20):
+        a, b = (rng.uniform(-2.0, 2.0, size=(1 << order,) + s) for s in shapes)
+        for c in (a, b):
+            hit = rng.random(c.shape) < 0.3
+            c[hit] = rng.choice(special, size=int(hit.sum()))
+        with np.errstate(invalid="ignore"):
+            got = tower_mul(Tower(order, a), Tower(order, b)).coeffs
+            want = strided_mul(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_restriction_to_lower_order_is_bit_exact():
