@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .tower import (Tower, _add, _constant, _div, _lift, _mul, _order_of,
-                    _pow, _sub, stack_values)
+                    _pow, _sub)
 
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
@@ -50,7 +50,10 @@ class Expr:
     that computes its coefficient array from the arrays of earlier nodes.
     Arrays live in registers: the input slots first, then one constant
     tower per constant that a step or an output needs as a tower, then
-    one per step, in schedule order.
+    one per step, in schedule order.  Each step lists the registers it
+    reads for the last time (its own, if nothing reads it), and
+    evaluation drops them as soon as the step has run; input and output
+    registers are never dropped.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
@@ -109,13 +112,24 @@ class Expr:
         lifted = sorted(lifted)
         numbered = lifted + [step[0] for step in steps]
         reg.update((nid, n_inputs + k) for k, nid in enumerate(numbered))
+        out_regs = tuple(reg[o] for o in outputs)
+        steps = [(nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps]
+        last: dict[int, int] = {}  # register -> the step that reads it last
+        first = n_inputs + len(lifted)
+        for k, (_, _, a, b) in enumerate(steps):
+            last[a] = last[b] = last[first + k] = k
+        kept = set(range(n_inputs)).union(out_regs)
+        dead: list[list[int]] = [[] for _ in steps]
+        for r, k in last.items():
+            if r not in kept:
+                dead[k].append(r)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "_lifted", tuple(consts[i] for i in lifted))
         object.__setattr__(self, "_steps", tuple(
-            (nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps))
-        object.__setattr__(self, "_out_regs", tuple(reg[o] for o in outputs))
+            step + (tuple(d),) for step, d in zip(steps, dead)))
+        object.__setattr__(self, "_out_regs", out_regs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -156,13 +170,7 @@ class Expr:
         else:
             order = 0 if order is None else order
             batch_shape = () if batch_shape is None else tuple(batch_shape)
-        for c in self._lifted:
-            regs.append(_constant(np.full(batch_shape, c), order))
-        try:
-            for nid, fn, a, b in self._steps:
-                regs.append(fn(regs[a], regs[b]))
-        except DomainError as err:
-            raise DomainError(f"node {nid} ({self.nodes[nid].op}): {err}") from err
+        regs = self._run(regs, order, batch_shape)
         towers: dict[int, Tower] = {}
         out = []
         for r in self._out_regs:
@@ -180,8 +188,28 @@ class Expr:
             raise ValueError(f"expected leading axis {self.n_inputs}, got "
                              f"shape {points.shape}")
         batch = points.shape[1:]
-        towers = [Tower.constant(points[i]) for i in range(self.n_inputs)]
-        return stack_values(self.evaluate(towers, batch_shape=batch), batch)
+        regs = self._run(list(points[:, None]), 0, batch)
+        out = np.empty((self.n_outputs,) + batch)
+        for row, r in zip(out, self._out_regs):
+            row[...] = regs[r][0]
+        return out
+
+    def _run(self, regs: list, order: int, batch_shape: tuple) -> list:
+        """Run the schedule on the input arrays ``regs``, in place.
+
+        Returns the register list; only the input and output registers
+        are sure to still hold their arrays.
+        """
+        for c in self._lifted:
+            regs.append(_constant(np.full(batch_shape, c), order))
+        try:
+            for nid, fn, a, b, dead in self._steps:
+                regs.append(fn(regs[a], regs[b]))
+                for r in dead:
+                    regs[r] = None
+        except DomainError as err:
+            raise DomainError(f"node {nid} ({self.nodes[nid].op}): {err}") from err
+        return regs
 
     # -- serialization ------------------------------------------------
 

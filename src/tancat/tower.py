@@ -15,7 +15,12 @@ batch of independent towers.
 The arithmetic lives in array kernels (``_mul``, ``_lift``, ``_pow``,
 ``_add``, ``_sub``) that take coefficient arrays and return fresh ones;
 :class:`Tower`'s operators, :func:`tower_mul`, :func:`lift_primitive`
-and :func:`pow_int` are thin wrappers over them.  Returned towers are
+and :func:`pow_int` are thin wrappers over them.  ``_lift`` applies a
+scalar primitive by the set-partition (multivariate Faa di Bruno)
+formula: each coefficient is a sum over the set partitions of its mask,
+read from tables built at import and added in an order fixed by the
+mask alone, so a lift keeps its bits when outer generators are dropped
+or a batch column is lifted alone.  Returned towers are
 immutable (the coefficient array is marked read-only), so values can be
 shared freely between threads.  ``Expr.evaluate`` runs its schedule on
 the kernels directly: its intermediates are private writable arrays,
@@ -31,8 +36,6 @@ import numpy as np
 from .errors import DomainError
 
 MAX_ORDER = 4
-
-_FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
@@ -55,6 +58,61 @@ def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
 
 
 _MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
+
+
+def _set_partitions(r: int):
+    """The set partitions of mask ``r``'s bits, as tuples of block masks.
+
+    The first block holds ``r``'s lowest bit; the order of the
+    partitions and of their blocks depends on ``r`` alone.
+    """
+    if not r:
+        yield ()
+        return
+    low = r & -r
+    rest = r ^ low
+    for sub in range(rest + 1):
+        if sub & rest == sub:
+            for tail in _set_partitions(rest ^ sub):
+                yield (low | sub,) + tail
+
+
+def _lift_tables(order: int) -> tuple:
+    """The partition tables of ``_lift`` at the given order.
+
+    One entry per block count ``k = 2..order``: ``(k, masks, blocks,
+    adds)``.  ``masks`` lists the result masks that have a ``k``-block
+    partition, most partitions first.  The ``k`` rows of ``blocks`` give
+    the block masks of every (mask, partition) pair, term-major: the
+    first partition of every mask, then the second of every mask that
+    has one, and so on, so each term's masks are a prefix of ``masks``.
+    ``adds`` holds one ``(head, term)`` slice pair per later term: the
+    products in ``term`` add into those of the same masks in ``head``,
+    one term at a time, in each mask's partition order.  A mask's sum
+    is then a plain sequence of adds, the same at every order and batch
+    size; this is the ragged sum with its missing terms left out, not
+    padded with the exact identity -0.0.
+    """
+    tables = []
+    for k in range(2, order + 1):
+        terms = {r: [p for p in _set_partitions(r) if len(p) == k]
+                 for r in range(1, 1 << order)}
+        masks = sorted((r for r in terms if terms[r]),
+                       key=lambda r: -len(terms[r]))
+        pairs, adds = [], []
+        for t in range(len(terms[masks[0]])):
+            having = [r for r in masks if len(terms[r]) > t]
+            if t:
+                adds.append((slice(0, len(having)),
+                             slice(len(pairs), len(pairs) + len(having))))
+            pairs += [terms[r][t] for r in having]
+        tables.append((k, np.array(masks),
+                       tuple(np.array(col) for col in zip(*pairs)),
+                       tuple(adds)))
+    return tuple(tables)
+
+
+_LIFT_TABLES = {n: _lift_tables(n) for n in range(MAX_ORDER + 1)}
 
 
 def _order_of(c: np.ndarray) -> int:
@@ -125,14 +183,19 @@ def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lift(name: str, c: np.ndarray) -> np.ndarray:
-    """A scalar primitive on coefficients, by its truncated Taylor series.
+    """A scalar primitive on coefficients, by the set-partition formula.
 
-    The series around the real part is exact here: the nilpotent part of
-    an order-n tower has vanishing (n+1)-st power, so summing derivative
-    terms up to order n reproduces the primitive's full n-jet.  The value
-    slot is written once, with the primitive's value; the terms are added
-    into the other slots in increasing degree.  So an infinite derivative
-    makes derivative slots NaN (0 * inf) but never the value.
+    The coefficient at mask ``r`` of ``f(c)`` is the sum, over the set
+    partitions ``pi`` of ``r``'s bits, of ``f^(|pi|)(c[0])`` times the
+    product of ``c`` over the blocks of ``pi`` (the multivariate Faa di
+    Bruno formula).  The value slot is written once, with ``f(c[0])``;
+    every other slot starts as ``f'(c[0]) * c[r]`` and then gets
+    ``f^(k)(c[0]) * S_k[r]`` added, in increasing ``k``, where ``S_k[r]``
+    sums the ``k``-block products in the fixed order of ``_LIFT_TABLES``.
+    That order depends on ``r`` alone, so dropping the outermost
+    generator commutes with the lift bit for bit, and a column of a
+    batch gets the bits it gets alone.  An infinite derivative reaches
+    only the masks whose partitions use it, never the value.
     """
     try:
         prim = _PRIMITIVES[name]
@@ -142,18 +205,17 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
     base = c[0]
     prim.check(base)
     derivs = prim.jets(base, order)
-    out = np.zeros(c.shape)
+    out = np.empty(c.shape)
     out[0] = derivs[0]
     if order:
-        nil = c.copy()
-        nil[0] = 0.0
-        power = nil
-        term = np.empty_like(out[1:])
-        for k in range(1, order + 1):
-            np.multiply(power[1:], derivs[k] / _FACTORIAL[k], out=term)
-            out[1:] += term
-            if k < order:
-                power = _mul(power, nil)
+        np.multiply(c[1:], derivs[1], out=out[1:])
+    for k, masks, blocks, adds in _LIFT_TABLES[order]:
+        prod = c[blocks[0]]
+        for block in blocks[1:]:
+            prod *= c[block]
+        for head, term in adds:
+            prod[head] += prod[term]
+        out[masks] += derivs[k] * prod[: len(masks)]
     return out
 
 
@@ -385,31 +447,54 @@ def _no_check(base: np.ndarray) -> None:
     return None
 
 
+# Each returns the derivatives 0..order at ``base``, and computes no
+# other: the k-th derivative of log is (-1)^(k-1) (k-1)! / x^k, that of
+# 1/x is (-1)^k k! / x^(k+1), that of sqrt is a constant times
+# sqrt(x) / x^k, and sin and cos repeat with period four.  Powers go
+# through ``np.power``: on arrays it is what ``**`` calls, but ``**`` on
+# the scalar base of an unbatched tower takes numpy's scalar power,
+# whose last bit can differ, and a point's lift must not depend on
+# whether it is batched.
+
 def _jets_exp(base, order):
     e = np.exp(base)
     return [e] * (order + 1)
 
 def _jets_log(base, order):
+    if not order:
+        return [np.log(base)]
     inv = 1.0 / base
-    return [np.log(base), inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4][: order + 1]
+    return [np.log(base), inv] + [
+        c * np.power(inv, k)
+        for k, c in zip(range(2, order + 1), (-1.0, 2.0, -6.0))]
+
+def _periodic_jets(value, slope, order):
+    """``value, slope(), -value, -slope(), value``, up to ``order``."""
+    jets = [value]
+    if order:
+        jets.append(slope())
+    for k in range(2, order + 1):
+        jets.append(-jets[k - 2])
+    return jets
 
 def _jets_sin(base, order):
-    s, c = np.sin(base), np.cos(base)
-    return [s, c, -s, -c, s][: order + 1]
+    return _periodic_jets(np.sin(base), lambda: np.cos(base), order)
 
 def _jets_cos(base, order):
-    s, c = np.sin(base), np.cos(base)
-    return [c, -s, -c, s, c][: order + 1]
+    return _periodic_jets(np.cos(base), lambda: -np.sin(base), order)
 
 def _jets_sqrt(base, order):
     r = np.sqrt(base)
+    if not order:
+        return [r]
     inv = 1.0 / base
-    return [r, 0.5 * r * inv, -0.25 * r * inv ** 2,
-            0.375 * r * inv ** 3, -0.9375 * r * inv ** 4][: order + 1]
+    return [r] + [c * r * np.power(inv, k) for k, c in
+                  zip(range(1, order + 1), (0.5, -0.25, 0.375, -0.9375))]
 
 def _jets_recip(base, order):
     inv = 1.0 / base
-    return [inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4, 24.0 * inv ** 5][: order + 1]
+    return [inv] + [c * np.power(inv, k + 1) for k, c in
+                    zip(range(1, order + 1), (-1.0, 2.0, -6.0, 24.0))]
 
 
 _PRIMITIVES: dict[str, _Primitive] = {

@@ -71,6 +71,9 @@ def test_domain_error_carries_node_id():
     with pytest.raises(DomainError) as err:
         e.evaluate([tower(0, -2.0)])
     assert str(err.value).startswith("node 1 (log): ")
+    with pytest.raises(DomainError) as err:
+        e(np.array([[1.0, -2.0]]))
+    assert str(err.value).startswith("node 1 (log): ")
 
 
 def reference_evaluate(e, inputs, order=None, batch_shape=None):
@@ -260,6 +263,60 @@ def test_outputs_that_are_inputs_and_repeated_outputs(order):
     assert out[1] is out[3] and out[4] is out[6]
     assert np.array_equal(out[2].coeffs, ins[1].coeffs)
     assert not any(t.coeffs.flags.writeable for t in out)
+
+
+def live_registers(e, inputs):
+    # the registers still holding an array after a run of the schedule
+    order = inputs[0].order
+    batch = np.broadcast_shapes(*[t.batch_shape for t in inputs])
+    regs = e._run([t.coeffs for t in inputs], order, batch)
+    return {r for r, v in enumerate(regs) if v is not None}
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_freed_registers_spare_inputs_and_outputs(order):
+    # s is an output that later steps read, t a repeated output, x an
+    # input that is an output, 3.0 a constant output; u and the other
+    # intermediates are freed after their last read
+    b = ExprBuilder(2)
+    x, y = b.inputs()
+    s = x * y
+    t = exp(s) - y
+    u = log(t * t + 1.0)
+    e = b.finish([s, t * s, x, t, t, 3.0, u * s + x, s])
+    rng = np.random.default_rng(550 + order)
+    ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order, 4)))
+           for _ in range(2)]
+    assert_matches_float_reference(e, ins)
+    kept = set(range(e.n_inputs)) | set(e._out_regs)
+    assert live_registers(e, ins) == kept
+    assert len(kept) < e.n_inputs + len(e._lifted) + len(e._steps)
+
+
+def test_only_inputs_and_outputs_stay_live_on_random_dags():
+    rng = np.random.default_rng(560)
+    for _ in range(200):
+        n_in = int(rng.integers(1, 4))
+        e = random_expr(rng, n_in, int(rng.integers(1, 4)),
+                        depth=int(rng.integers(1, 7)))
+        ins = [Tower(2, rng.uniform(-1.5, 1.5, size=(4, 3)))
+               for _ in range(n_in)]
+        assert_matches_float_reference(e, ins)
+        assert live_registers(e, ins) == (set(range(n_in))
+                                          | set(e._out_regs))
+
+
+def test_call_is_order_zero_evaluate_bitwise():
+    rng = np.random.default_rng(570)
+    for _ in range(50):
+        e = random_expr(rng, 3, int(rng.integers(1, 4)),
+                        depth=int(rng.integers(1, 7)))
+        pts = rng.uniform(-1.5, 1.5, size=(3, 2, 5))
+        pts[:, 0, 0] = -0.0
+        got = e(pts)
+        want = [t.coeffs[0] for t in e.evaluate([Tower(0, p[None])
+                                                 for p in pts])]
+        assert got.tobytes() == np.stack(want).tobytes()
 
 
 def test_constant_outputs_match_reference():

@@ -267,12 +267,86 @@ def test_restriction_to_lower_order_is_bit_exact():
 
 
 def test_infinite_derivative_keeps_the_value():
-    # the derivative of 1/x overflows at 1e-70; 0 * inf there must not
-    # reach the value slot, which order 0 gives as 1e70
+    # the fourth derivative of 1/x overflows at 1e-70; it multiplies only
+    # the partition of 0b1111 into single bits, so that slot alone is
+    # NaN (inf * 0), the others are the exact jet's zeros, and the value
+    # slot is what order 0 gives
     with np.errstate(over="ignore", invalid="ignore"):
         tiny = lift_primitive("recip", Tower(4, [1e-70] + [0.0] * 15))
         big = lift_primitive("exp", Tower(1, [800.0, 1.0]))
         value = lift_primitive("recip", Tower(0, [1e-70])).coeffs[0]
     assert tiny.coeffs[0] == value == 1e70
-    assert np.all(np.isnan(tiny.coeffs[1:]))
+    assert np.isnan(tiny.coeffs[0b1111])
+    assert np.all(tiny.coeffs[1:0b1111] == 0.0)
     assert np.array_equal(big.coeffs, [np.inf, np.inf])
+
+
+# The Taylor loop that lift_primitive ran before the partition kernel,
+# with its derivative lists, kept here as an oracle: f(x0 + nil) is the
+# sum of f^(k)(x0) / k! * nil^k, nil being the tower with its value slot
+# zeroed.  Powers are np.power, as in tower.py, so that an unbatched
+# base takes the same power as a batch.
+
+def taylor_jets(name, x):
+    inv, r, s, c = 1.0 / x, np.sqrt(x), np.sin(x), np.cos(x)
+    return {
+        "exp": [np.exp(x)] * 5,
+        "log": [np.log(x), inv, -inv * inv, 2.0 * np.power(inv, 3),
+                -6.0 * np.power(inv, 4)],
+        "sin": [s, c, -s, -c, s],
+        "cos": [c, -s, -c, s, c],
+        "sqrt": [r, 0.5 * r * inv, -0.25 * r * np.power(inv, 2),
+                 0.375 * r * np.power(inv, 3), -0.9375 * r * np.power(inv, 4)],
+        "recip": [inv, -inv * inv, 2.0 * np.power(inv, 3),
+                  -6.0 * np.power(inv, 4), 24.0 * np.power(inv, 5)],
+    }[name]
+
+
+def taylor_series(derivs, c):
+    order = len(c).bit_length() - 1
+    out = np.zeros(c.shape)
+    out[0] = derivs[0]
+    nil = c.copy()
+    nil[0] = 0.0
+    power = nil
+    for k in range(1, order + 1):
+        out[1:] += power[1:] * (derivs[k] / math.factorial(k))
+        if k < order:
+            power = strided_mul(power, nil)
+    return out
+
+
+PRIMITIVES = ("exp", "log", "sin", "cos", "sqrt", "recip")
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_lift_matches_the_taylor_loop(name, order):
+    # orders 0-2 keep the loop's values; from order 3 the products and
+    # sums are ordered differently, so the two agree to round-off of the
+    # mask's scale, the same formula on absolute values
+    rng = np.random.default_rng(700 + order)
+    for batch in ((), (5,)):
+        for _ in range(30):
+            c = rng.uniform(-2.0, 2.0, size=(1 << order,) + batch)
+            c[0] = rng.uniform(0.2, 2.5, size=batch)
+            got = lift_primitive(name, Tower(order, c)).coeffs
+            derivs = taylor_jets(name, c[0])
+            want = taylor_series(derivs, c)
+            if order <= 2:
+                assert np.array_equal(got, want)
+            else:
+                scale = taylor_series([np.abs(d) for d in derivs], np.abs(c))
+                assert np.all(np.abs(got - want) <= 4e-15 * scale)
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_lift_of_a_batch_is_the_lift_of_each_column(order):
+    rng = np.random.default_rng(800 + order)
+    c = rng.uniform(-2.0, 2.0, size=(1 << order, 700))
+    c[0] = rng.uniform(0.2, 2.5, size=700)
+    for name in PRIMITIVES:
+        whole = lift_primitive(name, Tower(order, c)).coeffs
+        for j in range(c.shape[1]):
+            alone = lift_primitive(name, Tower(order, c[:, j])).coeffs
+            assert whole[:, j].tobytes() == alone.tobytes(), (name, j)
