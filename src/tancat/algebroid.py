@@ -140,8 +140,6 @@ def anchor_field(al: Algebroid, a: Section) -> VectorField:
     """The base vector field x -> Tt(unit velocity a(x))."""
     G = al.gpd
     p, q = G.base.dim, al.rank
-    if p == 0:
-        return VectorField(al.base, lambda xs: [], name=f"rho({a.name})")
 
     def fn(xs: list[Tower]) -> list[Tower]:
         ux = G.unit.body.evaluate(xs)

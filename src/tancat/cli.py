@@ -90,6 +90,13 @@ def _check_flags(args) -> None:
         raise InputError(f"--tol wants a finite non-negative number, got {args.tol}")
 
 
+def _add_checks(rep: Report, prefix: str, residuals: dict, samples: int,
+                tol: float) -> None:
+    """One check per residual, named ``prefix + key``."""
+    for k, v in sorted(residuals.items()):
+        rep.add(CheckResult.from_residual(prefix + k, samples, v, tol))
+
+
 def _finish(report: Report, args) -> int:
     text = report.dumps()
     if args.out is not None:
@@ -118,14 +125,12 @@ def _cmd_groupoid(args) -> int:
     G = _load_groupoid(args)
     rep = Report(suite=f"groupoid/{G.name or 'spec'}", seed=seed)
     rng = rng_for(seed, "cli/groupoid/laws")
-    for k, v in sorted(check_groupoid_axioms(G, rng, args.samples).items()):
-        rep.add(CheckResult.from_residual("laws/" + k, args.samples, v,
-                                          args.tol))
+    _add_checks(rep, "laws/", check_groupoid_axioms(G, rng, args.samples),
+                args.samples, args.tol)
     n_diff = max(20, args.samples // 4)
     rng = rng_for(seed, "cli/groupoid/diff")
-    for k, v in sorted(check_differentiability(G, rng, n_diff).items()):
-        rep.add(CheckResult.from_residual("differentiability/" + k, n_diff,
-                                          v, args.tol))
+    _add_checks(rep, "differentiability/",
+                check_differentiability(G, rng, n_diff), n_diff, args.tol)
     return _finish(rep, args)
 
 
@@ -134,9 +139,8 @@ def _cmd_differentiate(args) -> int:
     G = _load_groupoid(args)
     rep = Report(suite=f"differentiate/{G.name or 'spec'}", seed=seed)
     rng = rng_for(seed, "cli/differentiate/gate")
-    for k, v in sorted(check_groupoid_axioms(G, rng, args.samples).items()):
-        rep.add(CheckResult.from_residual("gate/" + k, args.samples, v,
-                                          args.tol))
+    _add_checks(rep, "gate/", check_groupoid_axioms(G, rng, args.samples),
+                args.samples, args.tol)
     if not rep.ok:
         # nothing downstream is meaningful on a broken groupoid
         return _finish(rep, args)
@@ -144,9 +148,7 @@ def _cmd_differentiate(args) -> int:
                       samples=min(args.samples, 100), tol=args.tol)
     laws = check_algebroid_laws(al, rng_for(seed, "cli/differentiate/laws"),
                                 samples=args.samples)
-    for k, v in sorted(laws.items()):
-        rep.add(CheckResult.from_residual("laws/" + k, args.samples, v,
-                                          args.tol))
+    _add_checks(rep, "laws/", laws, args.samples, args.tol)
     pts = al.base.sample(rng_for(seed, "cli/differentiate/table"), 16)
     rep.extra["base_dim"] = al.base.dim
     rep.extra["rank"] = al.rank
@@ -166,16 +168,11 @@ def _cmd_bracket(args) -> int:
         f = ScalarField.from_expr(dom, random_expr(rng, d, 1, depth=3), name="f")
         g = ScalarField.from_expr(dom, random_expr(rng, d, 1, depth=3), name="g")
         pts = dom.sample(rng, args.samples)
-        br = lie_bracket(v, w)
-        rep.add(CheckResult.from_residual(
-            f"dim{d}/jacobian_route", args.samples,
-            residual(br.at(pts), bracket_by_jacobians(v, w, pts)), args.tol))
-        rep.add(CheckResult.from_residual(
-            f"dim{d}/kernel", args.samples, kernel_residual(v, w, pts),
-            args.tol))
-        for k, val in check_bracket_laws(u, v, w, f, g, pts).items():
-            rep.add(CheckResult.from_residual(f"dim{d}/{k}", args.samples,
-                                              val, args.tol))
+        res = {"jacobian_route": residual(lie_bracket(v, w).at(pts),
+                                         bracket_by_jacobians(v, w, pts)),
+               "kernel": kernel_residual(v, w, pts),
+               **check_bracket_laws(u, v, w, f, g, pts)}
+        _add_checks(rep, f"dim{d}/", res, args.samples, args.tol)
     return _finish(rep, args)
 
 

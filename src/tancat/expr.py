@@ -9,9 +9,11 @@ pass.  Supported operations::
 
 Evaluation maps towers to towers, so the same program yields values,
 first tangents, or any iterated tangent depending on the order of its
-arguments.  Expressions are immutable; building happens through
-:class:`ExprBuilder` or the :func:`build` convenience wrapper, both of
-which hash-cons nodes so repeated subterms are shared.
+arguments; ``Expr.on_blocks`` takes the towers laid side by side in one
+array, the layout of a tangent point.  Expressions are immutable;
+building happens through :class:`ExprBuilder` or the :func:`build`
+convenience wrapper, both of which hash-cons nodes so repeated subterms
+are shared.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tower import (Tower, _add, _constant, _div, _lift, _mul, _order_of,
-                    _pow, _sub)
+from .tower import (MAX_ORDER, Tower, _add, _constant, _div, _lift, _mul,
+                    _order_of, _pow, _sub)
 
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
@@ -187,11 +189,31 @@ class Expr:
         if points.ndim == 0 or points.shape[0] != self.n_inputs:
             raise ValueError(f"expected leading axis {self.n_inputs}, got "
                              f"shape {points.shape}")
-        batch = points.shape[1:]
-        regs = self._run(list(points[:, None]), 0, batch)
-        out = np.empty((self.n_outputs,) + batch)
-        for row, r in zip(out, self._out_regs):
-            row[...] = regs[r][0]
+        return self.on_blocks(points[None])[0]
+
+    def on_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Run the program on its inputs' towers laid side by side.
+
+        ``blocks`` has shape ``(2**order, n_inputs, *batch)``: column
+        ``i`` holds input ``i``'s coefficients, the layout of a tangent
+        point.  The order and batch are read from the shape.  The steps
+        run on the views ``blocks[:, i]``, and the result is a fresh
+        array of shape ``(2**order, n_outputs, *batch)``.
+        """
+        blocks = np.asarray(blocks, dtype=float)
+        n = blocks.shape[0] if blocks.ndim else 0
+        if not (0 < n <= 1 << MAX_ORDER and n & (n - 1) == 0):
+            raise ValueError(f"axis 0 must have length 2**k with k <= "
+                             f"{MAX_ORDER}, got shape {blocks.shape}")
+        if blocks.ndim < 2 or blocks.shape[1] != self.n_inputs:
+            raise ValueError(f"axis 1 must have length {self.n_inputs}, got "
+                             f"shape {blocks.shape}")
+        batch = blocks.shape[2:]
+        regs = self._run([blocks[:, i] for i in range(self.n_inputs)],
+                         _order_of(blocks), batch)
+        out = np.empty((n, self.n_outputs) + batch)
+        for j, r in enumerate(self._out_regs):
+            out[:, j] = regs[r]
         return out
 
     def _run(self, regs: list, order: int, batch_shape: tuple) -> list:

@@ -24,7 +24,7 @@ import numpy as np
 from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
-from .tanpoint import residual
+from .tanpoint import TanPoint, apply_tangent, residual
 from .tower import Tower, join_top, split_top, stack_values
 
 KERNEL_TOL = 1e-10
@@ -74,6 +74,10 @@ class VectorField:
         return cls(dom, lambda xs: body.evaluate(xs), name)
 
     def fiber(self, xs: Sequence[Tower]) -> list[Tower]:
+        """The fiber towers at ``xs``; a zero-dimensional chart has none,
+        and ``fn`` is not called."""
+        if not self.dom.dim:
+            return []
         out = self.fn(list(xs))
         if len(out) != self.dom.dim:
             raise ValueError(f"field {self.name or '?'} returned "
@@ -201,14 +205,9 @@ def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
                   points: np.ndarray) -> float:
     """Residual of: the tangent of phi carries v to w along phi."""
     points = np.asarray(points, dtype=float)
-    xs = _as_towers(points, v.dom.dim)
-    vhat = v.fiber(xs)
-    out = [split_top(t) for t in
-           phi.body.evaluate([join_top(x, c) for x, c in zip(xs, vhat)])]
-    batch = points.shape[1:]
-    base = stack_values([lo for lo, _ in out], batch)
-    pushed = stack_values([hi for _, hi in out], batch)
-    return residual(pushed, w.at(base))
+    pushed = apply_tangent(phi, TanPoint(1, np.stack([points, v.at(points)])),
+                           check_domain=False)
+    return residual(pushed.blocks[1], w.at(pushed.base))
 
 
 def check_bracket_laws(u: VectorField, v: VectorField, w: VectorField,

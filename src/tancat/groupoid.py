@@ -226,15 +226,6 @@ def t_flatten(pt: TanPoint, sizes) -> np.ndarray:
     return np.concatenate([part.reshape((-1,) + pt.batch_shape) for part in parts])
 
 
-def t_unflatten(arr: np.ndarray, sizes, order: int) -> TanPoint:
-    """Inverse of :func:`t_flatten`."""
-    arr = np.asarray(arr, dtype=float)
-    parts = np.split(arr, np.cumsum(sizes)[:-1] << order)
-    return TanPoint(order, np.concatenate(
-        [part.reshape((1 << order, s) + arr.shape[1:])
-         for part, s in zip(parts, sizes)], axis=1))
-
-
 # -- order-n functor checks -------------------------------------------
 
 def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> TanPoint:

@@ -18,20 +18,24 @@ blocks by index bookkeeping:
 * ``vertical_lift_pair`` -- its two-argument extension
 * ``scale_level`` -- fiberwise scalar multiplication of one level
 
-All functions return fresh points; blocks arrays are treated as
-read-only.  Trailing axes of ``blocks`` are a broadcast batch.
+All functions return fresh points.  A point takes over the blocks
+array it is given, without a copy, and marks it read-only, so callers
+hand it a fresh array or a view of a read-only one.  Trailing axes of
+``blocks`` are a broadcast batch.  ``apply_tangent`` runs the map's
+program on the blocks in place (``Expr.on_blocks``): the d columns of a
+point are d towers side by side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, FiberMismatchError, StructureError
-from .tower import MAX_ORDER, Tower
+from .tower import MAX_ORDER
 from .domain import SmoothMap
 
 DEFAULT_MATCH_TOL = 1e-9
@@ -57,6 +61,11 @@ def residual(a, b) -> float:
 
 @dataclass(frozen=True)
 class TanPoint:
+    """A point of the order-n tangent of a chart, as its blocks.
+
+    ``blocks`` is taken over, not copied: the point marks that very
+    array read-only and holds it.
+    """
     order: int
     blocks: np.ndarray  # (2**order, dim, *batch)
 
@@ -65,7 +74,6 @@ class TanPoint:
         if arr.ndim < 2 or arr.shape[0] != (1 << self.order):
             raise ValueError(f"blocks must have shape (2**{self.order}, dim, ...), "
                              f"got {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
 
@@ -81,40 +89,12 @@ class TanPoint:
     def base(self) -> np.ndarray:
         return self.blocks[0]
 
-    def block(self, levels: Iterable[int] | int) -> np.ndarray:
-        """Block for a set of levels (or a raw bitmask)."""
-        return self.blocks[_as_mask(levels)]
-
     @classmethod
     def from_base(cls, points: np.ndarray, order: int = 0) -> "TanPoint":
         points = np.asarray(points, dtype=float)
         arr = np.zeros((1 << order,) + points.shape)
         arr[0] = points
         return cls(order, arr)
-
-    @classmethod
-    def from_towers(cls, towers: Sequence[Tower], order: int | None = None,
-                    batch_shape: tuple = ()) -> "TanPoint":
-        if not towers:
-            if order is None:
-                raise ValueError("order is required for dimension-0 points")
-            return cls(order, np.zeros((1 << order, 0) + tuple(batch_shape)))
-        order = towers[0].order if order is None else order
-        shape = np.broadcast_shapes(*[t.coeffs.shape for t in towers])
-        cols = [np.broadcast_to(t.coeffs, shape) for t in towers]
-        return cls(order, np.stack(cols, axis=1))
-
-    def to_towers(self) -> list[Tower]:
-        return [Tower(self.order, self.blocks[:, j]) for j in range(self.dim)]
-
-
-def _as_mask(levels: Iterable[int] | int) -> int:
-    if isinstance(levels, (int, np.integer)):
-        return 1 << (int(levels) - 1)
-    mask = 0
-    for l in levels:
-        mask |= 1 << (int(l) - 1)
-    return mask
 
 
 def _level_bit(order: int, level: int) -> int:
@@ -147,13 +127,11 @@ _LEVEL_TABLES = {(n, level): _level_tables(n, level)
 
 def apply_tangent(f: SmoothMap, p: TanPoint, check_domain: bool = True) -> TanPoint:
     """Evaluate the order-n tangent of ``f`` at ``p`` blockwise."""
-    if check_domain and not np.all(f.dom.contains(p.base)):
-        raise DomainError(f"base point outside the domain of {f.name or 'map'}")
     if p.dim != f.dom.dim:
         raise ValueError(f"point dim {p.dim} does not match domain dim {f.dom.dim}")
-    outs = f.body.evaluate(p.to_towers(), order=p.order,
-                           batch_shape=p.batch_shape)
-    return TanPoint.from_towers(outs, order=p.order, batch_shape=p.batch_shape)
+    if check_domain and not np.all(f.dom.contains(p.base)):
+        raise DomainError(f"base point outside the domain of {f.name or 'map'}")
+    return TanPoint(p.order, f.body.on_blocks(p.blocks))
 
 
 def project(p: TanPoint, level: int | None = None) -> TanPoint:

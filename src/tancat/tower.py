@@ -22,9 +22,9 @@ read from tables built at import and added in an order fixed by the
 mask alone, so a lift keeps its bits when outer generators are dropped
 or a batch column is lifted alone.  Returned towers are
 immutable (the coefficient array is marked read-only), so values can be
-shared freely between threads.  ``Expr.evaluate`` runs its schedule on
-the kernels directly: its intermediates are private writable arrays,
-and only the towers it returns are wrapped, read-only.
+shared freely between threads.  ``Expr`` runs its schedule on the
+kernels directly: its intermediates are private writable arrays, and
+only the towers ``evaluate`` returns are wrapped, read-only.
 """
 
 from __future__ import annotations

@@ -86,25 +86,44 @@ def test_differentiate_rejects_broken_groupoid(tmp_path):
     assert "bracket_table" not in rep    # stops before differentiating
 
 
-def test_differentiate_rank_zero_groupoid(tmp_path):
+def _units_of_interval() -> FiberedGroupoid:
     # the unit groupoid of an interval: every arrow is a unit, so the
     # fiber and every section are empty
     line = box_domain(1, name="interval")
     units = Domain(1, line.box, name="units", split=(1, 0))
     ident = build(1, lambda s: [s[0]])
-    G = FiberedGroupoid(
+    return FiberedGroupoid(
         base=line, arrows=units, target=SmoothMap(units, line, ident),
         compose=SmoothMap(product_domain(units, units), units,
                           build(2, lambda s: [s[1]])),
         unit=SmoothMap(line, units, ident),
         inverse=SmoothMap(units, units, ident), name="units(interval)")
-    spec = tmp_path / "units.json"
+
+
+def _trivial_group() -> FiberedGroupoid:
+    # one object and one arrow: base, arrows and fiber are all empty
+    pt = box_domain(0, name="pt")
+    e = box_domain(0, name="e", split=(0, 0))
+    empty = build(0, lambda s: [])
+    return FiberedGroupoid(
+        base=pt, arrows=e, target=SmoothMap(e, pt, empty),
+        compose=SmoothMap(product_domain(e, e), e, empty),
+        unit=SmoothMap(pt, e, empty), inverse=SmoothMap(e, e, empty),
+        name="trivial")
+
+
+@pytest.mark.parametrize("make, base_dim", [(_units_of_interval, 1),
+                                            (_trivial_group, 0)],
+                         ids=["units", "trivial"])
+def test_differentiate_rank_zero_groupoid(tmp_path, make, base_dim):
+    G = make()
+    spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(groupoid_to_json_dict(G)))
     out = tmp_path / "rep.json"
     assert main(["differentiate", "--spec", str(spec), "--samples", "40",
                  "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["base_dim"] == 1 and rep["rank"] == 0
+    assert rep["base_dim"] == base_dim and rep["rank"] == 0
     assert rep["bracket_table"] == []
     # the same gate and law checks as a positive-rank groupoid
     golden = Path(__file__).parent / "golden" / "differentiate-pair.json"

@@ -319,6 +319,20 @@ def test_call_is_order_zero_evaluate_bitwise():
         assert got.tobytes() == np.stack(want).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(), (2,), (0, 1), (3, 1), (6, 1, 4),
+                                   (1 << 5, 1), (2, 2), (4, 0, 3)])
+def test_on_blocks_rejects_bad_shapes(shape):
+    # axis 0 must be 2**k with k <= MAX_ORDER, axis 1 the input count
+    with pytest.raises(ValueError):
+        SQUARE.on_blocks(np.zeros(shape))
+
+
+def test_call_keeps_its_message():
+    with pytest.raises(ValueError, match="expected leading axis 1, got "
+                                         r"shape \(2, 3\)"):
+        SQUARE(np.zeros((2, 3)))
+
+
 def test_constant_outputs_match_reference():
     # a constant-only output beside a batched input keeps the batch shape;
     # exp(800.0) overflows, so it is not folded

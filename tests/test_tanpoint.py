@@ -8,9 +8,10 @@ import pytest
 from tancat import tanpoint as tp
 from tancat.domain import SmoothMap, box_domain, product_domain
 from tancat.errors import FiberMismatchError, StructureError
-from tancat.expr import build
+from tancat.expr import ExprBuilder, build, log
+from tancat.randexpr import random_expr
 from tancat.tanpoint import TanPoint, residual
-from tancat.tower import MAX_ORDER
+from tancat.tower import MAX_ORDER, Tower
 
 
 def pt(order, *cols):
@@ -27,13 +28,48 @@ class TestBasics:
         p = TanPoint(2, np.arange(8.0).reshape(4, 2))
         assert p.dim == 2 and p.order == 2 and p.batch_shape == ()
         assert np.array_equal(p.base, [0.0, 1.0])
-        assert np.array_equal(p.block([1, 2]), [6.0, 7.0])
-        assert np.array_equal(p.block(2), [4.0, 5.0])
+        assert np.array_equal(p.blocks[0b11], [6.0, 7.0])  # levels 1 and 2
+        assert np.array_equal(p.blocks[0b10], [4.0, 5.0])  # level 2
 
-    def test_tower_roundtrip(self):
-        p = TanPoint(1, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        back = TanPoint.from_towers(p.to_towers())
-        assert np.array_equal(back.blocks, p.blocks)
+    def test_takes_over_its_array(self):
+        arr = np.arange(8.0).reshape(4, 2)
+        assert arr.flags.writeable
+        p = TanPoint(2, arr)
+        assert p.blocks is arr and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+    def test_apply_tangent_matches_tower_route(self):
+        # the route apply_tangent replaced: a copied tower per column,
+        # Expr.evaluate, the outputs stacked; the bits must not move
+        rng = np.random.default_rng(41)
+        maps = []
+        for _ in range(8):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            maps.append(SmoothMap(box_domain(d, -1.5, 1.5), box_domain(m),
+                                  random_expr(rng, d, m, depth=4)))
+        b = ExprBuilder(0)
+        two = b.const(2.0)
+        maps.append(SmoothMap(box_domain(0), box_domain(3), b.finish(
+            [two, two * two + 1.0, log(two)])))
+        maps.append(SmoothMap(box_domain(2, -1.5, 1.5), box_domain(0),
+                              build(2, lambda xs: [])))
+        for order in range(MAX_ORDER + 1):
+            for batch in ((), (7,), (3, 5)):
+                for f in maps:
+                    d = f.dom.dim
+                    p = TanPoint(order, rng.uniform(
+                        -1.5, 1.5, size=(1 << order, d) + batch))
+                    outs = f.body.evaluate(
+                        [Tower(order, p.blocks[:, j]) for j in range(d)],
+                        order=order, batch_shape=batch)
+                    want = np.empty((1 << order, len(outs)) + batch)
+                    for j, t in enumerate(outs):
+                        want[:, j] = t.coeffs
+                    got = tp.apply_tangent(f, p)
+                    assert got.order == order
+                    assert got.blocks.shape == want.shape
+                    assert got.blocks.tobytes() == want.tobytes()
 
     def test_block_count_checked(self):
         with pytest.raises(ValueError):
@@ -150,7 +186,8 @@ class TestIndexTables:
     def test_swap_is_an_involution(self, order, level):
         p = _rand(order)
         once = tp.swap_levels(p, level)
-        assert np.array_equal(once.block(level + 1), p.block(level))
+        assert np.array_equal(once.blocks[1 << level],
+                              p.blocks[1 << (level - 1)])
         assert np.array_equal(tp.swap_levels(once, level).blocks, p.blocks)
 
     @pytest.mark.parametrize("order", [3, 4])
@@ -206,6 +243,14 @@ class TestApply:
             tp.apply_tangent(f, pt(1, 3.0, 1.0))
         out = tp.apply_tangent(f, pt(1, 3.0, 1.0), check_domain=False)
         assert cols(out) == pytest.approx([9.0, 6.0])
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_point_dim_checked_before_domain(self, dim):
+        # a point of the wrong dim must not reach the domain's box test
+        f = _scalar_product_map()
+        with pytest.raises(ValueError, match=f"point dim {dim} does not "
+                                             "match domain dim 2"):
+            tp.apply_tangent(f, TanPoint(1, np.zeros((2, dim, 4))))
 
     def test_partial_tangent_zeroes_other_slot(self):
         f = _scalar_product_map()
