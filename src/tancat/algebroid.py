@@ -8,35 +8,35 @@ bracket is the field bracket conjugated through this pair of maps.
 The anchor pushes a section forward through the target map and turns
 sections into honest vector fields on the base.
 
-Everything here is an order-polymorphic tower evaluator, so derived
-sections (brackets of brackets, scaled sections) feed straight back
-into every construction, including the kernel-certified bracket.
+A section is a map on block arrays like a field, from the base
+coordinates ``(2**n, p, *batch)`` to its fiber ``(2**n, rank, *batch)``.
+The constructions chain the structure maps' ``Expr.on_blocks`` and
+adjoin a unit velocity along axis 0, so derived sections (brackets of
+brackets, scaled sections) feed straight back into every construction,
+including the kernel-certified bracket, and an empty base or fiber is
+an empty axis, not a case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import Domain
 from .errors import StructureError, VerticalityError
 from .expr import Expr, build
-from .fields import (ScalarField, VectorField, act_on_function, field_scale,
-                     lie_bracket, check_related)
+from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
+                     _scaled, _sum, act_on_function, check_related,
+                     field_scale, lie_bracket)
 from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import rng_for
 from .tanpoint import residual
-from .tower import Tower, extend, join_top, split_top, stack_values
 
 GATE_TOL = 1e-9
-
-# fn(base_towers, like) -> fiber towers; ``like`` supplies the order
-# and batch shape when the base chart is zero-dimensional
-SectionFn = Callable[[list[Tower], Tower], list[Tower]]
 
 
 @dataclass(frozen=True)
@@ -44,41 +44,22 @@ class Section:
     """A fiber direction at the unit arrow over each object."""
     base: Domain
     rank: int
-    fn: SectionFn
+    fn: BlockFn
     name: str = ""
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 values, shape (rank, ...)."""
-        points = np.asarray(points, dtype=float)
-        batch = points.shape[1:]
-        like = Tower.constant(np.zeros(batch))
-        xs = [Tower.constant(points[i]) for i in range(self.base.dim)]
-        return stack_values(self.fn(xs, like), batch)
+        return self.fn(np.asarray(points, dtype=float)[None])[0]
 
 
 def section_add(a: Section, b: Section, name: str = "") -> Section:
-    def fn(xs, like):
-        return [s + t for s, t in zip(a.fn(xs, like), b.fn(xs, like))]
-    return Section(a.base, a.rank, fn, name or f"({a.name}+{b.name})")
+    return Section(a.base, a.rank, _sum(a.fn, b.fn),
+                   name or f"({a.name}+{b.name})")
 
 
 def section_scale(f, a: Section, name: str = "") -> Section:
     """Scale by a constant or pointwise by a scalar field on the base."""
-    if isinstance(f, ScalarField):
-        def fn(xs, like):
-            if xs:
-                c = f.fn(xs)
-            else:
-                val = np.broadcast_to(f.at(np.zeros((0,) + like.batch_shape)),
-                                      like.batch_shape)
-                c = extend(Tower.constant(val), like.order)
-            return [c * t for t in a.fn(xs, like)]
-    else:
-        c0 = float(f)
-
-        def fn(xs, like):
-            return [c0 * t for t in a.fn(xs, like)]
-    return Section(a.base, a.rank, fn, name or f"(f*{a.name})")
+    return Section(a.base, a.rank, _scaled(f, a.fn), name or f"(f*{a.name})")
 
 
 # -- the derivative object -------------------------------------------
@@ -97,17 +78,8 @@ class Algebroid:
         return self.gpd.fiber_dim
 
     def section(self, body: Expr, name: str = "") -> Section:
-        p, q = self.base.dim, self.rank
-        if body.n_inputs != p or len(body.outputs) != q:
-            raise ValueError(f"section over dim {p} with rank {q} needs a "
-                             f"{p} -> {q} map, got {body.n_inputs} -> "
-                             f"{len(body.outputs)}")
-
-        def fn(xs, like):
-            return body.evaluate(xs, order=like.order,
-                                 batch_shape=like.batch_shape)
-
-        return Section(self.base, q, fn, name)
+        _check_arity(self.base, body, self.rank, f"rank {self.rank} section")
+        return Section(self.base, self.rank, body.on_blocks, name)
 
     def constant_section(self, vec, name: str = "") -> Section:
         vec = np.asarray(vec, dtype=float)
@@ -139,16 +111,15 @@ def algebroid_of(G: FiberedGroupoid, rng: np.random.Generator | None = None,
 def anchor_field(al: Algebroid, a: Section) -> VectorField:
     """The base vector field x -> Tt(unit velocity a(x))."""
     G = al.gpd
-    p, q = G.base.dim, al.rank
+    p = G.base.dim
 
-    def fn(xs: list[Tower]) -> list[Tower]:
-        ux = G.unit.body.evaluate(xs)
-        av = a.fn(xs, xs[0])
-        lift = [extend(t) for t in ux]
-        for i in range(q):
-            lift[p + i] = join_top(ux[p + i], av[i])
-        ty = G.target.body.evaluate(lift)
-        return [split_top(t)[1] for t in ty]
+    def fn(x: np.ndarray) -> np.ndarray:
+        n, av = len(x), a.fn(x)
+        u = G.unit.body.on_blocks(x)
+        lift = np.zeros((2 * n,) + u.shape[1:])
+        lift[:n] = u
+        lift[n:, p:] = av
+        return G.target.body.on_blocks(lift)[n:]
 
     return VectorField(al.base, fn, name=f"rho({a.name})")
 
@@ -161,20 +132,19 @@ def extend_to_invariant(al: Algebroid, a: Section) -> VectorField:
     and restricting back at the units recovers the section.
     """
     G = al.gpd
-    p, q = G.base.dim, al.rank
+    p, d = G.base.dim, G.arrow_dim
 
-    def fn(gs: list[Tower]) -> list[Tower]:
-        like = gs[0]
-        tg = G.target.body.evaluate(gs)
-        u = G.unit.body.evaluate(tg, order=like.order,
-                                 batch_shape=like.batch_shape)
-        av = a.fn(tg, like)
-        lift_u = [extend(t) for t in u]
-        for i in range(q):
-            lift_u[p + i] = join_top(u[p + i], av[i])
-        lift_g = [extend(t) for t in gs]
-        out = G.compose.body.evaluate(lift_u + lift_g)
-        return [split_top(t)[1] for t in out]
+    def fn(g: np.ndarray) -> np.ndarray:
+        n = len(g)
+        tg = G.target.body.on_blocks(g)
+        av = a.fn(tg)
+        lift = np.zeros((2 * n, 2 * d) + g.shape[2:])
+        lift[:n, :d] = G.unit.body.on_blocks(tg)
+        lift[n:, p:d] = av
+        lift[:n, d:] = g
+        del tg, av  # freed before the composition runs, the largest step
+        # copied, so that the bottom half is freed, not kept by a view
+        return G.compose.body.on_blocks(lift)[n:].copy()
 
     return VectorField(G.arrows, fn, name=f"inv({a.name})")
 
@@ -186,7 +156,8 @@ def restrict_to_unit(al: Algebroid, v: VectorField, check: bool = True,
     p = G.base.dim
     if check:
         rng = rng_for(31, "algebroid/verticality")
-        pts = al.base.sample(rng, 64)
+        # a point base has one unit arrow, so one copy of it will do
+        pts = al.base.sample(rng, 64 if p else 1)
         anchor_part = v.at(G.unit(pts))[:p]
         drift = residual(anchor_part, np.zeros_like(anchor_part))
         if drift > tol:
@@ -194,10 +165,9 @@ def restrict_to_unit(al: Algebroid, v: VectorField, check: bool = True,
                 f"field {v.name or '?'} has anchor components of size "
                 f"{drift:.3e} at the units; only vertical fields restrict")
 
-    def fn(xs, like):
-        u = G.unit.body.evaluate(xs, order=like.order,
-                                 batch_shape=like.batch_shape)
-        return v.fiber(u)[p:]
+    def fn(x: np.ndarray) -> np.ndarray:
+        # copied, so that the anchor rows are freed, not kept by a view
+        return v.fn(G.unit.body.on_blocks(x))[:, p:].copy()
 
     return Section(al.base, al.rank, fn, name or f"unit({v.name})")
 
@@ -214,17 +184,8 @@ def algebroid_bracket(al: Algebroid, a: Section, b: Section,
 def pullback_target(al: Algebroid, f: ScalarField) -> ScalarField:
     """A base function read through the target map, as an arrow function."""
     G = al.gpd
-    if G.base.dim == 0:
-        c0 = float(np.asarray(f.at(np.zeros((0, 1)))))
-
-        def fn(gs):
-            like = gs[0]
-            return extend(Tower.constant(
-                np.broadcast_to(c0, like.batch_shape)), like.order)
-    else:
-        def fn(gs):
-            return f.fn(G.target.body.evaluate(gs))
-    return ScalarField(G.arrows, fn, name=f"t*({f.name})")
+    return ScalarField(G.arrows, lambda g: f.fn(G.target.body.on_blocks(g)),
+                       name=f"t*({f.name})")
 
 
 # -- law checking -----------------------------------------------------
@@ -255,15 +216,13 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     a, b, c = sections[0], sections[1], sections[2]
     if f is None:
         body = (random_expr(rng, p, 1, depth=3) if p
-                else None)
-        f = (ScalarField.from_expr(al.base, body, name="f") if p
-             else ScalarField(al.base, lambda xs: Tower.constant(0.7),
-                              name="f"))
+                else build(0, lambda xs: [0.7]))
+        f = ScalarField.from_expr(al.base, body, name="f")
     pts = al.base.sample(rng, samples)
     gs = G.sample_arrows(rng, samples)
 
     res: dict[str, float] = {}
-    phi_a, phi_b = extend_to_invariant(al, a), extend_to_invariant(al, b)
+    phi_a = extend_to_invariant(al, a)
     res["psi_phi"] = max(
         residual(restrict_to_unit(al, extend_to_invariant(al, s),
                                   check=False).at(pts), s.at(pts))
@@ -284,9 +243,8 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
 
     rho_a = anchor_field(al, a)
     lhs = algebroid_bracket(al, a, section_scale(f, b)).at(pts)
-    rhs = section_scale(f, ab).at(pts)
-    if p:
-        rhs = rhs + section_scale(act_on_function(rho_a, f), b).at(pts)
+    rhs = (section_scale(f, ab).at(pts)
+           + section_scale(act_on_function(rho_a, f), b).at(pts))
     res["leibniz"] = residual(lhs, rhs)
 
     res["anchor_morphism"] = residual(
@@ -311,8 +269,10 @@ def _frame_section(al: Algebroid, vecs: np.ndarray, name: str) -> Section:
     """
     cols = vecs.T[:, :, None]
 
-    def fn(xs, like):
-        return [Tower.constant(c, like.order) for c in cols]
+    def fn(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(x),) + cols.shape)
+        out[0] = cols
+        return out
 
     return Section(al.base, al.rank, fn, name)
 

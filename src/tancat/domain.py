@@ -35,6 +35,9 @@ class Domain:
         if box is None:
             box = np.tile([-1.0, 1.0], (self.dim, 1))
         box = np.asarray(box, dtype=float).reshape(self.dim, 2)
+        if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+            raise ValueError(f"domain {self.name or self.dim}: box rows must "
+                             f"be finite [lo, hi] with lo <= hi")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "sample_constraints",

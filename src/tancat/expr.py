@@ -120,10 +120,9 @@ class Expr:
         first = n_inputs + len(lifted)
         for k, (_, _, a, b) in enumerate(steps):
             last[a] = last[b] = last[first + k] = k
-        kept = set(range(n_inputs)).union(out_regs)
         dead: list[list[int]] = [[] for _ in steps]
         for r, k in last.items():
-            if r not in kept:
+            if not (r < n_inputs or r in out_regs):
                 dead[k].append(r)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
@@ -222,8 +221,10 @@ class Expr:
         Returns the register list; only the input and output registers
         are sure to still hold their arrays.
         """
+        shape = (1 << order,) + tuple(batch_shape)
         for c in self._lifted:
-            regs.append(_constant(np.full(batch_shape, c), order))
+            regs.append(np.zeros(shape))
+            regs[-1][0] = c
         try:
             for nid, fn, a, b, dead in self._steps:
                 regs.append(fn(regs[a], regs[b]))

@@ -1,17 +1,19 @@
 """Vector fields on a chart and their bracket.
 
-A vector field is stored as its fiber map: a function taking the chart
-coordinates as nilpotent towers and returning the fiber components as
-towers of the same order.  Keeping the evaluator order-polymorphic is
-what lets derived fields (brackets of brackets, pushforwards) be fed
-straight back into every tangent-level construction.
+A field is a map on block arrays, with the signature of
+``Expr.on_blocks``: the coordinates as order-n towers side by side,
+shape ``(2**n, d, *batch)``, go to the fiber in the same layout, or to
+one column for a scalar field.  The shape carries the order and batch,
+also when ``d`` is zero, so derived fields (brackets of brackets,
+pushforwards) feed straight back into every tangent-level construction.
 
-The bracket adjoins one fresh top generator e: evaluating w at x + e*v
-yields w(x) + e*(Dw x)v, so the top half of the difference of the two
-crossed evaluations is exactly (Dw)v - (Dv)w.  The bottom halves must
-reproduce the plain fibers bit for bit; that identity is the kernel
-certificate behind the construction, and any order-dependent or noisy
-evaluator breaks it, so every bracket evaluation measures it.
+The bracket adjoins one fresh top generator e by an axis-0
+concatenation: evaluating w at x + e*v yields w(x) + e*(Dw x)v, so the
+top half of the difference of the two crossed evaluations is exactly
+(Dw)v - (Dv)w.  The bottom halves must reproduce the plain fibers bit
+for bit; that identity is the kernel certificate behind the
+construction, and any order-dependent or noisy evaluator breaks it, so
+every bracket evaluation measures it.
 """
 
 from __future__ import annotations
@@ -25,117 +27,128 @@ from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
 from .tanpoint import TanPoint, apply_tangent, residual
-from .tower import Tower, join_top, split_top, stack_values
+from .tower import Tower, _mul
 
 KERNEL_TOL = 1e-10
 
-TowerFn = Callable[[list[Tower]], list[Tower]]
+# (2**n, d_in, *batch) -> (2**n, d_out, *batch)
+BlockFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_towers(points: np.ndarray, dim: int) -> list[Tower]:
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] != dim:
-        raise ValueError(f"expected leading axis {dim}, got {points.shape}")
-    return [Tower.constant(points[i]) for i in range(dim)]
+def _check_arity(dom: Domain, body: Expr, n_outputs: int, what: str) -> None:
+    if body.n_inputs != dom.dim or body.n_outputs != n_outputs:
+        raise ValueError(f"{what} on dim {dom.dim} needs a {dom.dim} -> "
+                         f"{n_outputs} map, got {body.n_inputs} -> "
+                         f"{body.n_outputs}")
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A smooth function on a chart, evaluable on towers of any order."""
+    """A smooth function on a chart: blocks to one column of blocks."""
     dom: Domain
-    fn: Callable[[list[Tower]], Tower]
+    fn: BlockFn
     name: str = ""
 
     @classmethod
     def from_expr(cls, dom: Domain, body: Expr, name: str = "") -> "ScalarField":
-        if body.n_inputs != dom.dim or len(body.outputs) != 1:
-            raise ValueError(f"scalar field on dim {dom.dim} needs "
-                             f"{dom.dim} inputs and 1 output")
-        return cls(dom, lambda xs: body.evaluate(xs)[0], name)
-
-    def __call__(self, xs: Sequence[Tower]) -> Tower:
-        return self.fn(list(xs))
+        _check_arity(dom, body, 1, "scalar field")
+        return cls(dom, body.on_blocks, name)
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(_as_towers(points, self.dom.dim)).coeffs[0]
+        """Order-0 values, shape (...)."""
+        return self.fn(np.asarray(points, dtype=float)[None])[0, 0]
 
 
 @dataclass(frozen=True)
 class VectorField:
     dom: Domain
-    fn: TowerFn
+    fn: BlockFn
     name: str = ""
 
     @classmethod
     def from_expr(cls, dom: Domain, body: Expr, name: str = "") -> "VectorField":
-        if body.n_inputs != dom.dim or len(body.outputs) != dom.dim:
-            raise ValueError(f"vector field on dim {dom.dim} needs a "
-                             f"{dom.dim} -> {dom.dim} fiber map")
-        return cls(dom, lambda xs: body.evaluate(xs), name)
+        _check_arity(dom, body, dom.dim, "vector field")
+        return cls(dom, body.on_blocks, name)
+
+    def _fiber_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        out = self.fn(blocks)
+        if out.shape[1] != self.dom.dim:
+            raise ValueError(f"field {self.name or '?'} returned "
+                             f"{out.shape[1]} components for dim {self.dom.dim}")
+        return out
 
     def fiber(self, xs: Sequence[Tower]) -> list[Tower]:
-        """The fiber towers at ``xs``; a zero-dimensional chart has none,
-        and ``fn`` is not called."""
-        if not self.dom.dim:
-            return []
-        out = self.fn(list(xs))
-        if len(out) != self.dom.dim:
-            raise ValueError(f"field {self.name or '?'} returned "
-                             f"{len(out)} components for dim {self.dom.dim}")
-        return out
+        """The fiber towers at the coordinate towers ``xs``, all of one
+        order and batch shape: ``fn`` on the towers laid side by side."""
+        out = self._fiber_blocks(np.stack([t.coeffs for t in xs], axis=1))
+        return [Tower._raw(xs[0].order, out[:, i]) for i in range(out.shape[1])]
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 fiber values, shape (dim, ...)."""
-        out = self.fiber(_as_towers(points, self.dom.dim))
-        return stack_values(out, np.asarray(points).shape[1:])
+        return self._fiber_blocks(np.asarray(points, dtype=float)[None])[0]
 
 
 # -- pointwise module structure ---------------------------------------
 
+def _sum(a: BlockFn, b: BlockFn) -> BlockFn:
+    return lambda x: a(x) + b(x)
+
+
+def _scaled(f, fn: BlockFn) -> BlockFn:
+    """``fn`` times a constant, or times a scalar field in the tower
+    ring: ``_mul`` broadcasts the field's one column over the fiber."""
+    if isinstance(f, ScalarField):
+        return lambda x: _mul(f.fn(x), fn(x))
+    c0 = float(f)
+    return lambda x: fn(x) * c0
+
+
 def field_add(v: VectorField, w: VectorField, name: str = "") -> VectorField:
-    def fn(xs):
-        return [a + b for a, b in zip(v.fiber(xs), w.fiber(xs))]
-    return VectorField(v.dom, fn, name or f"({v.name}+{w.name})")
+    return VectorField(v.dom, _sum(v.fn, w.fn), name or f"({v.name}+{w.name})")
 
 
 def field_scale(f, v: VectorField, name: str = "") -> VectorField:
     """Scale by a constant or pointwise by a scalar field."""
-    if isinstance(f, ScalarField):
-        def fn(xs):
-            c = f(xs)
-            return [c * comp for comp in v.fiber(xs)]
-    else:
-        c0 = float(f)
-
-        def fn(xs):
-            return [c0 * comp for comp in v.fiber(xs)]
-    return VectorField(v.dom, fn, name or f"(f*{v.name})")
+    return VectorField(v.dom, _scaled(f, v.fn), name or f"(f*{v.name})")
 
 
 def act_on_function(v: VectorField, f: ScalarField, name: str = "") -> ScalarField:
     """The derivation: (v.f)(x) is the derivative of f along the fiber."""
-    def fn(xs):
-        vhat = v.fiber(xs)
-        out = f([join_top(x, vh) for x, vh in zip(xs, vhat)])
-        return split_top(out)[1]
+    def fn(x):
+        return f.fn(np.concatenate([x, v.fn(x)]))[len(x):]
     return ScalarField(v.dom, fn, name or f"({v.name}.{f.name})")
 
 
 # -- the bracket ------------------------------------------------------
 
-def _bracket_parts(v: VectorField, w: VectorField, xs: list[Tower]):
-    """w at x + e v and v at x + e w, split at e, and their drift.
+def _drift(lo: np.ndarray, plain: np.ndarray) -> float:
+    """The worst residual of any one fiber component, 0 for none.
+
+    A difference of zeros only is all finite and needs no residuals:
+    a NaN or inf on either side leaves a NaN or inf in it.
+    """
+    with np.errstate(invalid="ignore"):
+        if not (lo - plain).any():
+            return 0.0
+    return max(residual(lo[:, i], plain[:, i]) for i in range(plain.shape[1]))
+
+
+def _bracket_parts(v: VectorField, w: VectorField, x: np.ndarray):
+    """The top halves of w at x + e v and of v at x + e w, and their drift.
 
     The drift is the worst residual of the bottom halves against the
     plain fibers: the kernel certificate, infinite when any value is
-    not finite.
+    not finite.  Each crossed evaluation is dropped once its halves
+    are read.
     """
-    vhat, what = v.fiber(xs), w.fiber(xs)
-    a = [split_top(t) for t in w.fiber([join_top(x, c) for x, c in zip(xs, vhat)])]
-    b = [split_top(t) for t in v.fiber([join_top(x, c) for x, c in zip(xs, what)])]
-    drift = max([0.0] + [residual(lo.coeffs, plain.coeffs)
-                         for (lo, _), plain in zip(a + b, what + vhat)])
-    return a, b, drift
+    n = len(x)
+    vhat, what = v.fn(x), w.fn(x)
+    wv = w.fn(np.concatenate([x, vhat]))
+    drift = _drift(wv[:n], what)
+    wv = wv[n:].copy()
+    vw = v.fn(np.concatenate([x, what]))
+    drift = max(drift, _drift(vw[:n], vhat))
+    return wv, vw[n:], drift
 
 
 def kernel_residual(v: VectorField, w: VectorField, points: np.ndarray) -> float:
@@ -144,7 +157,7 @@ def kernel_residual(v: VectorField, w: VectorField, points: np.ndarray) -> float
     Zero for any evaluator built purely from tower arithmetic; an
     evaluator that branches on order or injects noise shows up here.
     """
-    return _bracket_parts(v, w, _as_towers(points, v.dom.dim))[2]
+    return _bracket_parts(v, w, np.asarray(points, dtype=float)[None])[2]
 
 
 def lie_bracket(v: VectorField, w: VectorField, name: str = "") -> VectorField:
@@ -158,14 +171,14 @@ def lie_bracket(v: VectorField, w: VectorField, name: str = "") -> VectorField:
     if v.dom.dim != w.dom.dim:
         raise ValueError("bracket needs fields on one chart")
 
-    def fn(xs: list[Tower]) -> list[Tower]:
-        a, b, drift = _bracket_parts(v, w, xs)
+    def fn(x: np.ndarray) -> np.ndarray:
+        a, b, drift = _bracket_parts(v, w, x)
         if drift > KERNEL_TOL:
             raise KernelViolationError(
                 f"bracket of {v.name or '?'}, {w.name or '?'}: crossed "
                 f"evaluations disagree with the plain fibers by {drift:.3e} "
                 f"(tol {KERNEL_TOL:.1e})")
-        return [x[1] - y[1] for x, y in zip(a, b)]
+        return a - b
 
     return VectorField(v.dom, fn, name or f"[{v.name},{w.name}]")
 
@@ -173,23 +186,17 @@ def lie_bracket(v: VectorField, w: VectorField, name: str = "") -> VectorField:
 # -- measurement helpers ----------------------------------------------
 
 def jacobian_at(v: VectorField, points: np.ndarray) -> np.ndarray:
-    """Jacobian of the fiber map, shape (dim, dim, ...), J[i, j] = dv_i/dx_j."""
+    """Jacobian of the fiber map, shape (dim, dim, ...), J[i, j] = dv_i/dx_j.
+
+    One order-1 evaluation: the seed direction j is a batch axis in
+    front of the points' own.
+    """
     points = np.asarray(points, dtype=float)
     d = v.dom.dim
-    cols = []
-    for j in range(d):
-        xs = []
-        for i in range(d):
-            seed = np.broadcast_to(1.0 if i == j else 0.0, points.shape[1:])
-            xs.append(join_top(Tower.constant(points[i]), Tower.constant(seed)))
-        out = v.fiber(xs)
-        cols.append([split_top(t)[1].coeffs[0] for t in out])
-    batch = points.shape[1:]
-    arr = np.empty((d, d) + batch)
-    for j, col in enumerate(cols):
-        for i, c in enumerate(col):
-            arr[i, j] = np.broadcast_to(c, batch)
-    return arr
+    blocks = np.empty((2, d, d) + points.shape[1:])
+    blocks[0] = points[:, None]
+    blocks[1] = np.eye(d).reshape((d, d) + (1,) * (points.ndim - 1))
+    return v._fiber_blocks(blocks)[1]
 
 
 def bracket_by_jacobians(v: VectorField, w: VectorField,

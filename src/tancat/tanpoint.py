@@ -52,8 +52,12 @@ def residual(a, b) -> float:
     if a.size == 0 and b.size == 0:
         return 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
-        num = float(np.max(np.abs(a - b)))
-    den = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        diff = a - b
+    # max(x.max(), -x.min()) is max(abs(x)) without a temporary; a NaN
+    # in the difference makes both reductions NaN, and + 0.0 turns a
+    # largest magnitude of -0.0 into 0.0
+    num = float(max(diff.max(), -diff.min())) + 0.0
+    den = 1.0 + float(max(a.max(), -a.min(), b.max(), -b.min()))
     if not (math.isfinite(num) and math.isfinite(den)):
         return math.inf
     return num / den

@@ -29,7 +29,7 @@ only the towers ``evaluate`` returns are wrapped, read-only.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,12 +144,14 @@ def _constant(value, order: int) -> np.ndarray:
 
 
 def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x, y = _align(x, y)
+    if x.ndim != y.ndim:
+        x, y = _align(x, y)
     return x + y
 
 
 def _sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x, y = _align(x, y)
+    if x.ndim != y.ndim:
+        x, y = _align(x, y)
     return x - y
 
 
@@ -163,7 +165,8 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Orders 0 and 1 are the first term and the first iteration of the
     strided loop, written out.
     """
-    x, y = _align(x, y)
+    if x.ndim != y.ndim:
+        x, y = _align(x, y)
     out = x[0] * y
     n = len(x)
     if n == 2:
@@ -377,35 +380,11 @@ def tower_mul(a: Tower, b: Tower) -> Tower:
     return Tower._raw(a.order, _mul(a.coeffs, b.coeffs))
 
 
-def stack_values(towers: Sequence[Tower], batch_shape: tuple) -> np.ndarray:
-    """The towers' order-0 coefficients, shape ``(len(towers), *batch_shape)``.
-
-    Each value is broadcast to the batch; no towers give an empty
-    leading axis.
-    """
-    out = np.empty((len(towers),) + tuple(batch_shape))
-    for row, t in zip(out, towers):
-        row[...] = t.coeffs[0]
-    return out
-
-
-def extend(a: Tower, levels: int = 1) -> Tower:
-    """Zero-pad a tower with `levels` fresh outermost generators."""
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
-    order = a.order + levels
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
-    arr = np.zeros((1 << order,) + a.batch_shape)
-    arr[: 1 << a.order] = a.coeffs
-    return Tower._raw(order, arr)
-
-
 def split_top(a: Tower) -> tuple[Tower, Tower]:
     """Split along the outermost generator.
 
     Returns ``(lo, hi)`` of order ``a.order - 1`` with
-    ``a = extend(lo) + e_top * extend(hi)``.
+    ``a = lo + e_top * hi``: the two halves of the coefficients.
     """
     if a.order == 0:
         raise ValueError("order-0 towers have no generator to split")
@@ -433,13 +412,13 @@ class _Primitive(NamedTuple):
 
 def _check_positive(name: str):
     def check(base: np.ndarray) -> None:
-        if np.any(base <= 0.0):
+        if (base <= 0.0).any():
             raise DomainError(f"{name} requires a strictly positive base point")
     return check
 
 def _check_nonzero(name: str):
     def check(base: np.ndarray) -> None:
-        if np.any(base == 0.0):
+        if (base == 0.0).any():
             raise DomainError(f"{name} requires a nonzero base point")
     return check
 

@@ -126,11 +126,11 @@ def test_criterion_03_kernel_identity():
     dom1 = box_domain(1, -1.0, 1.0)
     honest = VectorField.from_expr(dom1, build(1, lambda s: [s[0] * s[0]]))
 
-    def drifty(xs):
-        out = xs[0] * xs[0]
-        if out.order > 0:
-            out = out + 1e-6
-        return [out]
+    def drifty(x):
+        out = honest.fn(x)
+        if len(x) > 1:      # above order 0
+            out[0] += 1e-6
+        return out
 
     bad = VectorField(dom1, drifty, name="drifty")
     ptsd = dom1.sample(rng_for(102, "acc/kernel/drift"), 50)

@@ -1,6 +1,7 @@
 """Exit codes, determinism, and report shapes of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -232,3 +233,47 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["suite"].startswith("groupoid/")
+
+
+# a bound on the address space of the child, so that an unbounded
+# allocation fails the test instead of exhausting the machine
+AS_LIMIT = 1 << 30
+
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from tancat.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _huge_arity(d):
+    d["compose"]["body"]["inputs"] = 1e308
+
+
+def _box_lo_above_hi(d):
+    d["base"]["box"][0] = [2, 1.0]
+
+
+def _box_not_finite(d):
+    d["arrows"]["box"][1] = [-1.0, float("inf")]
+
+
+@pytest.mark.parametrize("command", ["groupoid", "differentiate"])
+@pytest.mark.parametrize("edit", [_huge_arity, _box_lo_above_hi,
+                                  _box_not_finite])
+def test_malformed_spec_exits_2_under_a_memory_limit(tmp_path, edit, command):
+    data = groupoid_to_json_dict(BUILTIN_GROUPOIDS["pair"]())
+    edit(data)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    src = str(Path(__import__("tancat").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN.format(limit=AS_LIMIT), command,
+         "--spec", str(spec), "--samples", "20"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -148,11 +148,11 @@ class TestKernelCertificate:
         dom = box_domain(1, -2, 2)
         v = vf(dom, lambda xs: [xs[0] * xs[0]])
 
-        def drifty(xs):
-            out = xs[0] * xs[0]
-            if xs[0].order > 0:
-                out = out + 1e-6  # order-dependent evaluation
-            return [out]
+        def drifty(x):
+            out = v.fn(x)
+            if len(x) > 1:
+                out[0] += 1e-6  # order-dependent evaluation
+            return out
 
         w = VectorField(dom, drifty, name="drifty")
         pts = np.array([[0.7, -0.4]])
@@ -168,11 +168,11 @@ class TestKernelCertificate:
         dom = box_domain(2, -2, 2)
         plain = vf(dom, lambda xs: [sin(xs[0]) * xs[1], xs[0]])
 
-        def nan_lift(xs):
-            out = plain.fiber(xs)
-            if xs[0].order == 0:
+        def nan_lift(x):
+            out = plain.fn(x)
+            if len(x) == 1:     # order 0
                 return out
-            return [Tower(t.order, np.full_like(t.coeffs, np.nan)) for t in out]
+            return np.full_like(out, np.nan)
 
         v = VectorField(dom, nan_lift, name="nan_lift")
         w = vf(dom, lambda xs: [xs[1], -xs[0]])

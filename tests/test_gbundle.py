@@ -16,7 +16,6 @@ from tancat.gbundle import (_action_pairs, act_on_vertical,
                             invariance_defect, is_invariant, vertical_tangent)
 from tancat.groupoid import BUILTIN_GROUPOIDS, pair_groupoid
 from tancat.report import rng_for
-from tancat.tower import Tower
 
 
 @pytest.fixture(scope="module")
@@ -159,11 +158,11 @@ def test_nan_field_is_not_invariant(gpds):
     f = ScalarField.from_expr(G.arrows, build(4, lambda s: [s[2] * s[3]]))
 
     def nan_from(order):
-        def fn(xs):
-            out = good.fiber(xs)
-            if xs[0].order < order:
+        def fn(x):
+            out = good.fn(x)
+            if len(x) < 1 << order:
                 return out
-            return [Tower(t.order, np.full_like(t.coeffs, np.nan)) for t in out]
+            return np.full_like(out, np.nan)
         return VectorField(G.arrows, fn, name=f"nan_from_order{order}")
 
     # the defects are residuals, which read NaN as inf, so the max in

@@ -1,5 +1,6 @@
 """Block-level transformations on tangent points, against hand-worked values."""
 
+import math
 import warnings
 
 import numpy as np
@@ -89,6 +90,35 @@ class TestBasics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # inf - inf must not warn
             assert residual(np.array([np.inf]), np.array([np.inf])) == np.inf
+
+    def test_residual_keeps_the_bits_of_the_abs_formula(self):
+        def by_abs(a, b):
+            # the formula with three abs temporaries that residual replaced
+            if a.size == 0 and b.size == 0:
+                return 0.0
+            with np.errstate(invalid="ignore"):
+                num = float(np.max(np.abs(a - b)))
+            den = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+            if not (math.isfinite(num) and math.isfinite(den)):
+                return math.inf
+            return num / den
+
+        rng = np.random.default_rng(17)
+        cases = [(rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4, s),
+                  rng.standard_normal(s)) for s in ((1,), (7,), (4, 3, 20))]
+        cases += [(np.array([0.0, -0.0]), np.array([-0.0, 0.0])),
+                  (np.array([-0.0]), np.array([-0.0])),
+                  (np.array([-0.0]), np.array([0.0])),
+                  (np.array([0.0]), np.array([-0.0])),
+                  (np.zeros((0, 3)), np.zeros((0, 3)))]
+        for bad in (np.nan, np.inf, -np.inf):
+            a, b = rng.standard_normal((2, 5))
+            a[2] = bad
+            cases += [(a, b), (b, a), (a, a.copy())]
+        for a, b in cases:
+            got, want = residual(a, b), by_abs(a, b)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert math.copysign(1.0, got) == 1.0   # never -0.0
 
 
 class TestProjections:
