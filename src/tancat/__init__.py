@@ -1,9 +1,10 @@
 """Nilpotent-tower tangent structure on Euclidean charts.
 
-Truncated towers give exact iterated tangents of chart maps;
-block-represented tangent points carry the classical structure maps
-(projection, fiber addition, the level swap, vertical lifts, fiber
-scaling), which a swappable axiom suite verifies on random charts.
+Truncated towers give exact iterated tangents of chart maps.  A
+tangent point is its block array, of shape ``(2**n, dim, *batch)``, and
+the classical structure maps (projection, fiber addition, the level
+swap, vertical lifts, fiber scaling) act on such arrays; a swappable
+axiom suite verifies them on random charts.
 On top of that sit vector fields with a kernel-certified bracket,
 fibered groupoids with their tangent groupoids, the invariant fields
 of a groupoid's right action on its own arrows, and the
@@ -34,11 +35,10 @@ from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, action_groupoid,
                        linear_action, matrix_group, pair_groupoid,
                        tangent_groupoid)
 from .report import CheckResult, Report, RunConfig, rng_for
-from .tanpoint import (TanPoint, add_fiber, apply_tangent, collapse_inner,
-                       expand_inner, fiber_component, partial_tangent,
-                       project, residual, scale_level, sub_fiber, swap_levels,
-                       vertical_lift, vertical_lift_pair, vertical_pair_parts,
-                       zero_lift)
+from .tanpoint import (add_fiber, apply_tangent, collapse_inner, expand_inner,
+                       fiber_component, partial_tangent, project, residual,
+                       scale_level, sub_fiber, swap_levels, vertical_lift,
+                       vertical_lift_pair, vertical_pair_parts, zero_lift)
 from .tower import MAX_ORDER, Tower, join_top, split_top
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "Expr", "ExprBuilder", "build", "cos", "exp", "log", "parallel", "sin",
     "sqrt", "reindex_inputs", "tangent_lift",
     "Domain", "SmoothMap", "box_domain", "product_domain",
-    "TanPoint", "apply_tangent", "project", "zero_lift", "add_fiber",
+    "apply_tangent", "project", "zero_lift", "add_fiber",
     "sub_fiber", "swap_levels", "vertical_lift", "vertical_lift_pair",
     "vertical_pair_parts", "scale_level", "fiber_component",
     "partial_tangent", "collapse_inner", "expand_inner", "residual",

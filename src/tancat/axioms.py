@@ -25,7 +25,7 @@ from .domain import SmoothMap, box_domain, product_domain
 from .expr import build, parallel, tangent_lift
 from .randexpr import random_expr
 from .report import CheckResult, Report, RunConfig, rng_for
-from .tanpoint import TanPoint, residual
+from .tanpoint import residual
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,27 @@ def _check(diagram, cases=None):
 
     ``diagram(ops, rng, case, n)`` draws ``n`` samples for one case, a
     chart dimension from ``cfg.dims`` unless ``cases`` fixes the cases,
-    and yields ``(lhs, rhs)`` pairs of points or block arrays that must
-    agree.
+    and yields ``(lhs, rhs)`` pairs of block arrays that must agree.
     """
     def check(cfg, ops, rng):
         worst, runs = 0.0, cases or cfg.dims
         for case in runs:
             for lhs, rhs in diagram(ops, rng, case, cfg.samples):
-                worst = max(worst, residual(getattr(lhs, "blocks", lhs),
-                                            getattr(rhs, "blocks", rhs)))
+                worst = max(worst, residual(lhs, rhs))
         return len(runs) * cfg.samples, worst
     return check
 
 
-def _point(rng, dim, order, n) -> TanPoint:
-    return TanPoint(order, rng.uniform(-1.0, 1.0, size=(1 << order, dim, n)))
+def _point(rng, dim, order, n) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, size=(1 << order, dim, n))
 
 
-def _share(rng, p: TanPoint, keep_masks) -> TanPoint:
+def _share(rng, p: np.ndarray, keep_masks) -> np.ndarray:
     """A fresh random point agreeing with p on the given blocks."""
-    arr = rng.uniform(-1.0, 1.0, size=p.blocks.shape)
+    arr = rng.uniform(-1.0, 1.0, size=p.shape)
     for m in keep_masks:
-        arr[m] = p.blocks[m]
-    return TanPoint(p.order, arr)
+        arr[m] = p[m]
+    return arr
 
 
 def _map(rng, d) -> SmoothMap:
@@ -83,8 +81,9 @@ def _map(rng, d) -> SmoothMap:
                      random_expr(rng, d, m, depth=4))
 
 
-def _zero_section(p_base: np.ndarray, order: int = 1) -> TanPoint:
-    return tp.zero_lift(TanPoint.from_base(p_base), order)
+def _zero_section(p: np.ndarray) -> np.ndarray:
+    """The zero tangent over p's base point."""
+    return tp.zero_lift(p[:1])
 
 
 # -- naturality of the structure maps ---------------------------------
@@ -128,9 +127,9 @@ def _nat_scale(ops, rng, d, n):
 
 # -- T1: pointwise fiber products, preserved by T ---------------------
 
-def _interleave(xi: TanPoint) -> TanPoint:
+def _interleave(xi: np.ndarray) -> np.ndarray:
     # T(T2 U) leg -> T2(TU) leg: ((u,u1),(u2,u12)) viewed over the TU chart
-    return TanPoint(1, np.concatenate([xi.blocks[:2], xi.blocks[2:]], axis=1))
+    return np.concatenate([xi[:2], xi[2:]], axis=1)
 
 
 def _t1_interleave(ops, rng, d, n):
@@ -139,7 +138,7 @@ def _t1_interleave(ops, rng, d, n):
     zeta = _share(rng, xi, [0, 2])  # a T(T2)-pair shares u and u2
     a, b = _interleave(xi), _interleave(zeta)
     # well-defined: the interleaved pair shares its TU base point
-    yield a.blocks[0], b.blocks[0]
+    yield a[0], b[0]
     # preservation: T^2 f on each leg vs the chart tangent of Tf
     tf_chart = SmoothMap(box_domain(2 * d, -9, 9), box_domain(2 * f.cod.dim),
                          tangent_lift(f.body))
@@ -165,7 +164,7 @@ def _t2_comm(ops, rng, d, n):
 
 def _t2_zero(ops, rng, d, n):
     p = _point(rng, d, 1, n)
-    z = _zero_section(p.base)
+    z = _zero_section(p)
     yield ops.add_fiber(p, z), p
     yield ops.add_fiber(z, p), p
 
@@ -173,7 +172,7 @@ def _t2_zero(ops, rng, d, n):
 def _t2_inverse(ops, rng, d, n):
     p = _point(rng, d, 1, n)
     q = _share(rng, p, [0])
-    yield ops.sub_fiber(p, p), _zero_section(p.base)
+    yield ops.sub_fiber(p, p), _zero_section(p)
     yield ops.add_fiber(ops.sub_fiber(p, q), q), p
 
 
@@ -208,7 +207,7 @@ def _t3_add(ops, rng, d, n):
 
 def _t4_projection(ops, rng, d, n):
     p = _point(rng, d, 1, n)
-    yield ops.project(ops.vertical_lift(p, 1), 2), _zero_section(p.base)
+    yield ops.project(ops.vertical_lift(p, 1), 2), _zero_section(p)
 
 
 def _t4_double(ops, rng, d, n):
@@ -244,7 +243,7 @@ def _t6_kernel(ops, rng, d, n):
     p2 = _share(rng, p1, [0])
     xi = ops.vertical_lift_pair(p1, p2)
     # image lies in the kernel: the level-1 projected tangent vanishes
-    yield ops.project(xi, 1), _zero_section(p1.base)
+    yield ops.project(xi, 1), _zero_section(p1)
     # and the construction is injective with explicit inverse
     r1, r2 = tp.vertical_pair_parts(xi)
     yield r1, p1
@@ -252,8 +251,7 @@ def _t6_kernel(ops, rng, d, n):
     # conversely anything killed by the projected tangent arises so
     arr = rng.uniform(-1.0, 1.0, size=(4, d, n))
     arr[2] = 0.0
-    flat = TanPoint(2, arr)
-    yield ops.vertical_lift_pair(*tp.vertical_pair_parts(flat)), flat
+    yield ops.vertical_lift_pair(*tp.vertical_pair_parts(arr)), arr
 
 
 # -- cartesianness ----------------------------------------------------
@@ -266,12 +264,10 @@ def _cartesian(ops, rng, dims, n):
     dom = product_domain(box_domain(d1, -1.5, 1.5), box_domain(d2, -1.5, 1.5))
     p = _point(rng, d1 + d2, 2, n)
     whole = ops.apply(SmoothMap(dom, box_domain(m1 + m2), parallel(e1, e2)), p)
-    yield whole.blocks[:, :m1], ops.apply(
-        SmoothMap(box_domain(d1, -1.5, 1.5), box_domain(m1), e1),
-        TanPoint(2, p.blocks[:, :d1]))
-    yield whole.blocks[:, m1:], ops.apply(
-        SmoothMap(box_domain(d2, -1.5, 1.5), box_domain(m2), e2),
-        TanPoint(2, p.blocks[:, d1:]))
+    yield whole[:, :m1], ops.apply(
+        SmoothMap(box_domain(d1, -1.5, 1.5), box_domain(m1), e1), p[:, :d1])
+    yield whole[:, m1:], ops.apply(
+        SmoothMap(box_domain(d2, -1.5, 1.5), box_domain(m2), e2), p[:, d1:])
 
 
 # -- scalar multiplication --------------------------------------------
@@ -297,10 +293,10 @@ def _scalar_partial1(ops, rng, d, n):
     rdot = rng.uniform(-1.0, 1.0, size=n)
     arr = np.empty((2, 1 + 2 * d, n))
     arr[0, 0] = r
-    arr[0, 1:] = p.blocks.reshape(2 * d, n)
+    arr[0, 1:] = p.reshape(2 * d, n)
     arr[1, 0] = rdot
     arr[1, 1:] = rng.uniform(-1.0, 1.0, size=(2 * d, n))  # junk, zeroed
-    yield (tp.expand_inner(tp.partial_tangent(kappa, 1, TanPoint(1, arr))),
+    yield (tp.expand_inner(tp.partial_tangent(kappa, 1, arr)),
            ops.vertical_lift_pair(ops.scale_level(p, r, 1),
                                   ops.scale_level(p, rdot, 1)))
 
@@ -312,8 +308,8 @@ def _scalar_partial2(ops, rng, d, n):
     arr = np.empty((2, 1 + 2 * d, n))
     arr[0, 0] = r
     arr[1, 0] = rng.uniform(-1.0, 1.0, size=n)  # junk, zeroed
-    arr[:, 1:] = tp.collapse_inner(xi).blocks
-    yield (tp.expand_inner(tp.partial_tangent(kappa, 2, TanPoint(1, arr))),
+    arr[:, 1:] = tp.collapse_inner(xi)
+    yield (tp.expand_inner(tp.partial_tangent(kappa, 2, arr)),
            ops.swap_levels(ops.scale_level(ops.swap_levels(xi, 1), r, 2), 1))
 
 
@@ -328,7 +324,7 @@ def _scalar_assoc(ops, rng, d, n):
 def _scalar_unit(ops, rng, d, n):
     p = _point(rng, d, 1, n)
     yield ops.scale_level(p, 1.0, 1), p
-    yield ops.scale_level(p, 0.0, 1), _zero_section(p.base)
+    yield ops.scale_level(p, 0.0, 1), _zero_section(p)
 
 
 def _scalar_add_scalar(ops, rng, d, n):

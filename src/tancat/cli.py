@@ -76,6 +76,8 @@ def _load_groupoid(args) -> FiberedGroupoid:
         except json.JSONDecodeError as err:
             raise InputError(f"{args.spec}: invalid JSON at line {err.lineno} "
                              f"column {err.colno}: {err.msg}") from None
+        except ValueError as err:  # an integer past the digit limit
+            raise InputError(f"{args.spec}: invalid JSON: {err}") from None
         try:
             return groupoid_from_json_dict(data)
         except (ValueError, TypeError, AttributeError) as err:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplerError
-from .expr import Expr, reindex_inputs
+from .expr import Expr, json_int, reindex_inputs
 
 # rejection-sampling rounds before a sampler gives up
 MAX_ROUNDS = 64
@@ -31,13 +31,19 @@ class Domain:
     sample_constraints: tuple[Expr, ...] = ()
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"domain {self.name or self.dim}: negative dim")
         box = self.box
         if box is None:
             box = np.tile([-1.0, 1.0], (self.dim, 1))
         box = np.asarray(box, dtype=float).reshape(self.dim, 2)
-        if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+        # a finite width also rules out an infinite bound, and it is what
+        # the sampler's uniform draw needs
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = box[:, 1] - box[:, 0]
+        if not (np.isfinite(width) & (width >= 0)).all():
             raise ValueError(f"domain {self.name or self.dim}: box rows must "
-                             f"be finite [lo, hi] with lo <= hi")
+                             f"be [lo, hi] with 0 <= hi - lo < inf")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "sample_constraints",
@@ -102,12 +108,13 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Domain":
-        return cls(dim=int(data["dim"]),
+        return cls(dim=json_int(data["dim"], "dim"),
                    box=np.asarray(data.get("box")) if data.get("box") is not None else None,
                    constraints=tuple(Expr.from_json_dict(c)
                                      for c in data.get("constraints", ())),
                    name=str(data.get("name", "")),
-                   split=tuple(data["split"]) if "split" in data else None,
+                   split=(tuple(json_int(s, "split") for s in data["split"])
+                          if "split" in data else None),
                    sample_constraints=tuple(
                        Expr.from_json_dict(c)
                        for c in data.get("sample_constraints", ())))
@@ -163,7 +170,12 @@ class SmoothMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SmoothMap":
-        return cls(dom=Domain.from_json_dict(data["dom"]),
-                   cod=Domain.from_json_dict(data["cod"]),
-                   body=Expr.from_json_dict(data["body"]),
+        dom = Domain.from_json_dict(data["dom"])
+        body = data["body"]
+        # the arity is checked before the body is compiled
+        if json_int(body["inputs"], "inputs") != dom.dim:
+            raise ValueError(f"body takes {body['inputs']} inputs but dom "
+                             f"has dim {dom.dim}")
+        return cls(dom=dom, cod=Domain.from_json_dict(data["cod"]),
+                   body=Expr.from_json_dict(body),
                    name=str(data.get("name", "")))

@@ -42,6 +42,19 @@ class Node:
     index: int | None = None     # input slot, or pow_int exponent
 
 
+def order_of(blocks: np.ndarray) -> int:
+    """The order n of a block array of shape ``(2**n, dim, *batch)``.
+
+    Refuses an array with fewer than two axes, or whose axis 0 is not
+    a power of two up to ``2**MAX_ORDER``.
+    """
+    n = blocks.shape[0] if blocks.ndim >= 2 else 0
+    if not (0 < n <= 1 << MAX_ORDER and n & (n - 1) == 0):
+        raise ValueError(f"a block array has shape (2**k, dim, ...) with k <= "
+                         f"{MAX_ORDER}, got shape {blocks.shape}")
+    return n.bit_length() - 1
+
+
 class Expr:
     """An immutable program with ``n_inputs`` arguments and a tuple of
     output node ids.
@@ -200,17 +213,14 @@ class Expr:
         array of shape ``(2**order, n_outputs, *batch)``.
         """
         blocks = np.asarray(blocks, dtype=float)
-        n = blocks.shape[0] if blocks.ndim else 0
-        if not (0 < n <= 1 << MAX_ORDER and n & (n - 1) == 0):
-            raise ValueError(f"axis 0 must have length 2**k with k <= "
-                             f"{MAX_ORDER}, got shape {blocks.shape}")
-        if blocks.ndim < 2 or blocks.shape[1] != self.n_inputs:
+        order = order_of(blocks)
+        if blocks.shape[1] != self.n_inputs:
             raise ValueError(f"axis 1 must have length {self.n_inputs}, got "
                              f"shape {blocks.shape}")
         batch = blocks.shape[2:]
         regs = self._run([blocks[:, i] for i in range(self.n_inputs)],
-                         _order_of(blocks), batch)
-        out = np.empty((n, self.n_outputs) + batch)
+                         order, batch)
+        out = np.empty((1 << order, self.n_outputs) + batch)
         for j, r in enumerate(self._out_regs):
             out[:, j] = regs[r]
         return out
@@ -251,13 +261,23 @@ class Expr:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Expr":
         try:
-            nodes = [Node(op=str(n["op"]), args=tuple(int(a) for a in n.get("args", ())),
+            nodes = [Node(op=str(n["op"]),
+                          args=tuple(json_int(a, "arg") for a in n.get("args", ())),
                           value=(float(n["value"]) if "value" in n else None),
-                          index=(int(n["index"]) if "index" in n else None))
+                          index=(json_int(n["index"], "index")
+                                 if "index" in n else None))
                      for n in data["nodes"]]
-            return cls(nodes, int(data["inputs"]), data["outputs"])
+            return cls(nodes, json_int(data["inputs"], "inputs"),
+                       [json_int(o, "output") for o in data["outputs"]])
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed expression AST: {err}") from err
+
+
+def json_int(value, what: str) -> int:
+    """A count or index read from JSON: an integer, and not a bool."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
+    return int(value)
 
 
 def _unary(prim: str) -> Callable:
@@ -501,23 +521,28 @@ def tangent_lift(e: Expr) -> Expr:
     returns ``(e(x), De(x) dx)`` in the same layout.  Applying it twice
     yields the second tangent, and so on.
     """
-    b = ExprBuilder(2 * e.n_inputs)
-    xs = b.inputs()
-    vals, dots = _emit_tangent(b, e, xs[:e.n_inputs], xs[e.n_inputs:])
-    return b.finish(vals + dots)
+    return tangent_chart_map(e, [e.n_inputs], [e.n_outputs])
 
 
-def _emit_tangent(b: ExprBuilder, e: Expr, xs: Sequence[Handle],
-                  dxs: Sequence[Handle]) -> tuple[list[Handle], list[Handle]]:
-    """Write the forward-mode nodes of ``e`` into ``b``.
+def tangent_chart_map(e: Expr, in_sizes, out_sizes) -> Expr:
+    """Forward-mode transform on doubled charts laid out block by block.
 
-    ``xs`` and ``dxs`` are the handles of the values and directions of
-    ``e``'s inputs; the result is the values and directions of its
-    outputs.
+    Each chart block of size s, on the inputs and on the outputs,
+    becomes (values, velocities) of size 2s; with one block on each side
+    this is :func:`tangent_lift`.
     """
+    if e.n_inputs != sum(in_sizes) or e.n_outputs != sum(out_sizes):
+        raise ValueError("block sizes do not match the expression arity")
+    b = ExprBuilder(2 * e.n_inputs)
+    hs = b.inputs()
+    xs, dxs = [], []
+    pos = 0
+    for s in in_sizes:
+        xs += hs[pos:pos + s]
+        dxs += hs[pos + s:pos + 2 * s]
+        pos += 2 * s
     zero = b.const(0.0)
-    vals: list[Handle] = []
-    dots: list[Handle] = []
+    vals, dots = [], []
     for node in e.nodes:
         op = node.op
         if op == "input":
@@ -569,4 +594,10 @@ def _emit_tangent(b: ExprBuilder, e: Expr, xs: Sequence[Handle],
                 raise ValueError(f"unknown op {op!r}")
         vals.append(v)
         dots.append(d)
-    return [vals[o] for o in e.outputs], [dots[o] for o in e.outputs]
+    outs = []
+    pos = 0
+    for s in out_sizes:
+        outs += [vals[o] for o in e.outputs[pos:pos + s]]
+        outs += [dots[o] for o in e.outputs[pos:pos + s]]
+        pos += s
+    return b.finish(outs)

@@ -26,7 +26,7 @@ import numpy as np
 from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
-from .tanpoint import TanPoint, apply_tangent, residual
+from .tanpoint import apply_tangent, residual
 from .tower import Tower, _mul
 
 KERNEL_TOL = 1e-10
@@ -212,9 +212,9 @@ def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
                   points: np.ndarray) -> float:
     """Residual of: the tangent of phi carries v to w along phi."""
     points = np.asarray(points, dtype=float)
-    pushed = apply_tangent(phi, TanPoint(1, np.stack([points, v.at(points)])),
+    pushed = apply_tangent(phi, np.stack([points, v.at(points)]),
                            check_domain=False)
-    return residual(pushed.blocks[1], w.at(pushed.base))
+    return residual(pushed[1], w.at(pushed[0]))
 
 
 def check_bracket_laws(u: VectorField, v: VectorField, w: VectorField,

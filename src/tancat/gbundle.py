@@ -20,7 +20,7 @@ from . import tanpoint as tp
 from .errors import VerticalityError
 from .fields import VectorField, field_add, field_scale, lie_bracket
 from .groupoid import FiberedGroupoid, _tcompose
-from .tanpoint import TanPoint, residual
+from .tanpoint import order_of, residual
 
 VERTICAL_TOL = 1e-9
 
@@ -34,36 +34,35 @@ def _action_pairs(G: FiberedGroupoid, rng: np.random.Generator,
 
 # -- vertical transport -----------------------------------------------
 
-def vertical_tangent(e: np.ndarray, vec: np.ndarray, p: int) -> TanPoint:
+def vertical_tangent(e: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
     """An order-1 point with fiber velocity only."""
     e = np.asarray(e, dtype=float)
     fib = np.concatenate([np.zeros((p,) + e.shape[1:]), vec], axis=0)
-    return TanPoint(1, np.stack([e, fib]))
+    return np.stack([e, fib])
 
 
-def act_on_vertical(G: FiberedGroupoid, xi: TanPoint, g: np.ndarray,
-                    tol: float = VERTICAL_TOL) -> TanPoint:
+def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray, g: np.ndarray,
+                    tol: float = VERTICAL_TOL) -> np.ndarray:
     """Transport a vertical tangent along an arrow.
 
     The arrow slot is frozen (zero velocity); the result must again be
     vertical, and drifting anchors raise :class:`VerticalityError`.
     """
     p = G.base.dim
-    if xi.order != 1:
+    if order_of(xi) != 1:
         raise ValueError("vertical transport takes order-1 tangents")
-    drift_in = residual(xi.blocks[1, :p], np.zeros_like(xi.blocks[1, :p]))
+    drift_in = residual(xi[1, :p], np.zeros_like(xi[1, :p]))
     if drift_in > tol:
         raise VerticalityError(f"input tangent has anchor velocity "
                                f"{drift_in:.3e} (tol {tol:.1e})")
     g = np.asarray(g, dtype=float)
-    out = _tcompose(G, xi, TanPoint(1, np.stack([g, np.zeros_like(g)])))
-    drift = residual(out.blocks[1, :p], np.zeros_like(out.blocks[1, :p]))
+    out = _tcompose(G, xi, np.stack([g, np.zeros_like(g)]))
+    drift = residual(out[1, :p], np.zeros_like(out[1, :p]))
     if drift > tol:
         raise VerticalityError(f"transport leaked an anchor velocity of "
                                f"{drift:.3e} (tol {tol:.1e})")
-    arr = np.array(out.blocks)
-    arr[1, :p] = 0.0
-    return TanPoint(1, arr)
+    out[1, :p] = 0.0  # out is the fresh result of _tcompose
+    return out
 
 
 # -- invariant fields -------------------------------------------------
@@ -79,7 +78,7 @@ def invariance_defect(G: FiberedGroupoid, v: VectorField,
     xi = vertical_tangent(e, ve[p:], p)
     moved = act_on_vertical(G, xi, g)
     direct = v.at(G.compose_pair(e, g))
-    res["equivariance"] = residual(moved.blocks[1, p:], direct[p:])
+    res["equivariance"] = residual(moved[1, p:], direct[p:])
     return res
 
 
@@ -106,30 +105,19 @@ def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,
     eta = vertical_tangent(e, u2, p)
     mxi, meta = act_on_vertical(G, xi, g), act_on_vertical(G, eta, g)
 
-    res["fiber_add"] = residual(
-        act_on_vertical(G, tp.add_fiber(xi, eta), g).blocks,
-        tp.add_fiber(mxi, meta).blocks)
-    res["fiber_scale"] = residual(
-        act_on_vertical(G, tp.scale_level(xi, s), g).blocks,
-        tp.scale_level(mxi, s).blocks)
+    res["fiber_add"] = residual(act_on_vertical(G, tp.add_fiber(xi, eta), g),
+                                tp.add_fiber(mxi, meta))
+    res["fiber_scale"] = residual(act_on_vertical(G, tp.scale_level(xi, s), g),
+                                  tp.scale_level(mxi, s))
 
-    g0 = TanPoint.from_base(g)
-    lift2 = lambda q: tp.zero_lift(tp.zero_lift(q))
-
-    swapped = tp.swap_levels(
-        _tcompose(G, tp.swap_levels(tp.vertical_lift_pair(xi, eta), 1),
-                  lift2(g0)), 1)
-    res["level_swap"] = residual(
-        swapped.blocks, _tcompose(G, tp.vertical_lift_pair(xi, eta),
-                                  lift2(g0)).blocks)
-
-    res["vertical_lift"] = residual(
-        _tcompose(G, tp.vertical_lift(xi, 1), lift2(g0)).blocks,
-        tp.vertical_lift(mxi, 1).blocks)
-
-    res["vertical_pair"] = residual(
-        _tcompose(G, tp.vertical_lift_pair(xi, eta), lift2(g0)).blocks,
-        tp.vertical_lift_pair(mxi, meta).blocks)
+    g0 = tp.zero_lift(g[None], 2)
+    pair = tp.vertical_lift_pair(xi, eta)
+    moved = _tcompose(G, pair, g0)
+    swapped = tp.swap_levels(_tcompose(G, tp.swap_levels(pair, 1), g0), 1)
+    res["level_swap"] = residual(swapped, moved)
+    res["vertical_lift"] = residual(_tcompose(G, tp.vertical_lift(xi, 1), g0),
+                                    tp.vertical_lift(mxi, 1))
+    res["vertical_pair"] = residual(moved, tp.vertical_lift_pair(mxi, meta))
     return res
 
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .domain import MAX_ROUNDS, Domain, SmoothMap, box_domain, product_domain
 from .errors import SamplerError, StructureError
-from .expr import Expr, ExprBuilder, _emit_tangent, build, reindex_inputs
-from .tanpoint import TanPoint, apply_tangent, residual
+from .expr import (Expr, ExprBuilder, build, reindex_inputs,
+                   tangent_chart_map)
+from .tanpoint import apply_tangent, residual
 
 
 @dataclass(frozen=True)
@@ -142,33 +143,6 @@ def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
 
 # -- the tangent groupoid ---------------------------------------------
 
-def tangent_chart_map(e: Expr, in_sizes, out_sizes) -> Expr:
-    """Lift a chart map to doubled charts laid out block-by-block.
-
-    Each chart block of size s becomes (values, velocities) of size 2s;
-    the forward-mode nodes of :func:`tangent_lift` are written straight
-    into this layout.
-    """
-    s_in, s_out = sum(in_sizes), sum(out_sizes)
-    if e.n_inputs != s_in or e.n_outputs != s_out:
-        raise ValueError("block sizes do not match the expression arity")
-    b = ExprBuilder(2 * s_in)
-    hs = b.inputs()
-    xs, dxs = [], []
-    pos = 0
-    for s in in_sizes:
-        xs += hs[pos:pos + s]
-        dxs += hs[pos + s:pos + 2 * s]
-        pos += 2 * s
-    vals, dots = _emit_tangent(b, e, xs, dxs)
-    outs = []
-    flat = 0
-    for s in out_sizes:
-        outs += vals[flat:flat + s] + dots[flat:flat + s]
-        flat += s
-    return b.finish(outs)
-
-
 def tangent_domain(dom: Domain, sizes, name: str = "") -> Domain:
     """The doubled chart, with velocity slots in [-2, 2]; constraints
     keep watching the value slots."""
@@ -216,38 +190,37 @@ def tangent_groupoid(G: FiberedGroupoid) -> FiberedGroupoid:
         name="T" + (G.name or "G"))
 
 
-def t_flatten(pt: TanPoint, sizes) -> np.ndarray:
+def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
     """Iterated doubled-chart coordinates of a tangent point.
 
     Chart block by chart block (of the given sizes), the coordinates are
     the tangent blocks in mask order.
     """
-    parts = np.split(pt.blocks, np.cumsum(sizes)[:-1], axis=1)
-    return np.concatenate([part.reshape((-1,) + pt.batch_shape) for part in parts])
+    parts = np.split(pt, np.cumsum(sizes)[:-1], axis=1)
+    return np.concatenate([part.reshape((-1,) + pt.shape[2:]) for part in parts])
 
 
 # -- order-n functor checks -------------------------------------------
 
-def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> TanPoint:
+def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> np.ndarray:
     vals = G.sample_arrows(rng, n)
     blocks = rng.uniform(-1.0, 1.0, size=(1 << order, G.arrow_dim, n))
     blocks[0] = vals
-    return TanPoint(order, blocks)
+    return blocks
 
 
-def _force_source(G: FiberedGroupoid, rng, tgt: TanPoint) -> TanPoint:
+def _force_source(G: FiberedGroupoid, rng, tgt: np.ndarray) -> np.ndarray:
     """A random tangent arrow whose tangent source is the given point."""
     p = G.base.dim
-    n = tgt.batch_shape[0]
-    vals = G._with_source(rng, np.asarray(tgt.blocks[0]))
-    blocks = rng.uniform(-1.0, 1.0, size=(1 << tgt.order, G.arrow_dim, n))
+    vals = G._with_source(rng, tgt[0])
+    blocks = rng.uniform(-1.0, 1.0, size=(len(tgt), G.arrow_dim, tgt.shape[2]))
     blocks[0] = vals
-    blocks[:, :p] = tgt.blocks
-    return TanPoint(tgt.order, blocks)
+    blocks[:, :p] = tgt
+    return blocks
 
 
 def _tangent_string(G: FiberedGroupoid, rng, order: int, n: int,
-                    length: int) -> list[TanPoint]:
+                    length: int) -> list[np.ndarray]:
     chain = [_tangent_arrows(G, rng, order, n)]
     for _ in range(length - 1):
         tgt = apply_tangent(G.target, chain[-1], check_domain=False)
@@ -256,9 +229,9 @@ def _tangent_string(G: FiberedGroupoid, rng, order: int, n: int,
     return chain
 
 
-def _tcompose(G: FiberedGroupoid, g: TanPoint, h: TanPoint) -> TanPoint:
-    glued = TanPoint(g.order, np.concatenate([g.blocks, h.blocks], axis=1))
-    return apply_tangent(G.compose, glued, check_domain=False)
+def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return apply_tangent(G.compose, np.concatenate([g, h], axis=1),
+                         check_domain=False)
 
 
 def check_tangent_functor(G: FiberedGroupoid, rng, order: int,
@@ -269,37 +242,32 @@ def check_tangent_functor(G: FiberedGroupoid, rng, order: int,
     res: dict[str, float] = {}
 
     a, b, c = _tangent_string(G, rng, order, samples, 3)
-    res["associativity"] = residual(
-        _tcompose(G, _tcompose(G, a, b), c).blocks,
-        _tcompose(G, a, _tcompose(G, b, c)).blocks)
+    res["associativity"] = residual(_tcompose(G, _tcompose(G, a, b), c),
+                                    _tcompose(G, a, _tcompose(G, b, c)))
 
     g = _tangent_arrows(G, rng, order, samples)
     tg = tm(G.target, g)
-    sg = TanPoint(order, g.blocks[:, :p])
-    res["unit_left"] = residual(
-        _tcompose(G, tm(G.unit, tg), g).blocks, g.blocks)
-    res["unit_right"] = residual(
-        _tcompose(G, g, tm(G.unit, sg)).blocks, g.blocks)
+    sg = g[:, :p]
+    res["unit_left"] = residual(_tcompose(G, tm(G.unit, tg), g), g)
+    res["unit_right"] = residual(_tcompose(G, g, tm(G.unit, sg)), g)
 
     gi = tm(G.inverse, g)
     res["inverse_laws"] = max(
-        residual(_tcompose(G, gi, g).blocks, tm(G.unit, sg).blocks),
-        residual(_tcompose(G, g, gi).blocks, tm(G.unit, tg).blocks))
+        residual(_tcompose(G, gi, g), tm(G.unit, sg)),
+        residual(_tcompose(G, g, gi), tm(G.unit, tg)))
 
     g2, h2 = _tangent_string(G, rng, order, samples, 2)
     gh = _tcompose(G, g2, h2)
     res["source_target"] = max(
-        residual(gh.blocks[:, :p], h2.blocks[:, :p]),
-        residual(tm(G.target, gh).blocks, tm(G.target, g2).blocks))
+        residual(gh[:, :p], h2[:, :p]),
+        residual(tm(G.target, gh), tm(G.target, g2)))
 
     # arrows vertical over the source stay vertical after composing
-    arr = np.array(h2.blocks)
-    arr[1:, :p] = 0.0
-    h0 = TanPoint(order, arr)
+    h0 = np.array(h2)
+    h0[1:, :p] = 0.0
     g0 = _force_source(G, rng, tm(G.target, h0))
     out = _tcompose(G, g0, h0)
-    res["vertical_closure"] = residual(out.blocks[1:, :p],
-                                       np.zeros_like(out.blocks[1:, :p]))
+    res["vertical_closure"] = residual(out[1:, :p], np.zeros_like(out[1:, :p]))
     return res
 
 

@@ -8,7 +8,6 @@ import numpy as np
 from tancat import tanpoint as tp
 from tancat.axioms import ALL_CHECKS, DEFAULT_OPS, TangentOps, run_axiom_suite
 from tancat.report import RunConfig
-from tancat.tanpoint import TanPoint
 
 FAST = RunConfig(seed=11, samples=60)
 
@@ -42,14 +41,13 @@ def test_seed_changes_samples_not_verdicts():
     assert a.dumps() != b.dumps()  # residuals move with the seed
 
 
-def _tainted_swap(p: TanPoint, level: int) -> TanPoint:
+def _tainted_swap(p: np.ndarray, level: int) -> np.ndarray:
     # a subtly wrong braiding: correct permutation, then 5% inflation of
     # the block carrying both swapped levels
-    q = tp.swap_levels(p, level)
-    arr = np.array(q.blocks)
+    arr = tp.swap_levels(p, level)
     m = 0b11 << (level - 1)
     arr[m] = 1.05 * arr[m]
-    return TanPoint(p.order, arr)
+    return arr
 
 
 SWAP_CHECKS = {name for name in ALL_CHECKS
@@ -71,7 +69,7 @@ def test_tainted_swap_breaks_only_swap_checks():
             "scalar/partial_slot2"} <= failed
 
 
-def _crossed_swap(p: TanPoint, level: int) -> TanPoint:
+def _crossed_swap(p: np.ndarray, level: int) -> np.ndarray:
     # level-1 swaps are honest; deeper swaps sneak in an extra level-1
     # swap first, which only the relations among distinct levels can see
     if level > 1:
@@ -90,11 +88,11 @@ def test_crossed_swap_caught_by_braid():
     assert "scalar/partial_slot2" not in failed
 
 
-def _nan_swap_dim2(p: TanPoint, level: int) -> TanPoint:
+def _nan_swap_dim2(p: np.ndarray, level: int) -> np.ndarray:
     # all-NaN blocks on dim-2 charts; max(0.0, nan) is 0.0, so a reduction
     # that does not treat NaN as a failure would pass every check below
     q = tp.swap_levels(p, level)
-    return TanPoint(q.order, np.full_like(q.blocks, np.nan)) if q.dim == 2 else q
+    return np.full_like(q, np.nan) if q.shape[1] == 2 else q
 
 
 def test_nan_residuals_fail():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -152,6 +153,15 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overlong_integer_is_exit_2(tmp_path, capsys):
+    # json refuses integer literals past 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    spec = tmp_path / "long.json"
+    spec.write_text('{"base": {"dim": %s}}' % ("1" * 5000))
+    assert main(["groupoid", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_key_spec_is_exit_2(tmp_path, capsys):
     spec = tmp_path / "partial.json"
     spec.write_text('{"name": "hollow"}')
@@ -259,9 +269,37 @@ def _box_not_finite(d):
     d["arrows"]["box"][1] = [-1.0, float("inf")]
 
 
+def _box_too_wide(d):
+    d["base"]["box"][0] = [-1e308, 1e308]  # hi - lo overflows
+
+
+def _negative_dim(d):
+    d["base"]["dim"] = -1
+
+
+# counts and indices that once loaded truncated by int()
+def _fractional_arity(d):
+    d["compose"]["body"]["inputs"] = 8.7
+
+
+def _fractional_index(d):
+    d["compose"]["body"]["nodes"][2]["index"] = 2.9
+
+
+def _bool_index(d):
+    d["compose"]["body"]["nodes"][1]["index"] = True
+
+
+def _string_arity(d):
+    d["compose"]["body"]["inputs"] = "8"
+
+
 @pytest.mark.parametrize("command", ["groupoid", "differentiate"])
 @pytest.mark.parametrize("edit", [_huge_arity, _box_lo_above_hi,
-                                  _box_not_finite])
+                                  _box_not_finite, _box_too_wide,
+                                  _negative_dim, _fractional_arity,
+                                  _fractional_index, _bool_index,
+                                  _string_arity])
 def test_malformed_spec_exits_2_under_a_memory_limit(tmp_path, edit, command):
     data = groupoid_to_json_dict(BUILTIN_GROUPOIDS["pair"]())
     edit(data)
@@ -277,3 +315,122 @@ def test_malformed_spec_exits_2_under_a_memory_limit(tmp_path, edit, command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not re.search(r"\d{20}", proc.stderr)  # no 309-digit count
+
+
+# -- a seeded mutation fuzz of the spec loader -------------------------
+
+FUZZ_SEED = 20240611
+FUZZ_MUTANTS = 200
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 10 ** 6, 10 ** 18, 2.5, -0.0,
+               1e308, -1e308, "", "x", "8", [], [1, 2], {}, {"op": "input"}]
+
+# One child imports tancat once and forks a grandchild per mutant, which
+# sets RLIMIT_AS and runs the command with its output sent to files, so
+# 200 runs take seconds, not 200 interpreter starts.  The environment
+# pins BLAS and OpenMP to one thread, so the fork copies a process with
+# one thread.  A grandchild always leaves by os._exit: an escaping
+# exception is printed to its stderr and must not unwind into the loop.
+FUZZ_MAIN = """
+import json, os, resource, sys, traceback
+from tancat.cli import main
+with open(sys.argv[1]) as fh:
+    jobs = json.load(fh)
+codes = []
+for k, (spec, argv) in enumerate(jobs):
+    path = os.path.join(sys.argv[2], "%d" % k)
+    with open(path + ".json", "w") as fh:
+        fh.write(spec)
+    sys.stdout.flush(); sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+            os.dup2(os.open(path + ".out", os.O_WRONLY | os.O_CREAT), 1)
+            os.dup2(os.open(path + ".err", os.O_WRONLY | os.O_CREAT), 2)
+            code = main(argv + ["--spec", path + ".json"])
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush(); sys.stderr.flush()
+            os._exit(code)
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+print(json.dumps(codes))
+"""
+
+
+def _leaves(node, path=()):
+    """Paths to every dict key and every leaf below ``node``."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield path + (key,), "key"
+            yield from _leaves(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _leaves(val, path + (i,))
+    else:
+        yield path, "leaf"
+
+
+def _mutants(rng):
+    """Seeded mutants: one key deleted or one leaf replaced.
+
+    The site is drawn by its key name first (``dim``, ``box``,
+    ``index``, ...), so the few box and split entries are hit as often
+    as the many node entries.
+    """
+    specs = {name: groupoid_to_json_dict(make())
+             for name, make in sorted(BUILTIN_GROUPOIDS.items())}
+    sites = {}
+    for name, d in specs.items():
+        for path, kind in _leaves(d):
+            key = [k for k in path if isinstance(k, str)][-1]
+            sites.setdefault(key, []).append((name, path, kind))
+    keys = sorted(sites)
+    for _ in range(FUZZ_MUTANTS):
+        group = sites[keys[rng.integers(len(keys))]]
+        name, path, kind = group[rng.integers(len(group))]
+        data = json.loads(json.dumps(specs[name]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "key" and rng.random() < 0.5:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        command = ["groupoid", "differentiate"][rng.integers(2)]
+        yield json.dumps(data), [command, "--samples", "20"]
+
+
+def test_spec_loader_fuzz(tmp_path):
+    # malformed input exits 2 with a message; whatever loads reports in
+    # strict JSON; nothing escapes as a traceback or exhausts memory
+    jobs = list(_mutants(np.random.default_rng(FUZZ_SEED)))
+    (tmp_path / "jobs.json").write_text(json.dumps(jobs))
+    src = str(Path(__import__("tancat").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", FUZZ_MAIN.format(limit=AS_LIMIT),
+         str(tmp_path / "jobs.json"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    assert len(codes) == len(jobs)
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    for k, ((spec, argv), code) in enumerate(zip(jobs, codes)):
+        out = (tmp_path / f"{k}.out").read_text()
+        err = (tmp_path / f"{k}.err").read_text()
+        where = f"mutant {k} ({argv[0]}): {spec[:300]}\n{err[-2000:]}"
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        if code == 2:
+            assert out == "" and err.startswith("error:"), where
+        else:
+            json.loads(out, parse_constant=reject)
+    # the mutants reach both the error path and the report path
+    assert {0, 2} <= set(codes)

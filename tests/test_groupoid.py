@@ -18,7 +18,6 @@ from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              t_flatten, tangent_domain,
                              tangent_groupoid)
 from tancat.report import rng_for
-from tancat.tanpoint import TanPoint
 
 TOL = 1e-9
 
@@ -134,8 +133,7 @@ class TestTangentGroupoid:
     def test_flatten_roundtrip(self):
         rng = rng_for(6, "groupoid/flat")
         blocks = rng.uniform(-1, 1, size=(4, 3, 7))
-        pt = TanPoint(2, blocks)
-        flat = t_flatten(pt, [1, 2])
+        flat = t_flatten(blocks, [1, 2])
         # chart block by chart block, the tangent blocks in mask order
         assert np.array_equal(flat[:4], blocks[:, 0])
         assert np.array_equal(flat[4:], blocks[:, 1:].reshape(8, 7))
@@ -143,8 +141,7 @@ class TestTangentGroupoid:
             for sizes in ([1, 2], [0, 2], [3, 0, 1]):
                 for batch in ((), (5,), (2, 3)):
                     shape = (1 << order, sum(sizes)) + batch
-                    pt = TanPoint(order, rng.uniform(-1, 1, size=shape))
-                    flat = t_flatten(pt, sizes)
+                    flat = t_flatten(rng.uniform(-1, 1, size=shape), sizes)
                     assert flat.shape == (sum(sizes) << order,) + batch
 
 
