@@ -17,6 +17,7 @@ the input could not be read or parsed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 from .algebroid import algebroid_of, bracket_table, check_algebroid_laws
 from .axioms import run_axiom_suite
 from .domain import box_domain
-from .errors import SamplerError, StructureError
+from .errors import DomainError, SamplerError, StructureError
 from .fields import (ScalarField, VectorField, bracket_by_jacobians,
                      check_bracket_laws, kernel_residual, lie_bracket)
 from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
@@ -180,6 +181,7 @@ def _cmd_bracket(args) -> int:
 
 # -- wiring -----------------------------------------------------------
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tancat",
@@ -234,8 +236,9 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (StructureError, SamplerError) as err:
-        # a spec that parses but cannot be worked with
+    except (StructureError, SamplerError, DomainError) as err:
+        # a spec that parses but cannot be worked with, such as a domain
+        # constraint that leaves a primitive's domain
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -59,16 +59,17 @@ class Expr:
     """An immutable program with ``n_inputs`` arguments and a tuple of
     output node ids.
 
-    Construction validates the nodes and compiles them, in one pass, into
-    a schedule: constant nodes stay floats, nodes whose operands are all
-    constant are folded into floats, and every other node becomes a step
-    that computes its coefficient array from the arrays of earlier nodes.
+    Construction validates every node, marks the nodes that some output
+    reads, and compiles only those into a schedule: constant nodes stay
+    floats, nodes whose operands are all constant are folded into floats,
+    and every other node becomes a step that computes its coefficient
+    array from the arrays of earlier nodes.  A node that no output reads
+    is validated but never run, so it cannot raise ``DomainError``.
     Arrays live in registers: the input slots first, then one constant
     tower per constant that a step or an output needs as a tower, then
     one per step, in schedule order.  Each step lists the registers it
-    reads for the last time (its own, if nothing reads it), and
-    evaluation drops them as soon as the step has run; input and output
-    registers are never dropped.
+    reads for the last time, and evaluation drops them as soon as the
+    step has run; input and output registers are never dropped.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
@@ -82,35 +83,41 @@ class Expr:
             raise ValueError("n_inputs must be nonnegative")
         consts: list[float | None] = [None] * len(nodes)
         reg: dict[int, int] = {}
-        lifted, steps = set(), []
         for nid, node in enumerate(nodes):
             if node.op not in _ARITY:
                 raise ValueError(f"node {nid}: unknown op {node.op!r}")
             if len(node.args) != _ARITY[node.op]:
                 raise ValueError(f"node {nid}: op {node.op!r} takes "
                                  f"{_ARITY[node.op]} args, got {len(node.args)}")
-            args_const = True
             for a in node.args:
                 if not 0 <= a < nid:
                     raise ValueError(f"node {nid}: arg {a} not topologically "
                                      "earlier")
-                if consts[a] is None:
-                    args_const = False
             if node.op == "input":
                 if node.index is None or not 0 <= node.index < n_inputs:
                     raise ValueError(f"node {nid}: input slot {node.index} out "
                                      f"of range for {n_inputs} inputs")
                 reg[nid] = node.index
-                continue
-            if node.op == "const":
+            elif node.op == "const":
                 if node.value is None:
                     raise ValueError(f"node {nid}: const without value")
                 consts[nid] = float(node.value)
-                continue
-            if node.op == "pow_int" and node.index is None:
+            elif node.op == "pow_int" and node.index is None:
                 raise ValueError(f"node {nid}: pow_int without exponent")
+        for o in outputs:
+            if not 0 <= o < len(nodes):
+                raise ValueError(f"output id {o} out of range")
+        live = set(outputs)  # the nodes some output reads
+        for nid in reversed(range(len(nodes))):
+            if nid in live:
+                live.update(nodes[nid].args)
+        lifted, steps = set(), []
+        for nid in sorted(live):
+            node = nodes[nid]
+            if node.op in ("input", "const"):
+                continue
             step = _step(node, consts)
-            if args_const:
+            if all(consts[a] is not None for a in node.args):
                 consts[nid] = _fold(*step, consts)
                 if consts[nid] is not None:
                     continue
@@ -120,9 +127,6 @@ class Expr:
             elif node.op == "div" and consts[node.args[1]] == 0.0:
                 lifted.add(node.args[1])  # so recip raises, as for a tower
             steps.append((nid, *step))
-        for o in outputs:
-            if not 0 <= o < len(nodes):
-                raise ValueError(f"output id {o} out of range")
         lifted.update(o for o in outputs if consts[o] is not None)
         lifted = sorted(lifted)
         numbered = lifted + [step[0] for step in steps]
@@ -130,9 +134,8 @@ class Expr:
         out_regs = tuple(reg[o] for o in outputs)
         steps = [(nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps]
         last: dict[int, int] = {}  # register -> the step that reads it last
-        first = n_inputs + len(lifted)
         for k, (_, _, a, b) in enumerate(steps):
-            last[a] = last[b] = last[first + k] = k
+            last[a] = last[b] = k
         dead: list[list[int]] = [[] for _ in steps]
         for r, k in last.items():
             if not (r < n_inputs or r in out_regs):

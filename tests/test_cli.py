@@ -41,6 +41,19 @@ def test_report_on_stdout(capsys):
     assert "checks passed" in cap.err
 
 
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; flags of one call must not leak into
+    # the defaults of the next
+    out = tmp_path / "m.json"
+    assert main(["groupoid", "--suite", "matrix2", "--out", str(out)]) == 0
+    suite = {k: f"groupoid/{make().name}"
+             for k, make in BUILTIN_GROUPOIDS.items()}
+    assert json.loads(out.read_text())["suite"] == suite["matrix2"]
+    capsys.readouterr()
+    assert main(["groupoid", "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["suite"] == suite["pair"]
+
+
 def test_groupoid_builtins(tmp_path):
     for name in BUILTIN_GROUPOIDS:
         out = tmp_path / f"{name}.json"
@@ -294,12 +307,20 @@ def _string_arity(d):
     d["compose"]["body"]["inputs"] = "8"
 
 
+def _constraint_leaves_domain(d):
+    # log(x) on the square [-1, 1]^2: sampling raises DomainError
+    d["base"]["constraints"] = [
+        {"inputs": 2, "outputs": [1],
+         "nodes": [{"op": "input", "args": [], "index": 0},
+                   {"op": "log", "args": [0]}]}]
+
+
 @pytest.mark.parametrize("command", ["groupoid", "differentiate"])
 @pytest.mark.parametrize("edit", [_huge_arity, _box_lo_above_hi,
                                   _box_not_finite, _box_too_wide,
                                   _negative_dim, _fractional_arity,
                                   _fractional_index, _bool_index,
-                                  _string_arity])
+                                  _string_arity, _constraint_leaves_domain])
 def test_malformed_spec_exits_2_under_a_memory_limit(tmp_path, edit, command):
     data = groupoid_to_json_dict(BUILTIN_GROUPOIDS["pair"]())
     edit(data)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, build, exp, log, parallel,
-                         reindex_inputs, tangent_lift)
+from tancat.expr import (Expr, ExprBuilder, Node, build, exp, log,
+                         parallel, reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
 from tancat.tower import (Tower, lift_primitive, pow_int, reciprocal,
                           split_top)
@@ -55,7 +55,6 @@ def test_shared_subterm_evaluated_once():
 
 
 def test_validation_rejects_malformed_graphs():
-    from tancat.expr import Node
     with pytest.raises(ValueError):
         Expr([Node("mystery")], 0, [0])
     with pytest.raises(ValueError):
@@ -372,6 +371,71 @@ def test_constant_domain_errors_surface_at_evaluate(make, op):
         reference_evaluate(e, [x])
     assert str(got.value) == str(want.value)
     assert f"({op}): " in str(got.value)
+
+
+def read_by_outputs(e):
+    # the nodes some output reads, by a depth-first walk from the outputs
+    seen, todo = set(), list(e.outputs)
+    while todo:
+        nid = todo.pop()
+        if nid not in seen:
+            seen.add(nid)
+            todo.extend(e.nodes[nid].args)
+    return seen
+
+
+def test_only_nodes_an_output_reads_become_steps():
+    rng = np.random.default_rng(580)
+    dead = 0
+    for _ in range(200):
+        e = random_expr(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                        depth=int(rng.integers(1, 7)))
+        read = read_by_outputs(e)
+        ids = [step[0] for step in e._steps]
+        assert len(ids) == len(set(ids)) and set(ids) <= read
+        dead += len(e.nodes) - len(read)
+    assert dead > 0  # the draws do hold nodes that no output reads
+
+
+@pytest.mark.parametrize("make, op, at", [
+    (lambda b, x: log(x), "log", -2.0),
+    (lambda b, x: 1.0 / x, "div", 0.0),
+    (lambda b, x: log(b.const(-1.0)), "log", 1.0),
+    (lambda b, x: b.const(1.0) / b.const(0.0), "div", 1.0),
+])
+def test_dead_node_outside_its_domain_never_runs(make, op, at):
+    b = ExprBuilder(1)
+    x = b.input(0)
+    bad = make(b, x)
+    square = x * x
+    dead, read = b.finish([square]), b.finish([square, bad])
+    blocks = np.ones((2, 1, 3))  # the point at, velocity 1
+    blocks[0] = at
+    out, = dead.evaluate([tower(1, at, 1.0)])
+    assert np.array_equal(out.coeffs, [at * at, 2 * at])
+    assert np.array_equal(dead(blocks[0]), np.full((1, 3), at * at))
+    assert np.array_equal(dead.on_blocks(blocks), [[[at * at] * 3],
+                                                   [[2 * at] * 3]])
+    for run in (lambda e: e.evaluate([tower(1, at, 1.0)]),
+                lambda e: e(blocks[0]),
+                lambda e: e.on_blocks(blocks)):
+        with pytest.raises(DomainError) as err:
+            run(read)
+        assert str(err.value).startswith(f"node {bad.id} ({op}): ")
+
+
+@pytest.mark.parametrize("bad", [
+    Node("mystery"),
+    Node("add", (0,)),
+    Node("neg", (1,)),            # reads itself, not an earlier node
+    Node("input", index=1),
+    Node("pow_int", (0,)),
+    Node("const"),
+])
+def test_dead_nodes_are_still_validated(bad):
+    # node 1 is read by no output, and still refuses to build
+    with pytest.raises(ValueError, match="^node 1: "):
+        Expr([Node("input", index=0), bad], 1, [0])
 
 
 def test_finite_difference_oracle_10k_random_dags():
