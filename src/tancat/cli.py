@@ -11,7 +11,8 @@ with the same flags are byte identical.  The human summary goes to
 stderr; stdout carries only the report (unless --out redirects it).
 
 Exit status: 0 when every check passes, 1 when some check fails, 2 when
-the input could not be read or parsed.
+the input could not be read or parsed or the report could not be
+written.
 """
 
 from __future__ import annotations
@@ -46,14 +47,19 @@ class InputError(Exception):
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
+        if value < 0:
+            raise InputError(f"--seed wants a non-negative integer, got {value}")
         return value
     env = os.environ.get("TANCAT_SEED")
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise InputError(f"TANCAT_SEED={env!r} is not an integer") from None
+    if seed < 0:
+        raise InputError(f"TANCAT_SEED={env!r} is negative")
+    return seed
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -103,7 +109,10 @@ def _add_checks(rep: Report, prefix: str, residuals: dict, samples: int,
 def _finish(report: Report, args) -> int:
     text = report.dumps()
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as err:
+            raise InputError(f"cannot write {args.out}: {err}") from None
     else:
         sys.stdout.write(text)
     for line in report.summary_lines():

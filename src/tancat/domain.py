@@ -9,11 +9,12 @@ numerically delicate regions without shrinking the chart itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SamplerError
-from .expr import Expr, json_int, reindex_inputs
+from .errors import DomainError, SamplerError
+from .expr import Expr, ExprBuilder, json_int, reindex_inputs
 
 # rejection-sampling rounds before a sampler gives up
 MAX_ROUNDS = 64
@@ -65,24 +66,40 @@ class Domain:
             lo = (self.box[:, 0] - slack[:, 0]).reshape((self.dim,) + (1,) * len(batch))
             hi = (self.box[:, 1] + slack[:, 1]).reshape((self.dim,) + (1,) * len(batch))
             ok &= np.all((points >= lo) & (points <= hi), axis=0)
-        for c in self.constraints:
-            ok &= c(points)[0] > 0.0
+        if self.constraints:
+            ok &= _positive(points, self.constraints, self._member_program)
         return ok
+
+    def admits(self, points: np.ndarray) -> np.ndarray:
+        """The sampler's test: every constraint and sampling guard is
+        positive at the points, of shape (dim, ...)."""
+        if not (self.constraints or self.sample_constraints):
+            return np.ones(np.shape(points)[1:], dtype=bool)
+        return _positive(points, self.constraints + self.sample_constraints,
+                         self._sample_program)
+
+    @cached_property
+    def _member_program(self) -> Expr:
+        return _joined(self.constraints, self.dim)
+
+    @cached_property
+    def _sample_program(self) -> Expr:
+        return _joined(self.constraints + self.sample_constraints, self.dim)
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        return draw_bounds(self.box)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Rejection-sample n member points, shape (dim, n)."""
         if self.dim == 0:
             return np.zeros((0, n))
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        preds = self.constraints + self.sample_constraints
         chunks: list[np.ndarray] = []
         have = 0
         for _ in range(MAX_ROUNDS):
             want = max(n - have, 1)
-            draw = rng.uniform(lo[:, None], hi[:, None], size=(self.dim, 2 * want))
-            ok = np.ones(draw.shape[1], dtype=bool)
-            for c in preds:
-                ok &= c(draw)[0] > 0.0
+            draw = rng.uniform(*self._bounds, size=(self.dim, 2 * want))
+            ok = self.admits(draw)
             kept = draw[:, ok]
             if kept.shape[1]:
                 chunks.append(kept)
@@ -118,6 +135,47 @@ class Domain:
                    sample_constraints=tuple(
                        Expr.from_json_dict(c)
                        for c in data.get("sample_constraints", ())))
+
+
+def draw_bounds(box: np.ndarray) -> tuple:
+    """``(lo, hi)`` for ``rng.uniform`` over the rows of ``box``.
+
+    Scalars when the box has rows and they are all one row: numpy then
+    takes its scalar-bound path, which draws the same numbers (``lo +
+    (hi - lo) * u``, one ``u`` per entry in C order) with less set-up
+    than broadcasting columns; otherwise one column per row.
+    """
+    if len(box) and len({row.tobytes() for row in box}) == 1:
+        return float(box[0, 0]), float(box[0, 1])
+    return box[:, :1], box[:, 1:]
+
+
+def _joined(exprs: tuple[Expr, ...], dim: int) -> Expr:
+    """One program with every output of ``exprs``, on shared inputs; a
+    subterm they share, such as a determinant, runs once."""
+    if len(exprs) == 1:
+        return exprs[0]
+    b = ExprBuilder(dim)
+    xs = b.inputs()
+    return b.finish([h for e in exprs for h in b.splice(e, xs)])
+
+
+def _positive(points: np.ndarray, exprs: tuple[Expr, ...],
+              program: Expr) -> np.ndarray:
+    """Whether every one-output ``exprs`` is positive at the points,
+    run as their joined ``program``.
+
+    A ``DomainError`` is raised again by the expressions one by one, so
+    its message names the node of the first expression that fails, as
+    the spec numbers it.
+    """
+    try:
+        values = program(points)
+    except DomainError:
+        for e in exprs:
+            e(points)
+        raise
+    return np.logical_and.reduce(values > 0.0)
 
 
 def box_domain(dim: int, lo: float = -1.0, hi: float = 1.0, *,

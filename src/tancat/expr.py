@@ -19,8 +19,7 @@ are shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ _ARITY.update({op: 2 for op in ("add", "sub", "mul", "div")})
 _ARITY.update({op: 1 for op in _UNARY_PRIMS})
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     op: str
     args: tuple[int, ...] = ()
     value: float | None = None   # const payload
@@ -66,14 +64,17 @@ class Expr:
     array from the arrays of earlier nodes.  A node that no output reads
     is validated but never run, so it cannot raise ``DomainError``.
     Arrays live in registers: the input slots first, then one constant
-    tower per constant that a step or an output needs as a tower, then
-    one per step, in schedule order.  Each step lists the registers it
-    reads for the last time, and evaluation drops them as soon as the
-    step has run; input and output registers are never dropped.
+    tower per constant that a step needs as a tower, then one per step,
+    in schedule order.  Each step lists the registers it reads for the
+    last time, and evaluation drops them as soon as the step has run;
+    input registers and those of outputs are never dropped.  An output
+    is an input slot, a float or a step register (``_out_src``), and
+    ``on_blocks`` writes each kind at once: the inputs by one gather,
+    the floats by one write, and only the step outputs one by one.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
-                 "_out_regs")
+                 "_out_src", "_gather", "_fill", "_step_outs")
 
     def __init__(self, nodes: Sequence[Node], n_inputs: int,
                  outputs: Sequence[int]) -> None:
@@ -118,7 +119,7 @@ class Expr:
                 continue
             step = _step(node, consts)
             if all(consts[a] is not None for a in node.args):
-                consts[nid] = _fold(*step, consts)
+                consts[nid] = _fold(node.op, *step, consts)
                 if consts[nid] is not None:
                     continue
                 # not folded: it runs at evaluate, on constant towers of
@@ -127,26 +128,45 @@ class Expr:
             elif node.op == "div" and consts[node.args[1]] == 0.0:
                 lifted.add(node.args[1])  # so recip raises, as for a tower
             steps.append((nid, *step))
-        lifted.update(o for o in outputs if consts[o] is not None)
         lifted = sorted(lifted)
         numbered = lifted + [step[0] for step in steps]
         reg.update((nid, n_inputs + k) for k, nid in enumerate(numbered))
-        out_regs = tuple(reg[o] for o in outputs)
+        out_src = tuple(reg[o] if consts[o] is None else consts[o]
+                        for o in outputs)
+        gather, fill, step_outs = [], [], []  # (column, source) by kind
+        for j, src in enumerate(out_src):
+            if type(src) is float:
+                fill.append((j, src))
+            elif src < n_inputs:
+                gather.append((j, src))
+            else:
+                step_outs.append((j, src))
         steps = [(nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps]
         last: dict[int, int] = {}  # register -> the step that reads it last
         for k, (_, _, a, b) in enumerate(steps):
             last[a] = last[b] = k
+        kept = {r for _, r in step_outs}
         dead: list[list[int]] = [[] for _ in steps]
         for r, k in last.items():
-            if not (r < n_inputs or r in out_regs):
+            if not (r < n_inputs or r in kept):
                 dead[k].append(r)
+        gather = tuple(_index(col) for col in zip(*gather)) if gather else None
+        if fill:  # the constant towers of every order, one column each
+            block = np.zeros((1 << MAX_ORDER, len(fill)))
+            block[0] = [c for _, c in fill]
+            fill = (_index([j for j, _ in fill]), block)
+        else:
+            fill = None
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "_lifted", tuple(consts[i] for i in lifted))
         object.__setattr__(self, "_steps", tuple(
             step + (tuple(d),) for step, d in zip(steps, dead)))
-        object.__setattr__(self, "_out_regs", out_regs)
+        object.__setattr__(self, "_out_src", out_src)
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_fill", fill)
+        object.__setattr__(self, "_step_outs", tuple(step_outs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -187,14 +207,21 @@ class Expr:
         else:
             order = 0 if order is None else order
             batch_shape = () if batch_shape is None else tuple(batch_shape)
-        regs = self._run(regs, order, batch_shape)
+        if self._steps:
+            regs = self._run(regs, order, batch_shape)
         towers: dict[int, Tower] = {}
         out = []
-        for r in self._out_regs:
-            t = towers.get(r)
+        for o, src in zip(self.outputs, self._out_src):
+            t = towers.get(o)
             if t is None:
-                t = towers[r] = (inputs[r] if r < self.n_inputs
-                                 else Tower._raw(order, regs[r]))
+                if type(src) is float:
+                    arr = np.zeros((1 << order,) + tuple(batch_shape))
+                    arr[0] = src
+                    t = Tower._raw(order, arr)
+                else:
+                    t = (inputs[src] if src < self.n_inputs
+                         else Tower._raw(order, regs[src]))
+                towers[o] = t
             out.append(t)
         return out
 
@@ -220,11 +247,17 @@ class Expr:
         if blocks.shape[1] != self.n_inputs:
             raise ValueError(f"axis 1 must have length {self.n_inputs}, got "
                              f"shape {blocks.shape}")
-        batch = blocks.shape[2:]
-        regs = self._run([blocks[:, i] for i in range(self.n_inputs)],
-                         order, batch)
-        out = np.empty((1 << order, self.n_outputs) + batch)
-        for j, r in enumerate(self._out_regs):
+        n, batch = len(blocks), blocks.shape[2:]
+        if self._steps:  # before ``out`` exists, which would raise the peak
+            regs = self._run(list(blocks.swapaxes(0, 1)), order, batch)
+        out = np.empty((n, self.n_outputs) + batch)
+        if self._gather is not None:
+            cols, slots = self._gather
+            out[:, cols] = blocks[:, slots]
+        if self._fill is not None:
+            cols, block = self._fill
+            out[:, cols] = block[:n].reshape((n, -1) + (1,) * len(batch))
+        for j, r in self._step_outs:
             out[:, j] = regs[r]
         return out
 
@@ -274,6 +307,15 @@ class Expr:
                        [json_int(o, "output") for o in data["outputs"]])
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed expression AST: {err}") from err
+
+
+def _index(seq: Sequence[int]) -> slice | np.ndarray:
+    """``seq`` as an index: a slice when it is a run of consecutive
+    integers, since basic indexing costs a third of a gather here."""
+    first = seq[0]
+    if list(seq) == list(range(first, first + len(seq))):
+        return slice(first, first + len(seq))
+    return np.array(seq)
 
 
 def json_int(value, what: str) -> int:
@@ -338,23 +380,42 @@ def _step(node: Node, consts: Sequence[float | None]) -> tuple:
     return _UNARY_OPS[op], a, b
 
 
-def _fold(fn: Callable, a: int, b: int,
+# The order-0 kernels of these ops on Python floats: one IEEE operation
+# each, as numpy does it, and ``x / y`` as ``x * recip(y)`` (see
+# ``_with_const``).  A zero divisor gives None, so the node stays a step
+# and raises at evaluate, as ``recip`` does.
+_FLOAT_FOLDS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x * (1.0 / y) if y else None,
+    "neg": lambda x, _: -x,
+}
+
+
+def _fold(op: str, fn: Callable, a: int, b: int,
           consts: Sequence[float | None]) -> float | None:
     """The float ``fn`` gives on the constants ``a`` and ``b``, or None if
     it raises a domain error or is not finite there.
 
-    A non-finite value is left to the constant towers of the evaluation:
-    above order 0, an infinite derivative makes the derivative slots of a
-    constant tower NaN (0 * inf), which a float constant would not give;
-    its value slot keeps the order-0 value.
+    Arithmetic folds on Python floats (``_FLOAT_FOLDS``); powers and
+    primitives run ``fn`` on order-0 towers.  A non-finite value is left
+    to the constant towers of the evaluation: above order 0, an infinite
+    derivative makes the derivative slots of a constant tower NaN
+    (0 * inf), which a float constant would not give; its value slot
+    keeps the order-0 value.
     """
-    x, y = (np.full((1, 1), consts[i]) for i in (a, b))
-    try:
-        with np.errstate(all="ignore"):
-            value = float(fn(x, y)[0, 0])
-    except DomainError:
-        return None
-    return value if math.isfinite(value) else None
+    fold = _FLOAT_FOLDS.get(op)
+    if fold is not None:
+        value = fold(consts[a], consts[b])
+    else:
+        x, y = (np.full((1, 1), consts[i]) for i in (a, b))
+        try:
+            with np.errstate(all="ignore"):
+                value = float(fn(x, y)[0, 0])
+        except DomainError:
+            return None
+    return value if value is not None and math.isfinite(value) else None
 
 
 # -- building ---------------------------------------------------------

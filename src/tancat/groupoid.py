@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import MAX_ROUNDS, Domain, SmoothMap, box_domain, product_domain
+from .domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain, draw_bounds,
+                     product_domain)
 from .errors import SamplerError, StructureError
 from .expr import (Expr, ExprBuilder, build, reindex_inputs,
                    tangent_chart_map)
@@ -67,6 +68,10 @@ class FiberedGroupoid:
 
     # -- sampling -----------------------------------------------------
 
+    @cached_property
+    def _fiber_bounds(self) -> tuple:
+        return draw_bounds(self.arrows.box[self.base.dim:])
+
     def sample_objects(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.base.sample(rng, n)
 
@@ -79,8 +84,6 @@ class FiberedGroupoid:
         expressions are enforced (the bases are taken as given)."""
         p, q = self.base.dim, self.fiber_dim
         n = base_pts.shape[1]
-        lo, hi = self.arrows.box[p:, 0], self.arrows.box[p:, 1]
-        preds = self.arrows.constraints + self.arrows.sample_constraints
         out = np.empty((p + q, n))
         out[:p] = base_pts
         need = np.ones(n, dtype=bool)
@@ -88,13 +91,12 @@ class FiberedGroupoid:
             idx = np.flatnonzero(need)
             if not idx.size:
                 return out
-            draw = rng.uniform(lo[:, None], hi[:, None], size=(q, idx.size))
+            draw = rng.uniform(*self._fiber_bounds, size=(q, idx.size))
             cand = np.concatenate([base_pts[:, idx], draw], axis=0)
-            ok = np.ones(idx.size, dtype=bool)
-            for c in preds:
-                ok &= c(cand)[0] > 0.0
-            out[p:, idx[ok]] = draw[:, ok]
-            need[idx[ok]] = False
+            ok = self.arrows.admits(cand)
+            hit = idx[ok]
+            out[p:, hit] = draw[:, ok]
+            need[hit] = False
         raise SamplerError(f"groupoid {self.name or '?'}: could not extend "
                            f"{int(need.sum())} sources to arrows")
 

@@ -47,7 +47,10 @@ def residual(a, b) -> float:
     """Relative mismatch with an absolute floor near zero.
 
     Infinite when either side holds a value that is not finite, so a
-    NaN can never read as agreement.
+    NaN can never read as agreement.  A difference with no nonzero
+    entry is 0.0 before the sides are reduced: it holds no NaN, so
+    neither side holds a NaN or an infinity, and the full formula would
+    give 0.0 too.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -59,6 +62,8 @@ def residual(a, b) -> float:
     # in the difference makes both reductions NaN, and + 0.0 turns a
     # largest magnitude of -0.0 into 0.0
     num = float(max(diff.max(), -diff.min())) + 0.0
+    if num == 0.0:
+        return 0.0
     den = 1.0 + float(max(a.max(), -a.min(), b.max(), -b.min()))
     if not (math.isfinite(num) and math.isfinite(den)):
         return math.inf

@@ -248,6 +248,28 @@ def test_env_seed(tmp_path, monkeypatch):
     assert main(["axioms", "--samples", "20"]) == 2
 
 
+def test_negative_seed_is_exit_2(monkeypatch, capsys):
+    # numpy's SeedSequence refuses a negative seed with a traceback
+    assert main(["axioms", "--samples", "20", "--dims", "1",
+                 "--seed", "-1"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error: --seed" in cap.err
+    monkeypatch.setenv("TANCAT_SEED", "-5")
+    assert main(["axioms", "--samples", "20", "--dims", "1"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "error: TANCAT_SEED='-5'" in cap.err
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_unwritable_out_is_exit_2(where, tmp_path, capsys):
+    # a missing directory, and a directory in place of a file
+    out = tmp_path / where
+    assert main(["axioms", "--samples", "20", "--dims", "1",
+                 "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and f"error: cannot write {out}: " in cap.err
+
+
 def test_module_invocation(tmp_path):
     out = tmp_path / "m.json"
     proc = subprocess.run(

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, Node, build, exp, log,
+from tancat.expr import (Expr, ExprBuilder, Node, _fold, build, exp, log,
                          parallel, reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
-from tancat.tower import (Tower, lift_primitive, pow_int, reciprocal,
-                          split_top)
+from tancat.tower import (Tower, _add, _div, _mul, _sub, lift_primitive,
+                          pow_int, reciprocal, split_top)
 
 
 def tower(order, *coeffs):
@@ -247,21 +247,61 @@ def test_schedule_matches_reference_on_signed_zeros_and_infinities(order):
             assert_matches_float_reference(e, ins)
 
 
+def per_column(e, blocks):
+    """``e.on_blocks(blocks)`` by one copy per output column, from the
+    node-by-node float reference."""
+    order, batch = len(blocks).bit_length() - 1, blocks.shape[2:]
+    outs = float_reference_evaluate(
+        e, [Tower(order, blocks[:, i]) for i in range(e.n_inputs)],
+        order=order, batch_shape=batch)
+    out = np.empty((len(blocks), e.n_outputs) + batch)
+    for j, t in enumerate(outs):
+        out[:, j] = t.coeffs
+    return out
+
+
 @pytest.mark.parametrize("order", range(5))
 def test_outputs_that_are_inputs_and_repeated_outputs(order):
     b = ExprBuilder(2)
     x, y = b.inputs()
     s = x * y + 1.0
-    e = b.finish([x, s, y ** 1, s, 2.0, x, 2.0])
+    e = b.finish([x, s, y ** 1, s, 2.0, x, 2.0, -0.0, y])
     rng = np.random.default_rng(500 + order)
     ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order, 3)))
            for _ in range(2)]
     assert_matches_float_reference(e, ins)
     out = e.evaluate(ins)
-    assert out[0] is ins[0] and out[5] is ins[0]
+    assert out[0] is ins[0] and out[5] is ins[0] and out[8] is ins[1]
     assert out[1] is out[3] and out[4] is out[6]
     assert np.array_equal(out[2].coeffs, ins[1].coeffs)
     assert not any(t.coeffs.flags.writeable for t in out)
+    # the bulk gather and constant write give the per-column bytes, the
+    # sign of -0.0 included, on a batch and unbatched
+    for blocks in (np.stack([t.coeffs for t in ins], axis=1),
+                   np.stack([t.coeffs[:, 0] for t in ins], axis=1)):
+        blocks[0, 0, ...] = -0.0
+        got = e.on_blocks(blocks)
+        assert got.tobytes() == per_column(e, blocks).tobytes()
+        assert np.signbit(got[0, 7]).all() and not np.signbit(got[1:, 7]).any()
+        assert not np.shares_memory(got, blocks)
+
+
+def test_on_blocks_matches_per_column_copies_on_random_dags():
+    rng = np.random.default_rng(510)
+    for _ in range(100):
+        order = int(rng.integers(0, 5))
+        n_in = int(rng.integers(1, 4))
+        e = random_expr(rng, n_in, int(rng.integers(1, 5)),
+                        depth=int(rng.integers(0, 5)))
+        blocks = rng.uniform(-1.5, 1.5, size=(1 << order, n_in, 4))
+        with np.errstate(all="ignore"):
+            assert (e.on_blocks(blocks).tobytes()
+                    == per_column(e, blocks).tobytes())
+
+
+def out_registers(e):
+    # the registers outputs read: input slots and steps, not floats
+    return {r for r in e._out_src if type(r) is int}
 
 
 def live_registers(e, inputs):
@@ -287,7 +327,7 @@ def test_freed_registers_spare_inputs_and_outputs(order):
     ins = [Tower(order, rng.uniform(-1.5, 1.5, size=(1 << order, 4)))
            for _ in range(2)]
     assert_matches_float_reference(e, ins)
-    kept = set(range(e.n_inputs)) | set(e._out_regs)
+    kept = set(range(e.n_inputs)) | out_registers(e)
     assert live_registers(e, ins) == kept
     assert len(kept) < e.n_inputs + len(e._lifted) + len(e._steps)
 
@@ -302,7 +342,7 @@ def test_only_inputs_and_outputs_stay_live_on_random_dags():
                for _ in range(n_in)]
         assert_matches_float_reference(e, ins)
         assert live_registers(e, ins) == (set(range(n_in))
-                                          | set(e._out_regs))
+                                          | out_registers(e))
 
 
 def test_call_is_order_zero_evaluate_bitwise():
@@ -349,11 +389,14 @@ def test_constant_outputs_match_reference():
 def test_zero_input_expression_matches_reference():
     b = ExprBuilder(0)
     two = b.const(2.0)
-    e = b.finish([two, two * two + 1.0, log(two)])
+    e = b.finish([two, two * two + 1.0, log(two), -0.0, two])
+    assert not e._steps  # every output folds: on_blocks runs no schedule
     for order, batch in ((0, ()), (3, (4,)), (2, (2, 3))):
         assert_matches_reference(e, [], order=order, batch_shape=batch)
         out = e.evaluate([], order=order, batch_shape=batch)
         assert all(t.order == order and t.batch_shape == batch for t in out)
+        blocks = np.empty((1 << order, 0) + batch)
+        assert e.on_blocks(blocks).tobytes() == per_column(e, blocks).tobytes()
 
 
 @pytest.mark.parametrize("make, op", [
@@ -371,6 +414,44 @@ def test_constant_domain_errors_surface_at_evaluate(make, op):
         reference_evaluate(e, [x])
     assert str(got.value) == str(want.value)
     assert f"({op}): " in str(got.value)
+
+
+FOLD_VALUES = [0.0, -0.0, 1.5, -2.0, 3.0, math.inf, -math.inf, math.nan,
+               1e300, -1e300, 1e-300, -1e-300, 5e-324]
+
+
+def numpy_fold(op, x, y):
+    """The fold on order-0 towers of shape (1, 1), by the array kernels."""
+    fn = {"add": _add, "sub": _sub, "mul": _mul, "div": _div,
+          "neg": lambda a, _: -a}[op]
+    try:
+        with np.errstate(all="ignore"):
+            value = float(fn(np.full((1, 1), x), np.full((1, 1), y))[0, 0])
+    except DomainError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "neg"])
+def test_float_folds_keep_the_bits_of_the_numpy_fold(op):
+    # signed zeros, infinities, NaN, overflow past 1e300 and zero divisors:
+    # a fold is the same float, or None (left to a step) on both sides
+    for x in FOLD_VALUES:
+        for y in FOLD_VALUES:
+            got, want = _fold(op, None, 0, 1, [x, y]), numpy_fold(op, x, y)
+            assert (got is None) == (want is None), (x, y)
+            if got is not None:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            b = ExprBuilder(0)
+            cx, cy = b.const(x), b.const(y)
+            h = {"add": operator.add, "sub": operator.sub,
+                 "mul": operator.mul, "div": operator.truediv,
+                 "neg": lambda a, _: -a}[op](cx, cy)
+            e = b.finish([h])
+            assert (not e._steps) == (got is not None)
+            if y or op != "div":  # a zero divisor raises, checked elsewhere
+                with np.errstate(all="ignore"):
+                    assert_matches_float_reference(e, [])
 
 
 def read_by_outputs(e):

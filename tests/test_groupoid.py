@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from tancat.domain import Domain, SmoothMap, box_domain, product_domain
-from tancat.errors import StructureError
-from tancat.expr import ExprBuilder, build, reindex_inputs
+from tancat.domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain,
+                           draw_bounds, product_domain)
+from tancat.errors import DomainError, StructureError
+from tancat.expr import ExprBuilder, build, log, reindex_inputs
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              action_groupoid, check_differentiability,
                              check_groupoid_axioms, check_tangent_functor,
@@ -108,6 +109,145 @@ def test_product_domain_lifts_sampling_guards():
     assert len(arrows.sample_constraints) == 1
     m = arrows.sample(rng, 400)[2:]
     assert np.all(np.abs(m[0] * m[3] - m[1] * m[2]) >= 0.25)
+
+
+def test_draw_keeps_the_bits_and_the_state_of_the_column_draw():
+    # numpy's scalar-bound path runs lo + (hi - lo) * u as its broadcast
+    # path does, one u per entry in C order
+    rng = np.random.default_rng(40)
+    rows = [[-1.0, 1.0], [-1.2, 1.2], [-2.0, 2.0], [0.0, 3.5], [-0.0, 0.0],
+            [1e-300, 1e300], [-5.0, -5.0]]
+    for _ in range(200):
+        dim = int(rng.integers(0, 6))
+        pick = rng.integers(0, len(rows), size=dim)
+        if rng.random() < 0.5:
+            pick[:] = pick[:1]  # one row repeated: the scalar path
+        box = np.array([rows[i] for i in pick]).reshape(dim, 2)
+        n = int(rng.integers(0, 50))
+        seed = int(rng.integers(1 << 30))
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = got_rng.uniform(*draw_bounds(box), size=(dim, n))
+        want = want_rng.uniform(box[:, 0][:, None], box[:, 1][:, None],
+                                size=(dim, n))
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert isinstance(draw_bounds(np.tile([-1.0, 1.0], (3, 1)))[0], float)
+    assert draw_bounds(np.array([[-1.0, 1.0], [-1.0, 2.0]]))[0].shape == (2, 1)
+
+
+def loop_sample(dom, rng, n):
+    """The rejection sampler with one predicate call per constraint."""
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+    chunks, have = [], 0
+    for _ in range(MAX_ROUNDS):
+        draw = rng.uniform(lo[:, None], hi[:, None],
+                           size=(dom.dim, 2 * max(n - have, 1)))
+        ok = np.ones(draw.shape[1], dtype=bool)
+        for c in dom.constraints + dom.sample_constraints:
+            ok &= c(draw)[0] > 0.0
+        chunks.append(draw[:, ok])
+        have += int(ok.sum())
+        if have >= n:
+            return np.concatenate(chunks, axis=1)[:, :n]
+    raise AssertionError("budget exhausted")
+
+
+def loop_with_source(G, rng, base_pts):
+    p, q = G.base.dim, G.fiber_dim
+    lo, hi = G.arrows.box[p:, 0], G.arrows.box[p:, 1]
+    out = np.empty((p + q, base_pts.shape[1]))
+    out[:p] = base_pts
+    need = np.ones(base_pts.shape[1], dtype=bool)
+    while need.any():
+        idx = np.flatnonzero(need)
+        draw = rng.uniform(lo[:, None], hi[:, None], size=(q, idx.size))
+        cand = np.concatenate([base_pts[:, idx], draw], axis=0)
+        ok = np.ones(idx.size, dtype=bool)
+        for c in G.arrows.constraints + G.arrows.sample_constraints:
+            ok &= c(cand)[0] > 0.0
+        out[p:, idx[ok]] = draw[:, ok]
+        need[idx[ok]] = False
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
+def test_samplers_keep_the_bits_of_the_per_constraint_loop(name):
+    G = BUILTIN_GROUPOIDS[name]()
+    T = tangent_groupoid(G)
+    for H in (G, T):
+        for dom in (H.base, H.arrows, H.compose.dom):
+            for n in (1, 7, 200):
+                got_rng, want_rng = (rng_for(n, "sampler/" + name)
+                                     for _ in range(2))
+                got = dom.sample(got_rng, n)
+                assert got.tobytes() == loop_sample(dom, want_rng, n).tobytes()
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state)
+                assert dom.contains(got).all()
+        base = H.base.sample(rng_for(3, "sampler/base"), 50)
+        got_rng, want_rng = (rng_for(4, "sampler/fiber") for _ in range(2))
+        got = H._with_source(got_rng, base)
+        assert got.tobytes() == loop_with_source(H, want_rng, base).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_joined_predicates_match_the_per_constraint_loop():
+    # gl3's chart constraint and sampling guard share the determinant,
+    # which the joined program runs once
+    arrows = matrix_group(3).arrows
+    program = arrows._sample_program
+    assert len(program._steps) < sum(len(c._steps) for c in
+                                     arrows.constraints
+                                     + arrows.sample_constraints)
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.2, 1.2, size=(9, 2, 300))
+    pts[:, 0, :3] = 0.0        # det 0: outside the chart
+    pts[0, 1, :3] = np.nan     # a NaN is never a member
+    for guards in (False, True):
+        preds = arrows.constraints + (arrows.sample_constraints
+                                      if guards else ())
+        want = np.ones((2, 300), dtype=bool)
+        for c in preds:
+            want &= c(pts)[0] > 0.0
+        got = arrows.admits(pts) if guards else arrows.contains(pts)
+        assert np.array_equal(got, want) and got.shape == want.shape
+    assert arrows.contains(pts[:, 0, 5]) == (arrows.constraints[0](pts[:, 0, 5])
+                                             [0] > 0.0)
+
+
+def test_joined_predicates_keep_the_domain_error_of_the_failing_constraint():
+    # `second` leaves log's domain at the second point and `third`
+    # divides by zero; a message names the node of the first constraint
+    # that fails, numbered as in that constraint (log is node 4 there,
+    # node 6 in the joined program, which shares x0 * x0 with `first`)
+    first = build(2, lambda x: [x[0] * x[0] + 1.0])
+    second = build(2, lambda x: [log(x[1] + x[0] * x[0]) + 2.0])
+    third = build(2, lambda x: [1.0 / (x[0] - x[0])])
+    pts = np.array([[0.5, 0.0], [1.0, -3.0]])
+
+    def outcome(run, *args):
+        try:
+            return run(*args).tolist()
+        except DomainError as err:
+            return str(err)
+
+    def loop(preds):
+        ok = np.ones(2, dtype=bool)
+        for c in preds:
+            ok &= c(pts)[0] > 0.0
+        return ok
+
+    seen = set()
+    for cons, guards in (((first, second), ()), ((first,), (second, third)),
+                         ((first, third), (second,))):
+        dom = Domain(2, np.tile([-5.0, 5.0], (2, 1)), constraints=cons,
+                     sample_constraints=guards)
+        for run, preds in ((dom.contains, cons), (dom.admits, cons + guards)):
+            got = outcome(run, pts)
+            assert got == outcome(loop, preds)
+            seen.add(got if isinstance(got, str) else "ok")
+    assert {s.split(":")[0] for s in seen} == {"ok", "node 4 (log)",
+                                                "node 4 (div)"}
 
 
 class TestTangentGroupoid:

@@ -169,10 +169,23 @@ class TestBasics:
             a, b = rng.standard_normal((2, 5))
             a[2] = bad
             cases += [(a, b), (b, a), (a, a.copy())]
+        # all-zero differences, which return at once: equal arrays, -0.0
+        # against 0.0, a broadcast side, and a large equal pair
+        same = rng.standard_normal((3, 4)) * 1e3
+        signed = np.where(rng.random((3, 4)) < 0.5, -0.0, 0.0)
+        cases += [(same, same.copy()), (signed, np.abs(signed)),
+                  (np.full((3, 4), 2.5), np.array([2.5])),
+                  (np.full(50_000, -1.0), np.full(50_000, -1.0))]
         for a, b in cases:
             got, want = residual(a, b), by_abs(a, b)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert math.copysign(1.0, got) == 1.0   # never -0.0
+            with np.errstate(invalid="ignore"):
+                diff = a - b
+            if diff.size and not diff.any():
+                assert got == 0.0
+            elif not (np.isfinite(a).all() and np.isfinite(b).all()):
+                assert got == math.inf   # inf against inf, and any NaN
 
 
 class TestProjections:

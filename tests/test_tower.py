@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tancat import tower as tower_module
 from tancat.errors import DomainError
-from tancat.tower import (_MUL_VIEWS, MAX_ORDER, Tower, _align, allclose,
-                          join_top, lift_primitive, pow_int, reciprocal,
-                          split_top, tower_mul)
+from tancat.tower import (_GATHER_BELOW, _MUL_VIEWS, MAX_ORDER, Tower, _align,
+                          allclose, join_top, lift_primitive, pow_int,
+                          reciprocal, split_top, tower_mul)
 
 
 def oracle_mul(order, a, b):
@@ -58,22 +59,70 @@ def per_sample(coeffs, batch):
     return np.broadcast_to(padded, coeffs.shape[:1] + batch)
 
 
+PRODUCT_SHAPES = [((), ()), ((7,), (7,)), ((2, 3), (2, 3)),
+                  ((5,), ()), ((), (5,)), ((4, 1), (4, 6))]
+
+
 @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
 def test_product_matches_bruteforce_oracle(order):
     rng = np.random.default_rng(1234 + order)
-    for shape_a, shape_b in [((), ()), ((7,), (7,)), ((2, 3), (2, 3)),
-                             ((5,), ()), ((), (5,)), ((4, 1), (4, 6))]:
+    for shape_a, shape_b in PRODUCT_SHAPES:
         batch = np.broadcast_shapes(shape_a, shape_b)
         for _ in range(20):
             a = rng.uniform(-2, 2, size=(1 << order,) + shape_a)
             b = rng.uniform(-2, 2, size=(1 << order,) + shape_b)
             got = (Tower(order, a) * Tower(order, b)).coeffs
             assert got.shape == (1 << order,) + batch
+            assert got.tobytes() == strided_mul(a, b).tobytes()
             a_full, b_full = per_sample(a, batch), per_sample(b, batch)
             for idx in np.ndindex(batch):
                 at = (slice(None),) + idx
                 assert np.allclose(got[at], oracle_mul(order, a_full[at], b_full[at]),
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("path", ["chosen", "gather"])
+@pytest.mark.parametrize("order", range(2, MAX_ORDER + 1))
+def test_gather_product_keeps_the_bits_of_the_strided_loop(order, path,
+                                                           monkeypatch):
+    # the term-major gather adds each mask's terms in the strided loop's
+    # order, so signed zeros, infinities and NaNs keep their bits; "chosen"
+    # lets the batch bound pick the path, "gather" forces it everywhere
+    n = 1 << order
+    if path == "gather":
+        monkeypatch.setitem(tower_module._GATHER, n,
+                            (math.inf, tower_module._GATHER[n][1]))
+    below = _GATHER_BELOW[order]
+    rng = np.random.default_rng(70 + order)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    shapes = PRODUCT_SHAPES + [((below - 1,), (below - 1,)),
+                               ((below,), (below,)), ((below + 1,), ())]
+    for shape_a, shape_b in shapes:
+        for _ in range(5):
+            a = rng.uniform(-2.0, 2.0, size=(n,) + shape_a)
+            b = rng.uniform(-2.0, 2.0, size=(n,) + shape_b)
+            for c in (a, b):
+                hit = rng.random(c.shape) < 0.3
+                c[hit] = rng.choice(special, size=int(hit.sum()))
+            with np.errstate(invalid="ignore"):
+                got = tower_mul(Tower(order, a), Tower(order, b)).coeffs
+                want = strided_mul(a, b)
+            assert got.shape == want.shape
+            assert same_bits_but_nan_signs(got, want)
+
+
+def same_bits_but_nan_signs(got, want):
+    """Bitwise equality, with every NaN taken as one value.
+
+    IEEE leaves the sign of a NaN made from non-NaN operands (inf * 0)
+    open, and numpy's loops for a broadcast operand and for two arrays
+    differ in it, so the paths agree on where the NaNs are, not on their
+    sign bits.
+    """
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and np.where(nan, 0.0, got).tobytes()
+            == np.where(nan, 0.0, want).tobytes())
 
 
 def test_square_of_generator_vanishes():
