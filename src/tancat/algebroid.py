@@ -33,7 +33,7 @@ from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
 from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
-from .report import rng_for
+from .report import rng_for, uniform
 from .tanpoint import residual
 
 GATE_TOL = 1e-9
@@ -196,7 +196,7 @@ def _default_sections(al: Algebroid, rng: np.random.Generator,
     out = []
     for k in range(count):
         if p == 0:
-            out.append(al.constant_section(rng.uniform(-1.0, 1.0, size=q),
+            out.append(al.constant_section(uniform(rng, -1.0, 1.0, q),
                                            name=f"s{k}"))
         else:
             out.append(al.section(random_expr(rng, p, q, depth=depth),

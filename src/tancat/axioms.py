@@ -24,7 +24,7 @@ from . import tanpoint as tp
 from .domain import SmoothMap, box_domain, product_domain
 from .expr import build, parallel, tangent_lift
 from .randexpr import random_expr
-from .report import CheckResult, Report, RunConfig, rng_for
+from .report import CheckResult, Report, RunConfig, rng_for, uniform
 from .tanpoint import residual
 
 
@@ -63,12 +63,12 @@ def _check(diagram, cases=None):
 
 
 def _point(rng, dim, order, n) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=(1 << order, dim, n))
+    return uniform(rng, -1.0, 1.0, (1 << order, dim, n))
 
 
 def _share(rng, p: np.ndarray, keep_masks) -> np.ndarray:
     """A fresh random point agreeing with p on the given blocks."""
-    arr = rng.uniform(-1.0, 1.0, size=p.shape)
+    arr = uniform(rng, -1.0, 1.0, p.shape)
     for m in keep_masks:
         arr[m] = p[m]
     return arr
@@ -120,7 +120,7 @@ def _nat_vlift(ops, rng, d, n):
 
 def _nat_scale(ops, rng, d, n):
     f, p = _map(rng, d), _point(rng, d, 1, n)
-    r = rng.uniform(-2.0, 2.0, size=n)
+    r = uniform(rng, -2.0, 2.0, n)
     yield (ops.scale_level(ops.apply(f, p), r, 1),
            ops.apply(f, ops.scale_level(p, r, 1)))
 
@@ -249,7 +249,7 @@ def _t6_kernel(ops, rng, d, n):
     yield r1, p1
     yield r2, p2
     # conversely anything killed by the projected tangent arises so
-    arr = rng.uniform(-1.0, 1.0, size=(4, d, n))
+    arr = uniform(rng, -1.0, 1.0, (4, d, n))
     arr[2] = 0.0
     yield ops.vertical_lift_pair(*tp.vertical_pair_parts(arr)), arr
 
@@ -281,7 +281,7 @@ def _kappa_map(d: int) -> SmoothMap:
 
 def _scalar_lift(ops, rng, d, n):
     p = _point(rng, d, 1, n)
-    r = rng.uniform(-2.0, 2.0, size=n)
+    r = uniform(rng, -2.0, 2.0, n)
     yield (ops.vertical_lift(ops.scale_level(p, r, 1), 1),
            ops.scale_level(ops.vertical_lift(p, 1), r, 2))
 
@@ -289,13 +289,13 @@ def _scalar_lift(ops, rng, d, n):
 def _scalar_partial1(ops, rng, d, n):
     kappa = _kappa_map(d)
     p = _point(rng, d, 1, n)
-    r = rng.uniform(-1.0, 1.0, size=n)
-    rdot = rng.uniform(-1.0, 1.0, size=n)
+    r = uniform(rng, -1.0, 1.0, n)
+    rdot = uniform(rng, -1.0, 1.0, n)
     arr = np.empty((2, 1 + 2 * d, n))
     arr[0, 0] = r
     arr[0, 1:] = p.reshape(2 * d, n)
     arr[1, 0] = rdot
-    arr[1, 1:] = rng.uniform(-1.0, 1.0, size=(2 * d, n))  # junk, zeroed
+    arr[1, 1:] = uniform(rng, -1.0, 1.0, (2 * d, n))  # junk, zeroed
     yield (tp.expand_inner(tp.partial_tangent(kappa, 1, arr)),
            ops.vertical_lift_pair(ops.scale_level(p, r, 1),
                                   ops.scale_level(p, rdot, 1)))
@@ -304,10 +304,10 @@ def _scalar_partial1(ops, rng, d, n):
 def _scalar_partial2(ops, rng, d, n):
     kappa = _kappa_map(d)
     xi = _point(rng, d, 2, n)
-    r = rng.uniform(-1.0, 1.0, size=n)
+    r = uniform(rng, -1.0, 1.0, n)
     arr = np.empty((2, 1 + 2 * d, n))
     arr[0, 0] = r
-    arr[1, 0] = rng.uniform(-1.0, 1.0, size=n)  # junk, zeroed
+    arr[1, 0] = uniform(rng, -1.0, 1.0, n)  # junk, zeroed
     arr[:, 1:] = tp.collapse_inner(xi)
     yield (tp.expand_inner(tp.partial_tangent(kappa, 2, arr)),
            ops.swap_levels(ops.scale_level(ops.swap_levels(xi, 1), r, 2), 1))
@@ -315,8 +315,8 @@ def _scalar_partial2(ops, rng, d, n):
 
 def _scalar_assoc(ops, rng, d, n):
     p = _point(rng, d, 1, n)
-    r = rng.uniform(-2.0, 2.0, size=n)
-    s = rng.uniform(-2.0, 2.0, size=n)
+    r = uniform(rng, -2.0, 2.0, n)
+    s = uniform(rng, -2.0, 2.0, n)
     yield (ops.scale_level(ops.scale_level(p, s, 1), r, 1),
            ops.scale_level(p, r * s, 1))
 
@@ -329,8 +329,8 @@ def _scalar_unit(ops, rng, d, n):
 
 def _scalar_add_scalar(ops, rng, d, n):
     p = _point(rng, d, 1, n)
-    r = rng.uniform(-2.0, 2.0, size=n)
-    s = rng.uniform(-2.0, 2.0, size=n)
+    r = uniform(rng, -2.0, 2.0, n)
+    s = uniform(rng, -2.0, 2.0, n)
     yield (ops.scale_level(p, r + s, 1),
            ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(p, s, 1),
                          level=1))
@@ -339,7 +339,7 @@ def _scalar_add_scalar(ops, rng, d, n):
 def _scalar_add_vector(ops, rng, d, n):
     p = _point(rng, d, 1, n)
     q = _share(rng, p, [0])
-    r = rng.uniform(-2.0, 2.0, size=n)
+    r = uniform(rng, -2.0, 2.0, n)
     yield (ops.scale_level(ops.add_fiber(p, q), r, 1),
            ops.add_fiber(ops.scale_level(p, r, 1), ops.scale_level(q, r, 1)))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, SamplerError
 from .expr import Expr, ExprBuilder, json_int, reindex_inputs
+from .report import uniform_width
 
 # rejection-sampling rounds before a sampler gives up
 MAX_ROUNDS = 64
@@ -91,14 +92,15 @@ class Domain:
         return draw_bounds(self.box)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Rejection-sample n member points, shape (dim, n)."""
-        if self.dim == 0:
-            return np.zeros((0, n))
+        """Rejection-sample n member points, shape (dim, n); no point
+        is drawn when none is wanted."""
+        if self.dim == 0 or n == 0:
+            return np.zeros((self.dim, n))
         chunks: list[np.ndarray] = []
         have = 0
         for _ in range(MAX_ROUNDS):
-            want = max(n - have, 1)
-            draw = rng.uniform(*self._bounds, size=(self.dim, 2 * want))
+            draw = uniform_width(rng, *self._bounds,
+                                 size=(self.dim, 2 * (n - have)))
             ok = self.admits(draw)
             kept = draw[:, ok]
             if kept.shape[1]:
@@ -138,16 +140,11 @@ class Domain:
 
 
 def draw_bounds(box: np.ndarray) -> tuple:
-    """``(lo, hi)`` for ``rng.uniform`` over the rows of ``box``.
-
-    Scalars when the box has rows and they are all one row: numpy then
-    takes its scalar-bound path, which draws the same numbers (``lo +
-    (hi - lo) * u``, one ``u`` per entry in C order) with less set-up
-    than broadcasting columns; otherwise one column per row.
-    """
-    if len(box) and len({row.tobytes() for row in box}) == 1:
-        return float(box[0, 0]), float(box[0, 1])
-    return box[:, :1], box[:, 1:]
+    """``(lo, width)`` columns of the rows of ``box``, for
+    ``report.uniform_width``: each row's ``width`` is ``hi - lo``, as
+    ``rng.uniform`` computes it, so the draw has its bits."""
+    lo = box[:, :1]
+    return lo, box[:, 1:] - lo
 
 
 def _joined(exprs: tuple[Expr, ...], dim: int) -> Expr:

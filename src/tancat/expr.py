@@ -70,11 +70,13 @@ class Expr:
     input registers and those of outputs are never dropped.  An output
     is an input slot, a float or a step register (``_out_src``), and
     ``on_blocks`` writes each kind at once: the inputs by one gather,
-    the floats by one write, and only the step outputs one by one.
+    the floats by one write, and only the step outputs one by one.  Its
+    tables (``_plan``) are built on its first call: many programs are
+    only spliced into larger ones and never run.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
-                 "_out_src", "_gather", "_fill", "_step_outs")
+                 "_out_src", "_plan")
 
     def __init__(self, nodes: Sequence[Node], n_inputs: int,
                  outputs: Sequence[int]) -> None:
@@ -133,30 +135,15 @@ class Expr:
         reg.update((nid, n_inputs + k) for k, nid in enumerate(numbered))
         out_src = tuple(reg[o] if consts[o] is None else consts[o]
                         for o in outputs)
-        gather, fill, step_outs = [], [], []  # (column, source) by kind
-        for j, src in enumerate(out_src):
-            if type(src) is float:
-                fill.append((j, src))
-            elif src < n_inputs:
-                gather.append((j, src))
-            else:
-                step_outs.append((j, src))
         steps = [(nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps]
         last: dict[int, int] = {}  # register -> the step that reads it last
         for k, (_, _, a, b) in enumerate(steps):
             last[a] = last[b] = k
-        kept = {r for _, r in step_outs}
+        kept = {src for src in out_src if type(src) is not float}
         dead: list[list[int]] = [[] for _ in steps]
         for r, k in last.items():
             if not (r < n_inputs or r in kept):
                 dead[k].append(r)
-        gather = tuple(_index(col) for col in zip(*gather)) if gather else None
-        if fill:  # the constant towers of every order, one column each
-            block = np.zeros((1 << MAX_ORDER, len(fill)))
-            block[0] = [c for _, c in fill]
-            fill = (_index([j for j, _ in fill]), block)
-        else:
-            fill = None
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "n_inputs", n_inputs)
         object.__setattr__(self, "outputs", outputs)
@@ -164,9 +151,7 @@ class Expr:
         object.__setattr__(self, "_steps", tuple(
             step + (tuple(d),) for step, d in zip(steps, dead)))
         object.__setattr__(self, "_out_src", out_src)
-        object.__setattr__(self, "_gather", gather)
-        object.__setattr__(self, "_fill", fill)
-        object.__setattr__(self, "_step_outs", tuple(step_outs))
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -250,16 +235,41 @@ class Expr:
         n, batch = len(blocks), blocks.shape[2:]
         if self._steps:  # before ``out`` exists, which would raise the peak
             regs = self._run(list(blocks.swapaxes(0, 1)), order, batch)
+        gather, fill, step_outs = self._plan or self._block_plan()
         out = np.empty((n, self.n_outputs) + batch)
-        if self._gather is not None:
-            cols, slots = self._gather
+        if gather is not None:
+            cols, slots = gather
             out[:, cols] = blocks[:, slots]
-        if self._fill is not None:
-            cols, block = self._fill
+        if fill is not None:
+            cols, block = fill
             out[:, cols] = block[:n].reshape((n, -1) + (1,) * len(batch))
-        for j, r in self._step_outs:
+        for j, r in step_outs:
             out[:, j] = regs[r]
         return out
+
+    def _block_plan(self) -> tuple:
+        """The output tables of ``on_blocks``, made and kept on its first
+        call: the input columns as one gather, the float columns with a
+        block of their constant towers at every order, and the step
+        outputs as ``(column, register)`` pairs."""
+        gather, fill, step_outs = [], [], []  # (column, source) by kind
+        for j, src in enumerate(self._out_src):
+            if type(src) is float:
+                fill.append((j, src))
+            elif src < self.n_inputs:
+                gather.append((j, src))
+            else:
+                step_outs.append((j, src))
+        gather = tuple(_index(col) for col in zip(*gather)) if gather else None
+        if fill:  # the constant towers of every order, one column each
+            block = np.zeros((1 << MAX_ORDER, len(fill)))
+            block[0] = [c for _, c in fill]
+            fill = (_index([j for j, _ in fill]), block)
+        else:
+            fill = None
+        plan = (gather, fill, tuple(step_outs))
+        object.__setattr__(self, "_plan", plan)
+        return plan
 
     def _run(self, regs: list, order: int, batch_shape: tuple) -> list:
         """Run the schedule on the input arrays ``regs``, in place.

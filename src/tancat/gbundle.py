@@ -20,6 +20,7 @@ from . import tanpoint as tp
 from .errors import VerticalityError
 from .fields import VectorField, field_add, field_scale, lie_bracket
 from .groupoid import FiberedGroupoid, _tcompose
+from .report import uniform
 from .tanpoint import order_of, residual
 
 VERTICAL_TOL = 1e-9
@@ -98,9 +99,9 @@ def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,
     p, r = G.base.dim, G.fiber_dim
     res: dict[str, float] = {}
     e, g = _action_pairs(G, rng, samples)
-    u1 = rng.uniform(-1.0, 1.0, size=(r, samples))
-    u2 = rng.uniform(-1.0, 1.0, size=(r, samples))
-    s = rng.uniform(-2.0, 2.0, size=samples)
+    u1 = uniform(rng, -1.0, 1.0, (r, samples))
+    u2 = uniform(rng, -1.0, 1.0, (r, samples))
+    s = uniform(rng, -2.0, 2.0, samples)
     xi = vertical_tangent(e, u1, p)
     eta = vertical_tangent(e, u2, p)
     mxi, meta = act_on_vertical(G, xi, g), act_on_vertical(G, eta, g)

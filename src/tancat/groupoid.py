@@ -25,6 +25,7 @@ from .domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain, draw_bounds,
 from .errors import SamplerError, StructureError
 from .expr import (Expr, ExprBuilder, build, reindex_inputs,
                    tangent_chart_map)
+from .report import uniform, uniform_width
 from .tanpoint import apply_tangent, residual
 
 
@@ -91,7 +92,7 @@ class FiberedGroupoid:
             idx = np.flatnonzero(need)
             if not idx.size:
                 return out
-            draw = rng.uniform(*self._fiber_bounds, size=(q, idx.size))
+            draw = uniform_width(rng, *self._fiber_bounds, size=(q, idx.size))
             cand = np.concatenate([base_pts[:, idx], draw], axis=0)
             ok = self.arrows.admits(cand)
             hit = idx[ok]
@@ -206,7 +207,7 @@ def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
 
 def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> np.ndarray:
     vals = G.sample_arrows(rng, n)
-    blocks = rng.uniform(-1.0, 1.0, size=(1 << order, G.arrow_dim, n))
+    blocks = uniform(rng, -1.0, 1.0, (1 << order, G.arrow_dim, n))
     blocks[0] = vals
     return blocks
 
@@ -215,7 +216,7 @@ def _force_source(G: FiberedGroupoid, rng, tgt: np.ndarray) -> np.ndarray:
     """A random tangent arrow whose tangent source is the given point."""
     p = G.base.dim
     vals = G._with_source(rng, tgt[0])
-    blocks = rng.uniform(-1.0, 1.0, size=(len(tgt), G.arrow_dim, tgt.shape[2]))
+    blocks = uniform(rng, -1.0, 1.0, (len(tgt), G.arrow_dim, tgt.shape[2]))
     blocks[0] = vals
     blocks[:, :p] = tgt
     return blocks

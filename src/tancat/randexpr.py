@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Expr, ExprBuilder, cos, exp, log, sin, sqrt
+from .report import uniform
 
 _BOUND_CAP = 30.0
 _INPUT_BOUND = 1.5   # magnitude bound assumed for every input
@@ -24,7 +25,7 @@ def random_expr(rng: np.random.Generator, n_in: int, n_out: int,
     b = ExprBuilder(n_in)
     pool: list[tuple] = [(b.input(i), _INPUT_BOUND) for i in range(n_in)]
     for _ in range(2):
-        c = float(rng.uniform(-1.0, 1.0))
+        c = uniform(rng, -1.0, 1.0)
         pool.append((b.const(c), abs(c)))
 
     def pick():
@@ -34,37 +35,37 @@ def random_expr(rng: np.random.Generator, n_in: int, n_out: int,
         (a, ba), (bb_h, bb) = pick(), pick()
         kind = int(rng.integers(8))
         if kind == 0:
-            c1, c2, c0 = rng.uniform(-1.2, 1.2, size=3)
+            c1, c2, c0 = uniform(rng, -1.2, 1.2, 3)
             return (float(c1) * a + float(c2) * bb_h + float(c0),
                     abs(c1) * ba + abs(c2) * bb + abs(c0))
         if kind == 1:
             return ((0.5 * a) * (0.5 * bb_h), 0.25 * ba * bb)
         if kind == 2:
-            c = float(rng.uniform(-1.2, 1.2))
-            p = float(rng.uniform(-1.0, 1.0))
+            c = uniform(rng, -1.2, 1.2)
+            p = uniform(rng, -1.0, 1.0)
             h = sin(c * a + p) if rng.integers(2) else cos(c * a + p)
             return (h, 1.0)
         if kind == 3:
-            c = float(rng.uniform(0.2, 1.0))
+            c = uniform(rng, 0.2, 1.0)
             if c * ba > 1.5:
                 c = 1.5 / ba
             return (exp(c * a), float(np.exp(1.5)))
         if kind == 4:
             k = int(rng.integers(2, 4))
-            c = float(rng.uniform(0.3, 1.0))
+            c = uniform(rng, 0.3, 1.0)
             if (c * ba) ** k > 8.0:
                 c = 8.0 ** (1.0 / k) / ba
             return ((c * a) ** k, (c * ba) ** k)
         if kind == 5:
-            shift = float(rng.uniform(1.0, 2.0))
-            c = float(rng.uniform(0.3, 1.0))
+            shift = uniform(rng, 1.0, 2.0)
+            c = uniform(rng, 0.3, 1.0)
             return (1.0 / (shift + (c * a) ** 2), 1.0 / shift)
         if kind == 6:
-            shift = float(rng.uniform(1.0, 2.0))
-            c = float(rng.uniform(0.3, 1.0))
+            shift = uniform(rng, 1.0, 2.0)
+            c = uniform(rng, 0.3, 1.0)
             return (log(shift + (c * a) ** 2), abs(np.log(shift + (c * ba) ** 2)) + 1.0)
-        shift = float(rng.uniform(0.5, 2.0))
-        c = float(rng.uniform(0.3, 1.0))
+        shift = uniform(rng, 0.5, 2.0)
+        c = uniform(rng, 0.3, 1.0)
         return (sqrt(shift + (c * a) ** 2), float(np.sqrt(shift + (c * ba) ** 2)))
 
     for _ in range(depth):
@@ -72,7 +73,7 @@ def random_expr(rng: np.random.Generator, n_in: int, n_out: int,
             h, bound = step()
             if bound > _BOUND_CAP:
                 (a, ba) = pick()
-                c = float(rng.uniform(-1.0, 1.0))
+                c = uniform(rng, -1.0, 1.0)
                 h, bound = sin(c * a), 1.0
             pool.append((h, bound))
 

@@ -1,4 +1,5 @@
-"""Check results, deterministic reports, and seeded substreams."""
+"""Check results, deterministic reports, seeded substreams and their
+uniform draws."""
 
 from __future__ import annotations
 
@@ -19,6 +20,29 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     digest = hashlib.sha256(label.encode("utf8")).digest()
     words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+
+
+def uniform(rng: np.random.Generator, lo, hi, size=None):
+    """``rng.uniform(lo, hi, size)``, drawn in place.
+
+    numpy computes each entry as ``lo + (hi - lo) * u`` from one
+    ``rng.random`` double ``u``, rounding after the product and after
+    the sum; scaling and shifting the ``rng.random(size)`` array in
+    place rounds the same way, so the numbers and the generator's state
+    are the same, without the broadcast set-up or a temporary.  The
+    bounds broadcast into ``size``; with no ``size`` they are scalars
+    and the draw is a float.
+    """
+    return uniform_width(rng, lo, hi - lo, size)
+
+
+def uniform_width(rng: np.random.Generator, lo, width, size=None):
+    """:func:`uniform` from a ``width`` already computed as ``hi - lo``,
+    such as the columns a chart keeps (``domain.draw_bounds``)."""
+    u = rng.random(size)
+    u *= width
+    u += lo
+    return u
 
 
 def _strict(obj):

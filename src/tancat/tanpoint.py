@@ -23,9 +23,16 @@ blocks by index bookkeeping:
 No function writes into its arguments.  ``collapse_inner``,
 ``expand_inner``, ``fiber_component`` and the first part of
 ``vertical_pair_parts`` return views of their argument; every other
-result is a fresh array.  ``apply_tangent`` runs the map's program on
-the blocks in place (``Expr.on_blocks``): the d columns of a point are
-d towers side by side.
+result is a fresh array, and each of its blocks is written once.  The
+fiberwise maps (``add_fiber``, ``sub_fiber``, ``scale_level``) and the
+lifts (``zero_lift``, ``vertical_lift``, ``vertical_lift_pair``) write
+through slices: a level ``l`` of an order-n point is the view
+``p.reshape(2**(n-l), 2, 2**(l-1), *rest)`` (:func:`_level_view`),
+whose ``[:, 0]`` holds the blocks without the level, in order, and
+whose ``[:, 1]`` holds its fiber.  ``project`` and ``swap_levels``
+gather through index tables.  ``apply_tangent`` runs the map's program
+on the blocks in place (``Expr.on_blocks``): the d columns of a point
+are d towers side by side.
 """
 
 from __future__ import annotations
@@ -73,37 +80,47 @@ def residual(a, b) -> float:
 class _LevelTables(NamedTuple):
     """Block index tables of one level of a point of one order."""
     keep: np.ndarray   # the blocks without the level, in order: project
-    fiber: np.ndarray  # mask of the blocks with the level: its fiber
     swap: np.ndarray   # swap[m]: block m with the level and the next exchanged
-    lift: np.ndarray   # lift[m]: where vertical_lift puts block m
 
 
 def _level_tables(order: int, level: int) -> _LevelTables:
     m = np.arange(1 << order)
     bit = 1 << (level - 1)
-    has = (m & bit) != 0
     flip = ((m >> (level - 1)) ^ (m >> level)) & 1
-    # lift doubles the level's bit and moves the higher bits up one place
-    return _LevelTables(
-        m[~has], has, m ^ (flip * 3 * bit),
-        (m & (bit - 1)) | (has * 3 * bit) | ((m >> level) << (level + 1)))
+    return _LevelTables(m[(m & bit) == 0], m ^ (flip * 3 * bit))
 
 
 _LEVEL_TABLES = {(n, level): _level_tables(n, level)
                  for n in range(1, MAX_ORDER + 1) for level in range(1, n + 1)}
 
 
-def _tables(order: int, level: int) -> _LevelTables:
+def _check_level(order: int, level: int | None) -> int:
+    """The level, the outermost one by default, checked against the order."""
+    level = order if level is None else level
     if not 1 <= level <= order:
         raise ValueError(f"level {level} out of range for order {order}")
-    return _LEVEL_TABLES[order, level]
+    return level
 
 
-def _zeros(order: int, like: np.ndarray) -> np.ndarray:
-    """Zero blocks of the given order with ``like``'s dim and batch."""
+def _tables(order: int, level: int | None) -> _LevelTables:
+    return _LEVEL_TABLES[order, _check_level(order, level)]
+
+
+def _level_view(p: np.ndarray, order: int, level: int) -> np.ndarray:
+    """``p`` as ``(2**(order-level), 2, 2**(level-1), *rest)``.
+
+    Splitting axis 0 is always a view.  ``[:, 0]`` holds the blocks
+    without the level, in mask order, and ``[:, 1]`` its fiber, each
+    block at the place of its partner in ``[:, 0]``.
+    """
+    return p.reshape((1 << (order - level), 2, 1 << (level - 1)) + p.shape[1:])
+
+
+def _empty(order: int, like: np.ndarray) -> np.ndarray:
+    """Unwritten blocks of the given order with ``like``'s dim and batch."""
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
-    return np.zeros((1 << order,) + like.shape[1:])
+    return np.empty((1 << order,) + like.shape[1:])
 
 
 def _check_shared(a: np.ndarray, b: np.ndarray, tol: float,
@@ -130,38 +147,43 @@ def apply_tangent(f: SmoothMap, p: np.ndarray,
 def project(p: np.ndarray, level: int | None = None) -> np.ndarray:
     """Forget one tangent level; remaining levels close ranks."""
     n = order_of(p)
-    return p[_tables(n, n if level is None else level).keep]
+    return p[_tables(n, level).keep]
 
 
 def zero_lift(p: np.ndarray, levels: int = 1) -> np.ndarray:
     """Zero section into ``levels`` fresh outermost tangent levels."""
-    out = _zeros(order_of(p) + levels, p)
+    out = _empty(order_of(p) + levels, p)
     out[: len(p)] = p
+    out[len(p):] = 0.0
     return out
 
 
 def add_fiber(p: np.ndarray, q: np.ndarray, level: int | None = None,
               tol: float = DEFAULT_MATCH_TOL) -> np.ndarray:
-    return _fiber_combine(p, q, +1.0, level, tol)
+    return _fiber_combine(p, q, np.add, level, tol)
 
 
 def sub_fiber(p: np.ndarray, q: np.ndarray, level: int | None = None,
               tol: float = DEFAULT_MATCH_TOL) -> np.ndarray:
-    return _fiber_combine(p, q, -1.0, level, tol)
+    return _fiber_combine(p, q, np.subtract, level, tol)
 
 
-def _fiber_combine(p, q, sign, level, tol):
+def _fiber_combine(p, q, combine, level, tol):
+    """``combine`` (``np.add`` or ``np.subtract``) on the fibers of one
+    level of two points that share every other block."""
     n, nq = order_of(p), order_of(q)
     if n != nq:
         raise ValueError(f"order mismatch: {n} vs {nq}")
     if n == 0:
         raise ValueError("order-0 points have no fiber to combine")
-    level = n if level is None else level
-    sel = _tables(n, level).fiber
-    pb, qb = np.broadcast_arrays(p, q)
-    _check_shared(pb[~sel], qb[~sel], tol, f" at level {level}")
-    out = pb.copy()
-    out[sel] = pb[sel] + sign * qb[sel]
+    level = _check_level(n, level)
+    p, q = np.broadcast_arrays(p, q)
+    pv, qv = _level_view(p, n, level), _level_view(q, n, level)
+    _check_shared(pv[:, 0], qv[:, 0], tol, f" at level {level}")
+    out = np.empty(p.shape)
+    ov = _level_view(out, n, level)
+    ov[:, 0] = pv[:, 0]
+    combine(pv[:, 1], qv[:, 1], out=ov[:, 1])
     return out
 
 
@@ -181,9 +203,14 @@ def vertical_lift(p: np.ndarray, level: int | None = None) -> np.ndarray:
     classical ``(u, u1) -> (u, 0, 0, u1)``.
     """
     n = order_of(p)
-    lift = _tables(n, n if level is None else level).lift
-    out = _zeros(n + 1, p)
-    out[lift] = p
+    level = _check_level(n, level)
+    pv = _level_view(p, n, level)
+    out = _empty(n + 1, p)
+    # the level's bit becomes two bits, read here as [:, b1, b2]
+    ov = out.reshape((1 << (n - level), 2, 2, 1 << (level - 1)) + p.shape[1:])
+    ov[:, 0, 0] = pv[:, 0]
+    ov[:, 1, 1] = pv[:, 1]
+    ov[:, 0, 1] = ov[:, 1, 0] = 0.0
     return out
 
 
@@ -200,8 +227,9 @@ def vertical_lift_pair(p: np.ndarray, q: np.ndarray,
     half = 1 << (n - 1)
     pb, qb = np.broadcast_arrays(p, q)
     _check_shared(pb[:half], qb[:half], tol)
-    out = _zeros(n + 1, pb)
+    out = _empty(n + 1, pb)
     out[: 1 << n] = pb
+    out[1 << n: (1 << n) + half] = 0.0
     out[(1 << n) + half:] = qb[half:]
     return out
 
@@ -220,10 +248,13 @@ def scale_level(p: np.ndarray, factor, level: int | None = None) -> np.ndarray:
     n = order_of(p)
     if n == 0:
         raise ValueError("order-0 points have no fiber to scale")
-    sel = _tables(n, n if level is None else level).fiber
-    out = np.array(p, dtype=float)
-    factor = np.asarray(factor, dtype=float)
-    out[sel] = out[sel] * factor  # batch axes broadcast from the right
+    level = _check_level(n, level)
+    pv = _level_view(np.asarray(p, dtype=float), n, level)
+    out = np.empty(p.shape)
+    ov = _level_view(out, n, level)
+    ov[:, 0] = pv[:, 0]
+    # the factor's axes broadcast from the right over the batch axes
+    np.multiply(pv[:, 1], np.asarray(factor, dtype=float), out=ov[:, 1])
     return out
 
 

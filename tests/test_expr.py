@@ -294,9 +294,14 @@ def test_on_blocks_matches_per_column_copies_on_random_dags():
         e = random_expr(rng, n_in, int(rng.integers(1, 5)),
                         depth=int(rng.integers(0, 5)))
         blocks = rng.uniform(-1.5, 1.5, size=(1 << order, n_in, 4))
+        assert e._plan is None  # the output tables wait for a first call
         with np.errstate(all="ignore"):
             assert (e.on_blocks(blocks).tobytes()
                     == per_column(e, blocks).tobytes())
+            plan = e._plan
+            assert (e.on_blocks(blocks[:1, :, :2]).tobytes()
+                    == per_column(e, blocks[:1, :, :2]).tobytes())
+        assert e._plan is plan  # made once, for every order and batch
 
 
 def out_registers(e):

@@ -18,7 +18,7 @@ from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              matrix_group, pair_groupoid,
                              t_flatten, tangent_domain,
                              tangent_groupoid)
-from tancat.report import rng_for
+from tancat.report import rng_for, uniform, uniform_width
 
 TOL = 1e-9
 
@@ -112,8 +112,8 @@ def test_product_domain_lifts_sampling_guards():
 
 
 def test_draw_keeps_the_bits_and_the_state_of_the_column_draw():
-    # numpy's scalar-bound path runs lo + (hi - lo) * u as its broadcast
-    # path does, one u per entry in C order
+    # a chart's (lo, width) columns draw what rng.uniform draws between
+    # the box's lo and hi columns
     rng = np.random.default_rng(40)
     rows = [[-1.0, 1.0], [-1.2, 1.2], [-2.0, 2.0], [0.0, 3.5], [-0.0, 0.0],
             [1e-300, 1e300], [-5.0, -5.0]]
@@ -121,18 +121,57 @@ def test_draw_keeps_the_bits_and_the_state_of_the_column_draw():
         dim = int(rng.integers(0, 6))
         pick = rng.integers(0, len(rows), size=dim)
         if rng.random() < 0.5:
-            pick[:] = pick[:1]  # one row repeated: the scalar path
+            pick[:] = pick[:1]  # one row repeated, as in the built-in charts
         box = np.array([rows[i] for i in pick]).reshape(dim, 2)
         n = int(rng.integers(0, 50))
         seed = int(rng.integers(1 << 30))
         got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = got_rng.uniform(*draw_bounds(box), size=(dim, n))
+        got = uniform_width(got_rng, *draw_bounds(box), size=(dim, n))
         want = want_rng.uniform(box[:, 0][:, None], box[:, 1][:, None],
                                 size=(dim, n))
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert isinstance(draw_bounds(np.tile([-1.0, 1.0], (3, 1)))[0], float)
-    assert draw_bounds(np.array([[-1.0, 1.0], [-1.0, 2.0]]))[0].shape == (2, 1)
+    lo, width = draw_bounds(np.array([[-1.0, 1.0], [-1.0, 2.0]]))
+    assert lo.shape == width.shape == (2, 1)
+    assert width.tolist() == [[2.0], [3.0]]
+
+
+def test_uniform_keeps_the_bits_and_the_state_of_rng_uniform():
+    # scaling and shifting rng.random in place rounds as numpy's
+    # lo + (hi - lo) * u does; a build that fused the two would fail here
+    col = np.array([[-1.0], [-5.0], [0.0], [-0.0], [1e-300]])
+    cases = [(-1.0, 1.0, None), (0.3, 1.0, None), (-2.0, 2.0, 7),
+             (-1.2, 1.2, 3), (-1.0, 1.0, (4, 3, 11)), (-1.0, 1.0, 0),
+             (-1.0, 1.0, (4, 0, 2)), (1e-300, 1e300, (5,)),
+             (-5.0, -5.0, (2, 3)), (-0.0, 0.0, 6),
+             (col, np.array([[1.0], [-5.0], [3.5], [0.0], [1e300]]), (5, 9)),
+             (col, col, (5, 4)), (col[:0], col[:0], (0, 3)),
+             (col, col + 2.0, (5, 0))]
+    for seed in range(40):
+        for lo, hi, size in cases:
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = uniform(got_rng, lo, hi, size)
+            want = want_rng.uniform(lo, hi, size)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sampling_no_points_draws_nothing(seed):
+    # with few admissible points the first round used to keep none and
+    # fail to join an empty list of chunks
+    b = ExprBuilder(1)
+    x = b.inputs()
+    dom = Domain(dim=1, constraints=(b.finish([x[0] - 0.99]),))
+    for d in (dom, box_domain(3), box_domain(0)):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        pts = d.sample(rng, 0)
+        assert pts.shape == (d.dim, 0)
+        assert rng.bit_generator.state == state
 
 
 def loop_sample(dom, rng, n):

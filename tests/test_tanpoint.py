@@ -231,6 +231,202 @@ class TestFiberArithmetic:
         assert np.array_equal(out[1, 0], [6.0, -5.0])
 
 
+# The fancy-index formulas the slice-written block ops replaced, kept as
+# their oracles: a boolean mask of each level's fiber blocks, the place
+# where vertical_lift sends each block, and each result made by copying
+# or zero-filling the whole array and then overwriting part of it.
+
+def _old_fiber(order, level):
+    return (np.arange(1 << order) & (1 << (level - 1))) != 0
+
+
+def _old_lift(order, level):
+    m = np.arange(1 << order)
+    bit = 1 << (level - 1)
+    has = (m & bit) != 0
+    return (m & (bit - 1)) | (has * 3 * bit) | ((m >> level) << (level + 1))
+
+
+def _old_fiber_combine(p, q, sign, level):
+    sel = _old_fiber(order_of(p), level)
+    pb, qb = np.broadcast_arrays(p, q)
+    out = pb.copy()
+    out[sel] = pb[sel] + sign * qb[sel]
+    return out
+
+
+def _old_scale_level(p, factor, level):
+    sel = _old_fiber(order_of(p), level)
+    out = np.array(p, dtype=float)
+    out[sel] = out[sel] * np.asarray(factor, dtype=float)
+    return out
+
+
+def _old_vertical_lift(p, level):
+    n = order_of(p)
+    out = np.zeros((2 << n,) + p.shape[1:])
+    out[_old_lift(n, level)] = p
+    return out
+
+
+def _old_zero_lift(p, levels):
+    out = np.zeros((1 << (order_of(p) + levels),) + p.shape[1:])
+    out[: len(p)] = p
+    return out
+
+
+def _old_vertical_lift_pair(p, q):
+    n = order_of(p)
+    half = 1 << (n - 1)
+    pb, qb = np.broadcast_arrays(p, q)
+    out = np.zeros((2 << n,) + pb.shape[1:])
+    out[: 1 << n] = pb
+    out[(1 << n) + half:] = qb[half:]
+    return out
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-310,
+                     -1e300])
+
+
+def _blocks(rng, shape):
+    """Random entries, with a share of signed zeros, NaNs, infinities,
+    a subnormal and a huge value."""
+    arr = rng.uniform(-2.0, 2.0, size=shape)
+    hit = rng.random(shape) < 0.3
+    arr[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
+    return arr
+
+
+def _layouts(arr, rng):
+    """``arr`` as it is, read-only, and as read-only views that are not
+    C-contiguous: every other batch column of a wider array, and a
+    Fortran-ordered copy."""
+    wide = np.repeat(arr[..., None], 2, axis=-1)
+    wide[..., 1] = rng.uniform(-9.0, 9.0, size=arr.shape)
+    for out in (np.array(arr), wide[..., 0], np.array(arr, order="F")):
+        assert np.array_equal(out, arr, equal_nan=True)
+        out.setflags(write=False)
+        yield out
+
+
+def _fibers(a, level):
+    """``a`` with every block outside the level's fiber zeroed."""
+    sel = _old_fiber(order_of(a), level)
+    return np.where(sel.reshape((-1,) + (1,) * (a.ndim - 1)), a, 0.0)
+
+
+def _same_bits(got, want, x=None, y=None):
+    """``got`` and ``want`` have the same bits, except where ``got`` is
+    ``x`` op ``y`` and both operands are NaN: IEEE 754 leaves open which
+    NaN comes out, and numpy's vector loops and scalar tails choose
+    differently, in the old formulas too.  There both must be NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    both = np.zeros(got.shape, dtype=bool)
+    if x is not None:
+        both = np.broadcast_to(np.isnan(x) & np.isnan(y), got.shape)
+    assert np.isnan(got[both]).all() and np.isnan(want[both]).all()
+    assert got[~both].tobytes() == want[~both].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+class TestSliceWrittenOpsKeepTheOldBits:
+    """Each rewritten block op, bit for bit against its fancy-index
+    formula, on read-only arguments of every layout."""
+
+    CASES = [(n, level, d, batch) for n in range(1, MAX_ORDER + 1)
+             for level in range(1, n + 1) for d in (0, 1, 3)
+             for batch in ((), (5,), (2, 3))]
+
+    @pytest.mark.parametrize("n,level,d,batch", CASES)
+    def test_fiber_combine(self, n, level, d, batch):
+        rng = np.random.default_rng([n, level, d, len(batch)])
+        shape = (1 << n, d) + batch
+        sel = _old_fiber(n, level)
+        p = _blocks(rng, shape)
+        p[~sel] = np.where(np.isfinite(p[~sel]), p[~sel], -0.0)
+        q = _blocks(rng, shape)
+        q[~sel] = p[~sel]
+        for pa in _layouts(p, rng):
+            for qa in _layouts(q, rng):
+                for op, sign in ((tp.add_fiber, 1.0), (tp.sub_fiber, -1.0)):
+                    _same_bits(op(pa, qa, level),
+                               _old_fiber_combine(pa, qa, sign, level),
+                               _fibers(pa, level), qa)
+        if batch:  # q constant along the batch broadcasts against p
+            q1 = _blocks(rng, (1 << n, d) + (1,) * len(batch))
+            q1[~sel] = 0.5
+            q1.setflags(write=False)
+            p[~sel] = 0.5
+            for pa in _layouts(p, rng):
+                for qa in (q1, np.broadcast_to(q1, shape)):
+                    for op, sign in ((tp.add_fiber, 1.0),
+                                     (tp.sub_fiber, -1.0)):
+                        _same_bits(op(pa, qa, level),
+                                   _old_fiber_combine(pa, qa, sign, level),
+                                   _fibers(pa, level), qa)
+                        _same_bits(op(qa, pa, level),
+                                   _old_fiber_combine(qa, pa, sign, level),
+                                   _fibers(qa, level), pa)
+
+    @pytest.mark.parametrize("n,level,d,batch", CASES)
+    def test_scale_level(self, n, level, d, batch):
+        rng = np.random.default_rng([n, level, d, len(batch), 1])
+        p = _blocks(rng, (1 << n, d) + batch)
+        factors = [2.5, -0.0, np.nan, -np.inf, 1]
+        if batch:
+            factors += [_blocks(rng, batch), _blocks(rng, batch[-1:]),
+                        np.broadcast_to(_blocks(rng, ()), batch)]
+        for pa in _layouts(p, rng):
+            for f in factors:
+                _same_bits(tp.scale_level(pa, f, level),
+                           _old_scale_level(pa, f, level),
+                           _fibers(pa, level), f)
+
+    @pytest.mark.parametrize("n,level,d,batch", CASES)
+    def test_lifts(self, n, level, d, batch):
+        rng = np.random.default_rng([n, level, d, len(batch), 2])
+        p = _blocks(rng, (1 << n, d) + batch)
+        for pa in _layouts(p, rng):
+            if n < MAX_ORDER:
+                _same_bits(tp.vertical_lift(pa, level),
+                           _old_vertical_lift(pa, level))
+            for levels in range(MAX_ORDER - n + 1):
+                _same_bits(tp.zero_lift(pa, levels), _old_zero_lift(pa, levels))
+        if n < MAX_ORDER and level == n:
+            half = len(p) // 2  # the blocks the two points share
+            p[:half] = np.where(np.isfinite(p[:half]), p[:half], -0.0)
+            q = _blocks(rng, p.shape)
+            q[:half] = p[:half]
+            for pa in _layouts(p, rng):
+                for qa in _layouts(q, rng):
+                    _same_bits(tp.vertical_lift_pair(pa, qa),
+                               _old_vertical_lift_pair(pa, qa))
+
+    def test_order_zero_lifts(self):
+        rng = np.random.default_rng(3)
+        p = _blocks(rng, (1, 2, 4))
+        for pa in _layouts(p, rng):
+            for levels in range(MAX_ORDER + 1):
+                _same_bits(tp.zero_lift(pa, levels), _old_zero_lift(pa, levels))
+
+    def test_shared_blocks_are_checked_on_the_views(self):
+        # a mismatch in any block without the level is refused, and one
+        # in the level's fiber is not
+        rng = np.random.default_rng(5)
+        for n in range(1, MAX_ORDER + 1):
+            for level in range(1, n + 1):
+                p = rng.uniform(-1.0, 1.0, size=(1 << n, 2, 3))
+                for m in range(1 << n):
+                    q = np.array(p)
+                    q[m, 1, 2] += 1e-3
+                    if _old_fiber(n, level)[m]:
+                        tp.add_fiber(p, q, level)
+                    else:
+                        with pytest.raises(FiberMismatchError):
+                            tp.sub_fiber(p, q, level)
+
+
 class TestSwapAndLift:
     def test_swap_levels(self):
         assert cols(tp.swap_levels(pt(1, 2, 3, 4), 1)) == [1, 3, 2, 4]
