@@ -28,8 +28,8 @@ from .domain import Domain
 from .errors import StructureError, VerticalityError
 from .expr import Expr, build
 from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
-                     _scaled, _sum, act_on_function, check_related,
-                     field_scale, lie_bracket)
+                     _scaled, _sum, act_on_function, field_scale,
+                     lie_bracket, related_sides)
 from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
@@ -50,6 +50,32 @@ class Section:
     def at(self, points: np.ndarray) -> np.ndarray:
         """Order-0 values, shape (rank, ...)."""
         return self.fn(np.asarray(points, dtype=float)[None])[0]
+
+
+def stack_sections(sections: Sequence[Section]) -> Section:
+    """The sections side by side along the first batch axis.
+
+    At points of shape ``(p, k, *rest)``, slot ``j`` of that axis is
+    ``sections[j]`` at slot ``j`` of the points, so one run of a
+    construction on the stack does the work of ``k`` runs on its
+    sections, each slot with the bits of its own run.  :func:`on_slots`
+    puts one batch of points in every slot.
+    """
+    fns = [s.fn for s in sections]
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        return np.stack([f(x[:, :, j]) for j, f in enumerate(fns)], axis=2)
+
+    return Section(sections[0].base, sections[0].rank, fn,
+                   "(" + ",".join(s.name for s in sections) + ")")
+
+
+def on_slots(points: np.ndarray, k: int) -> np.ndarray:
+    """The points ``(p, *batch)`` broadcast into ``k`` slots of a new
+    first batch axis, ``(p, k, *batch)``, without a copy."""
+    points = np.asarray(points, dtype=float)
+    return np.broadcast_to(points[:, None],
+                           (points.shape[0], k) + points.shape[1:])
 
 
 def section_add(a: Section, b: Section, name: str = "") -> Section:
@@ -208,7 +234,20 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
                          samples: int = 150,
                          sections: Sequence[Section] | None = None,
                          f: ScalarField | None = None) -> dict[str, float]:
-    """Residuals of the section-level laws at sampled points."""
+    """Residuals of the section-level laws at sampled points.
+
+    Laws that sum or compare several brackets evaluate them as one
+    bracket of stacked sections (:func:`stack_sections`), with the term
+    on the first batch axis of the points: the Jacobi sum is the nested
+    bracket of ``(a,b,c)``, ``(b,c,a)`` and ``(c,a,b)``, its three slots
+    added in that order, and antisymmetry is the bracket of ``(a,b)``
+    and ``(b,a)``.  ``psi_phi`` and ``t_related`` run all the sections
+    as one stack and take one residual per slot, then the largest, so
+    each residual keeps its own section's denominator.  Every slot has
+    the bits of its own evaluation, so the residuals are those of one
+    bracket at a time.  The kernel certificate of a stacked bracket is
+    measured over the whole stack.
+    """
     G = al.gpd
     p = G.base.dim
     if sections is None:
@@ -220,13 +259,16 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         f = ScalarField.from_expr(al.base, body, name="f")
     pts = al.base.sample(rng, samples)
     gs = G.sample_arrows(rng, samples)
+    k = len(sections)
+    every = stack_sections(sections)
+    phi_every = extend_to_invariant(al, every)
 
     res: dict[str, float] = {}
     phi_a = extend_to_invariant(al, a)
-    res["psi_phi"] = max(
-        residual(restrict_to_unit(al, extend_to_invariant(al, s),
-                                  check=False).at(pts), s.at(pts))
-        for s in sections)
+    grid = on_slots(pts, k)
+    back = restrict_to_unit(al, phi_every, check=False).at(grid)
+    vals = every.at(grid)
+    res["psi_phi"] = max(residual(back[:, j], vals[:, j]) for j in range(k))
     res["phi_psi"] = residual(
         extend_to_invariant(al, restrict_to_unit(al, phi_a)).at(gs),
         phi_a.at(gs))
@@ -234,11 +276,14 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         invariance_defect(G, phi_a, rng, samples).values())
 
     ab = algebroid_bracket(al, a, b)
-    res["antisymmetry"] = residual(ab.at(pts),
-                                   -algebroid_bracket(al, b, a).at(pts))
-    jac = (algebroid_bracket(al, a, algebroid_bracket(al, b, c)).at(pts)
-           + algebroid_bracket(al, b, algebroid_bracket(al, c, a)).at(pts)
-           + algebroid_bracket(al, c, algebroid_bracket(al, a, b)).at(pts))
+    pair = algebroid_bracket(al, stack_sections([a, b]),
+                             stack_sections([b, a])).at(on_slots(pts, 2))
+    res["antisymmetry"] = residual(pair[:, 0], -pair[:, 1])
+    cyc = [stack_sections([a, b, c]), stack_sections([b, c, a]),
+           stack_sections([c, a, b])]
+    terms = algebroid_bracket(al, cyc[0], algebroid_bracket(al, cyc[1], cyc[2])
+                              ).at(on_slots(pts, 3))
+    jac = terms[:, 0] + terms[:, 1] + terms[:, 2]
     res["jacobi"] = residual(jac, np.zeros_like(jac))
 
     rho_a = anchor_field(al, a)
@@ -250,10 +295,10 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     res["anchor_morphism"] = residual(
         anchor_field(al, ab).at(pts),
         lie_bracket(rho_a, anchor_field(al, b)).at(pts))
-    res["t_related"] = max(
-        check_related(G.target, extend_to_invariant(al, s),
-                      anchor_field(al, s), gs)
-        for s in sections)
+    pushed, rho = related_sides(G.target, phi_every, anchor_field(al, every),
+                                on_slots(gs, k))
+    res["t_related"] = max(residual(pushed[:, j], rho[:, j])
+                           for j in range(k))
 
     res["phi_module"] = residual(
         extend_to_invariant(al, section_scale(f, a)).at(gs),
@@ -286,13 +331,11 @@ def bracket_table(al: Algebroid, points: np.ndarray) -> list[dict]:
     i < j are one evaluation, with the pairs along a batch axis, so the
     kernel certificate covers the whole table.
     """
-    points = np.asarray(points, dtype=float)
     i, j = np.triu_indices(al.rank, 1)
     frame = np.eye(al.rank)
-    grid = np.broadcast_to(points[:, None],
-                           (points.shape[0], len(i)) + points.shape[1:])
     vals = algebroid_bracket(al, _frame_section(al, frame[i], "e_i"),
-                             _frame_section(al, frame[j], "e_j")).at(grid)
+                             _frame_section(al, frame[j], "e_j")
+                             ).at(on_slots(points, len(i)))
     rows = []
     for k in range(len(i)):
         mean = vals[:, k].mean(axis=1)

@@ -38,7 +38,10 @@ class Domain:
         box = self.box
         if box is None:
             box = np.tile([-1.0, 1.0], (self.dim, 1))
-        box = np.asarray(box, dtype=float).reshape(self.dim, 2)
+        # a read-only copy: a later write to the caller's array cannot
+        # move the chart, nor its cached draw bounds
+        box = np.array(box, dtype=float).reshape(self.dim, 2)
+        box.setflags(write=False)
         # a finite width also rules out an infinite bound, and it is what
         # the sampler's uniform draw needs
         with np.errstate(over="ignore", invalid="ignore"):

@@ -208,13 +208,20 @@ def bracket_by_jacobians(v: VectorField, w: VectorField,
             - np.einsum("ij...,j...->i...", jv, ww))
 
 
-def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
-                  points: np.ndarray) -> float:
-    """Residual of: the tangent of phi carries v to w along phi."""
+def related_sides(phi: SmoothMap, v: VectorField, w: VectorField,
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent of phi applied to v at the points, and w at their
+    images: equal when phi carries v to w."""
     points = np.asarray(points, dtype=float)
     pushed = apply_tangent(phi, np.stack([points, v.at(points)]),
                            check_domain=False)
-    return residual(pushed[1], w.at(pushed[0]))
+    return pushed[1], w.at(pushed[0])
+
+
+def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
+                  points: np.ndarray) -> float:
+    """Residual of: the tangent of phi carries v to w along phi."""
+    return residual(*related_sides(phi, v, w, points))
 
 
 def check_bracket_laws(u: VectorField, v: VectorField, w: VectorField,

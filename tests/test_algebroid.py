@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from tancat.algebroid import (Section, algebroid_bracket, algebroid_of,
                               anchor_field, bracket_table,
                               check_algebroid_laws, extend_to_invariant,
-                              pullback_target, restrict_to_unit, section_add,
-                              section_scale)
+                              on_slots, pullback_target, restrict_to_unit,
+                              section_add, section_scale, stack_sections)
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
-from tancat.fields import ScalarField, VectorField, bracket_by_jacobians
+from tancat.fields import (ScalarField, VectorField, bracket_by_jacobians,
+                           check_related, related_sides)
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, matrix_group,
                              pair_groupoid)
+from tancat.randexpr import random_expr
 from tancat.report import rng_for
+from tancat.tanpoint import residual
+from tancat.tower import _GATHER_BELOW
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +207,108 @@ def test_bracket_table(als):
     assert np.abs(np.array(by_pair[(1, 2)]["mean"])
                   - np.array({(r["i"], r["j"]): r for r in rows}[(1, 2)]["mean"])
                   ).max() < 1e-13
+
+
+def _laws_by_section(al, sections, pts, gs) -> dict:
+    """The stacked laws of ``check_algebroid_laws`` as one bracket per
+    term and one evaluation per section: the arrays each law compares,
+    and its residual."""
+    a, b, c = sections
+    G = al.gpd
+    br = lambda x, y: algebroid_bracket(al, x, y)
+    jac = (br(a, br(b, c)).at(pts) + br(b, br(c, a)).at(pts)
+           + br(c, br(a, b)).at(pts))
+    psi = [(restrict_to_unit(al, extend_to_invariant(al, s),
+                             check=False).at(pts), s.at(pts))
+           for s in sections]
+    rel = [related_sides(G.target, extend_to_invariant(al, s),
+                         anchor_field(al, s), gs) for s in sections]
+    ab, ba = br(a, b).at(pts), br(b, a).at(pts)
+    return {
+        "jacobi": ([jac], residual(jac, np.zeros_like(jac))),
+        "antisymmetry": ([ab, ba], residual(ab, -ba)),
+        "psi_phi": ([x for pair in psi for x in pair],
+                    max(residual(*pair) for pair in psi)),
+        "t_related": ([x for pair in rel for x in pair],
+                      max(check_related(G.target, extend_to_invariant(al, s),
+                                        anchor_field(al, s), gs)
+                          for s in sections)),
+    }
+
+
+def _laws_stacked(al, sections, pts, gs) -> dict:
+    """The arrays of the same laws from stacked sections, split by slot."""
+    a, b, c = sections
+    G = al.gpd
+    br = lambda x, y: algebroid_bracket(al, x, y)
+    every = stack_sections(sections)
+    terms = br(stack_sections([a, b, c]),
+               br(stack_sections([b, c, a]), stack_sections([c, a, b]))
+               ).at(on_slots(pts, 3))
+    pair = br(stack_sections([a, b]),
+              stack_sections([b, a])).at(on_slots(pts, 2))
+    grid = on_slots(pts, 3)
+    back = restrict_to_unit(al, extend_to_invariant(al, every),
+                            check=False).at(grid)
+    vals = every.at(grid)
+    pushed, rho = related_sides(G.target, extend_to_invariant(al, every),
+                                anchor_field(al, every), on_slots(gs, 3))
+    return {
+        "jacobi": [terms[:, 0] + terms[:, 1] + terms[:, 2]],
+        "antisymmetry": [pair[:, 0], pair[:, 1]],
+        "psi_phi": [x[:, j] for j in range(3) for x in (back, vals)],
+        "t_related": [x[:, j] for j in range(3) for x in (pushed, rho)],
+    }
+
+
+STACKED_CASES = dict(
+    BUILTIN_GROUPOIDS,
+    interval=lambda: pair_groupoid(box_domain(1, name="interval")))
+
+
+def test_stacked_jacobi_batch_passes_the_gather_bound():
+    # at 250 points the three stacked terms hold 750 towers a column,
+    # past the gather bound at orders 2 and 3, where one term is below it
+    assert 250 < min(_GATHER_BELOW[2], _GATHER_BELOW[3]) < 3 * 250
+
+
+@pytest.mark.parametrize("samples", [200, 250])
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_laws_keep_the_bits_of_the_loop_per_section(name, samples):
+    al = algebroid_of(STACKED_CASES[name]())
+    p = al.base.dim
+    rng = rng_for(47, "algebroid/stacked/" + name)
+    sections = [al.section(random_expr(rng, p, al.rank, depth=3),
+                           name=f"s{k}") if p
+                else al.constant_section(rng.uniform(-1.0, 1.0, al.rank),
+                                         name=f"s{k}")
+                for k in range(3)]
+    f = ScalarField.from_expr(al.base, random_expr(rng, p, 1, depth=3) if p
+                              else build(0, lambda xs: [0.7]), name="f")
+    res = check_algebroid_laws(al, rng_for(48, name), samples,
+                               sections=sections, f=f)
+    draw = rng_for(48, name)    # the laws' first two draws
+    pts = al.base.sample(draw, samples)
+    gs = al.gpd.sample_arrows(draw, samples)
+    want = _laws_by_section(al, sections, pts, gs)
+    got = _laws_stacked(al, sections, pts, gs)
+    for law, (arrays, value) in want.items():
+        assert res[law] == value, law
+        assert len(got[law]) == len(arrays)
+        for x, y in zip(got[law], arrays):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), law
+
+
+def test_stacked_section_runs_each_section_on_its_slot(als):
+    al = als["action_gl2"]
+    rng = rng_for(49, "algebroid/stack")
+    secs = [al.section(random_expr(rng, 2, al.rank, depth=2), name=f"s{k}")
+            for k in range(4)]
+    pts = al.base.sample(rng, 30)
+    vals = stack_sections(secs).at(on_slots(pts, 4))
+    assert vals.shape == (al.rank, 4, 30)
+    for j, s in enumerate(secs):
+        assert vals[:, j].tobytes() == s.at(pts).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))

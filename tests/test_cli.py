@@ -11,11 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tancat.algebroid
+import tancat.cli
 from tancat.cli import main
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.expr import build
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
-                             groupoid_to_json_dict, pair_groupoid)
+                             check_groupoid_axioms, groupoid_to_json_dict,
+                             pair_groupoid)
 from tancat.report import CheckResult, Report
 
 
@@ -52,6 +55,22 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(["groupoid", "--samples", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["suite"] == suite["pair"]
+
+
+def test_differentiate_runs_the_groupoid_axioms_once(tmp_path, monkeypatch):
+    # the gate/* checks are the gate: algebroid_of's would repeat them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return check_groupoid_axioms(*args, **kwargs)
+
+    for mod in (tancat.algebroid, tancat.cli):
+        monkeypatch.setattr(mod, "check_groupoid_axioms", counted)
+    out = tmp_path / "d.json"
+    assert main(["differentiate", "--suite", "matrix2", "--samples", "30",
+                 "--out", str(out)]) == 0
+    assert calls == ["gl2"]
 
 
 def test_groupoid_builtins(tmp_path):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from tancat.cli import main
+from tancat.groupoid import BUILTIN_GROUPOIDS
 
 GOLDEN = Path(__file__).parent / "golden"
 RESIDUAL_SLACK = 1e-13
@@ -92,6 +93,29 @@ def test_manifest_lists_every_run(manifest):
 @pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
 def test_report_matches_golden(name, argv, manifest, same_environment,
                                tmp_path):
+    check_golden(name, argv, manifest, same_environment, tmp_path)
+
+
+def test_reports_keep_their_bytes_in_any_order(manifest, same_environment,
+                                               tmp_path):
+    # every report of a process shares the built-in groupoids, so no
+    # report may depend on the reports made before it
+    for order in (RUNS[::-1], RUNS[1::2] + RUNS[::2]):
+        for name, argv in order:
+            check_golden(name, argv, manifest, same_environment, tmp_path)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_builtins_are_shared_and_read_only(name):
+    G = BUILTIN_GROUPOIDS[name]()
+    assert BUILTIN_GROUPOIDS[name]() is G
+    for dom in (G.base, G.arrows, G.compose.dom):
+        with pytest.raises(ValueError):
+            dom.box[...] = 0.0
+
+
+def check_golden(name, argv, manifest, same_environment, tmp_path) -> None:
+    """Run one report and compare it with its golden file."""
     entry = {r["name"]: r for r in manifest}[name]
     out = tmp_path / "report.json"
     code = run(argv, out)

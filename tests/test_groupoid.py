@@ -159,6 +159,19 @@ def test_uniform_keeps_the_bits_and_the_state_of_rng_uniform():
                     == want_rng.bit_generator.state)
 
 
+def test_domain_keeps_a_read_only_copy_of_its_box():
+    box = np.tile([-1.0, 1.0], (2, 1))
+    dom = Domain(2, box)
+    box[:, 1] = 5.0
+    assert not dom.contains(np.array([4.0, 0.0]))
+    assert dom.contains(np.array([0.5, 0.0]))
+    pts = dom.sample(rng_for(17, "domain/copy"), 200)
+    assert pts.min() >= -1.0 and pts.max() <= 1.0
+    with pytest.raises(ValueError):
+        dom.box[0, 0] = -3.0
+    assert dom.box.tolist() == [[-1.0, 1.0], [-1.0, 1.0]]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_sampling_no_points_draws_nothing(seed):
     # with few admissible points the first round used to keep none and
@@ -308,6 +321,16 @@ class TestTangentGroupoid:
         TG = tangent_groupoid(BUILTIN_GROUPOIDS[name]())
         rng = rng_for(5, "groupoid/tg/" + name)
         assert worst(check_groupoid_axioms(TG, rng, 80)) < TOL
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
+    def test_chart_lifts_are_the_tangent_groupoids_maps(self, name):
+        G = BUILTIN_GROUPOIDS[name]()
+        TG = tangent_groupoid(G)
+        TTG = tangent_groupoid(TG)
+        assert G.chart_lifts is G.chart_lifts
+        for (compose, unit), H in zip(G.chart_lifts, (TG, TTG)):
+            assert compose.to_json_dict() == H.compose.body.to_json_dict()
+            assert unit.to_json_dict() == H.unit.body.to_json_dict()
 
     def test_flatten_roundtrip(self):
         rng = rng_for(6, "groupoid/flat")
