@@ -19,8 +19,9 @@ an empty axis, not a case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import rng_for, uniform
 from .tanpoint import residual
+from .tower import _mul
 
 GATE_TOL = 1e-9
 
@@ -76,6 +78,31 @@ def on_slots(points: np.ndarray, k: int) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     return np.broadcast_to(points[:, None],
                            (points.shape[0], k) + points.shape[1:])
+
+
+# Stacking runs k slots of n points as k * n towers a column.  Past
+# this many, one run per slot is faster (the stack's intermediates no
+# longer stay in cache) and holds k times less memory.
+_STACK_BELOW = 1500
+
+
+def by_slots(run: Callable[..., tuple[np.ndarray, ...]],
+             rows: Sequence[Sequence[Section]],
+             points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``run(*row, points)`` for each row of sections, each of its
+    arrays with the row on a new axis 1 (the slot axis).
+
+    Below ``_STACK_BELOW`` towers in all, ``run`` runs once, on the
+    columns of ``rows`` stacked (:func:`stack_sections`) at the points
+    in every slot (:func:`on_slots`); larger batches run it once per
+    row.  Either way each slot has the bits of its own run.
+    """
+    points = np.asarray(points, dtype=float)
+    k = len(rows)
+    if k * math.prod(points.shape[1:]) < _STACK_BELOW:
+        return run(*map(stack_sections, zip(*rows)), on_slots(points, k))
+    outs = [run(*row, points) for row in rows]
+    return tuple(np.stack(parts, axis=1) for parts in zip(*outs))
 
 
 def section_add(a: Section, b: Section, name: str = "") -> Section:
@@ -137,17 +164,19 @@ def algebroid_of(G: FiberedGroupoid, rng: np.random.Generator | None = None,
 def anchor_field(al: Algebroid, a: Section) -> VectorField:
     """The base vector field x -> Tt(unit velocity a(x))."""
     G = al.gpd
-    p = G.base.dim
+    return VectorField(al.base, lambda x: _anchor_blocks(G, x, a.fn(x)),
+                       name=f"rho({a.name})")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        n, av = len(x), a.fn(x)
-        u = G.unit.body.on_blocks(x)
-        lift = np.zeros((2 * n,) + u.shape[1:])
-        lift[:n] = u
-        lift[n:, p:] = av
-        return G.target.body.on_blocks(lift)[n:]
 
-    return VectorField(al.base, fn, name=f"rho({a.name})")
+def _anchor_blocks(G: FiberedGroupoid, x: np.ndarray,
+                   av: np.ndarray) -> np.ndarray:
+    """The anchor at the blocks ``x`` of the section values ``av``."""
+    n, p = len(x), G.base.dim
+    u = G.unit.body.on_blocks(x)
+    lift = np.zeros((2 * n,) + u.shape[1:])
+    lift[:n] = u
+    lift[n:, p:] = av
+    return G.target.body.on_blocks(lift)[n:]
 
 
 def extend_to_invariant(al: Algebroid, a: Section) -> VectorField:
@@ -236,17 +265,18 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
                          f: ScalarField | None = None) -> dict[str, float]:
     """Residuals of the section-level laws at sampled points.
 
-    Laws that sum or compare several brackets evaluate them as one
-    bracket of stacked sections (:func:`stack_sections`), with the term
-    on the first batch axis of the points: the Jacobi sum is the nested
+    Laws that sum or compare several brackets evaluate them at once
+    (:func:`by_slots`), one term per slot: the Jacobi sum is the nested
     bracket of ``(a,b,c)``, ``(b,c,a)`` and ``(c,a,b)``, its three slots
-    added in that order, and antisymmetry is the bracket of ``(a,b)``
-    and ``(b,a)``.  ``psi_phi`` and ``t_related`` run all the sections
-    as one stack and take one residual per slot, then the largest, so
-    each residual keeps its own section's denominator.  Every slot has
-    the bits of its own evaluation, so the residuals are those of one
-    bracket at a time.  The kernel certificate of a stacked bracket is
-    measured over the whole stack.
+    added in that order; antisymmetry and the left side of Leibniz are
+    the bracket of ``(a,b,a)`` and ``(b,a,f*b)``, whose ``[a,b]`` slot the
+    right side of Leibniz and ``anchor_morphism`` reuse.  ``psi_phi``
+    and ``t_related`` run one slot per section and take one residual per
+    slot, then the largest, so each residual keeps its own section's
+    denominator.  Every slot has the bits of its own evaluation, so the
+    residuals are those of one bracket at a time.  When the slots are
+    stacked, the kernel certificate of a bracket is measured over the
+    whole stack.
     """
     G = al.gpd
     p = G.base.dim
@@ -259,46 +289,46 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         f = ScalarField.from_expr(al.base, body, name="f")
     pts = al.base.sample(rng, samples)
     gs = G.sample_arrows(rng, samples)
-    k = len(sections)
-    every = stack_sections(sections)
-    phi_every = extend_to_invariant(al, every)
+    br = lambda x, y: algebroid_bracket(al, x, y)
+    each = [(s,) for s in sections]
 
     res: dict[str, float] = {}
     phi_a = extend_to_invariant(al, a)
-    grid = on_slots(pts, k)
-    back = restrict_to_unit(al, phi_every, check=False).at(grid)
-    vals = every.at(grid)
-    res["psi_phi"] = max(residual(back[:, j], vals[:, j]) for j in range(k))
+    back, vals = by_slots(lambda s, x: (restrict_to_unit(
+        al, extend_to_invariant(al, s), check=False).at(x), s.at(x)),
+        each, pts)
+    res["psi_phi"] = max(residual(back[:, j], vals[:, j])
+                         for j in range(len(each)))
     res["phi_psi"] = residual(
         extend_to_invariant(al, restrict_to_unit(al, phi_a)).at(gs),
         phi_a.at(gs))
     res["phi_invariant"] = max(
         invariance_defect(G, phi_a, rng, samples).values())
 
-    ab = algebroid_bracket(al, a, b)
-    pair = algebroid_bracket(al, stack_sections([a, b]),
-                             stack_sections([b, a])).at(on_slots(pts, 2))
-    res["antisymmetry"] = residual(pair[:, 0], -pair[:, 1])
-    cyc = [stack_sections([a, b, c]), stack_sections([b, c, a]),
-           stack_sections([c, a, b])]
-    terms = algebroid_bracket(al, cyc[0], algebroid_bracket(al, cyc[1], cyc[2])
-                              ).at(on_slots(pts, 3))
+    brs, = by_slots(lambda x, y, at: (br(x, y).at(at),),
+                    [(a, b), (b, a), (a, section_scale(f, b))], pts)
+    ab = brs[:, 0]
+    res["antisymmetry"] = residual(ab, -brs[:, 1])
+    terms, = by_slots(lambda x, y, z, at: (br(x, br(y, z)).at(at),),
+                      [(a, b, c), (b, c, a), (c, a, b)], pts)
     jac = terms[:, 0] + terms[:, 1] + terms[:, 2]
     res["jacobi"] = residual(jac, np.zeros_like(jac))
 
     rho_a = anchor_field(al, a)
-    lhs = algebroid_bracket(al, a, section_scale(f, b)).at(pts)
-    rhs = (section_scale(f, ab).at(pts)
+    # f [a,b] and the anchor of [a,b] take [a,b] from slot 0 above
+    x0 = pts[None]
+    rhs = (_mul(f.fn(x0), ab[None])[0]
            + section_scale(act_on_function(rho_a, f), b).at(pts))
-    res["leibniz"] = residual(lhs, rhs)
+    res["leibniz"] = residual(brs[:, 2], rhs)
 
     res["anchor_morphism"] = residual(
-        anchor_field(al, ab).at(pts),
+        _anchor_blocks(G, x0, ab[None])[0],
         lie_bracket(rho_a, anchor_field(al, b)).at(pts))
-    pushed, rho = related_sides(G.target, phi_every, anchor_field(al, every),
-                                on_slots(gs, k))
+    pushed, rho = by_slots(lambda s, x: related_sides(
+        G.target, extend_to_invariant(al, s), anchor_field(al, s), x),
+        each, gs)
     res["t_related"] = max(residual(pushed[:, j], rho[:, j])
-                           for j in range(k))
+                           for j in range(len(each)))
 
     res["phi_module"] = residual(
         extend_to_invariant(al, section_scale(f, a)).at(gs),

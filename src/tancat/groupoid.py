@@ -16,7 +16,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -60,21 +60,6 @@ class FiberedGroupoid:
     @property
     def fiber_dim(self) -> int:
         return self.arrows.dim - self.base.dim
-
-    @cached_property
-    def chart_lifts(self) -> tuple[tuple[Expr, Expr], ...]:
-        """The doubled-chart lifts of compose and unit at orders 1 and 2,
-        as ``(compose, unit)`` pairs, each order lifted from the one
-        below as :func:`tangent_groupoid` lifts it."""
-        p, q = self.base.dim, self.fiber_dim
-        compose, unit = self.compose.body, self.unit.body
-        lifts = []
-        for k in (1, 2):        # the level below has blocks k * p, k * q
-            compose = tangent_chart_map(compose, [k * p, k * q] * 2,
-                                        [k * p, k * q])
-            unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
-            lifts.append((compose, unit))
-        return tuple(lifts)
 
     @cached_property
     def source(self) -> SmoothMap:
@@ -295,14 +280,19 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
     maps; closing this square is what makes the tangent groupoid an
     object of the same kind rather than a formal symbol.
 
-    The compose and unit maps are lifted once per groupoid
-    (``G.chart_lifts``); the other maps and the charts of the tangent
-    groupoids are not compared, so they are not built.
+    The compose and unit maps are lifted level by level as
+    :func:`tangent_groupoid` lifts them; the other maps and the charts
+    of the tangent groupoids are not compared, so they are not built.
     """
     p, q = G.base.dim, G.fiber_dim
     sizes = [p, q]
     res: dict[str, float] = {}
-    for order, (compose, unit) in enumerate(G.chart_lifts, 1):
+    compose, unit = G.compose.body, G.unit.body
+    for order in (1, 2):
+        k = 1 << (order - 1)    # the level below has blocks k * p, k * q
+        compose = tangent_chart_map(compose, [k * p, k * q] * 2,
+                                    [k * p, k * q])
+        unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
         g, h = _tangent_string(G, rng, order, samples, 2)
         tower = _tcompose(G, g, h)
         chart = compose(np.concatenate([t_flatten(g, sizes),
@@ -544,12 +534,9 @@ def _builtin_action_gl2() -> FiberedGroupoid:
     return action_groupoid(matrix_group(2), linear_action(2, plane), plane)
 
 
-# Each maker returns one groupoid per process, shared by every caller:
-# its boxes are read-only and every cached program is derived from the
-# structure maps alone, so no report leaves state for the next.
 BUILTIN_GROUPOIDS = {
-    "pair": cache(lambda: pair_groupoid(box_domain(2, name="square"))),
-    "matrix2": cache(lambda: matrix_group(2)),
-    "matrix3": cache(lambda: matrix_group(3)),
-    "action_gl2": cache(_builtin_action_gl2),
+    "pair": lambda: pair_groupoid(box_domain(2, name="square")),
+    "matrix2": lambda: matrix_group(2),
+    "matrix3": lambda: matrix_group(3),
+    "action_gl2": _builtin_action_gl2,
 }

@@ -3,7 +3,6 @@ uniform draws."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -16,18 +15,11 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     """An independent generator per (seed, label) pair.
 
     The label is folded in through sha256 so streams do not depend on
-    the order checks run in, nor on PYTHONHASHSEED.  Each call returns
-    a fresh generator; the seed sequence behind it is made once per
-    key, and generators of one key share its spawn counter.
+    the order checks run in, nor on PYTHONHASHSEED.
     """
-    return np.random.default_rng(_seed_sequence(int(seed), label))
-
-
-@functools.lru_cache(maxsize=1024)
-def _seed_sequence(seed: int, label: str) -> np.random.SeedSequence:
     digest = hashlib.sha256(label.encode("utf8")).digest()
     words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
-    return np.random.SeedSequence([seed] + words)
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
 def uniform(rng: np.random.Generator, lo, hi, size=None):

@@ -6,22 +6,24 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tancat.algebroid import (Section, algebroid_bracket, algebroid_of,
-                              anchor_field, bracket_table,
+from tancat.algebroid import (_STACK_BELOW, Section, _anchor_blocks,
+                              algebroid_bracket, algebroid_of, anchor_field,
+                              bracket_table, by_slots,
                               check_algebroid_laws, extend_to_invariant,
                               on_slots, pullback_target, restrict_to_unit,
                               section_add, section_scale, stack_sections)
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
-from tancat.fields import (ScalarField, VectorField, bracket_by_jacobians,
-                           check_related, related_sides)
+from tancat.fields import (ScalarField, VectorField, act_on_function,
+                           bracket_by_jacobians, check_related, lie_bracket,
+                           related_sides)
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, matrix_group,
                              pair_groupoid)
 from tancat.randexpr import random_expr
 from tancat.report import rng_for
 from tancat.tanpoint import residual
-from tancat.tower import _GATHER_BELOW
+from tancat.tower import _GATHER_BELOW, _mul
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +211,7 @@ def test_bracket_table(als):
                   ).max() < 1e-13
 
 
-def _laws_by_section(al, sections, pts, gs) -> dict:
+def _laws_by_section(al, sections, f, pts, gs) -> dict:
     """The stacked laws of ``check_algebroid_laws`` as one bracket per
     term and one evaluation per section: the arrays each law compares,
     and its residual."""
@@ -224,9 +226,17 @@ def _laws_by_section(al, sections, pts, gs) -> dict:
     rel = [related_sides(G.target, extend_to_invariant(al, s),
                          anchor_field(al, s), gs) for s in sections]
     ab, ba = br(a, b).at(pts), br(b, a).at(pts)
+    rho_a = anchor_field(al, a)
+    lhs = br(a, section_scale(f, b)).at(pts)
+    rhs = (section_scale(f, br(a, b)).at(pts)
+           + section_scale(act_on_function(rho_a, f), b).at(pts))
+    rho_ab = anchor_field(al, br(a, b)).at(pts)
     return {
         "jacobi": ([jac], residual(jac, np.zeros_like(jac))),
         "antisymmetry": ([ab, ba], residual(ab, -ba)),
+        "leibniz": ([lhs, rhs], residual(lhs, rhs)),
+        "anchor_morphism": ([rho_ab], residual(
+            rho_ab, lie_bracket(rho_a, anchor_field(al, b)).at(pts))),
         "psi_phi": ([x for pair in psi for x in pair],
                     max(residual(*pair) for pair in psi)),
         "t_related": ([x for pair in rel for x in pair],
@@ -236,26 +246,30 @@ def _laws_by_section(al, sections, pts, gs) -> dict:
     }
 
 
-def _laws_stacked(al, sections, pts, gs) -> dict:
-    """The arrays of the same laws from stacked sections, split by slot."""
+def _laws_stacked(al, sections, f, pts, gs) -> dict:
+    """The arrays of the same laws from :func:`by_slots`, split by slot."""
     a, b, c = sections
     G = al.gpd
     br = lambda x, y: algebroid_bracket(al, x, y)
-    every = stack_sections(sections)
-    terms = br(stack_sections([a, b, c]),
-               br(stack_sections([b, c, a]), stack_sections([c, a, b]))
-               ).at(on_slots(pts, 3))
-    pair = br(stack_sections([a, b]),
-              stack_sections([b, a])).at(on_slots(pts, 2))
-    grid = on_slots(pts, 3)
-    back = restrict_to_unit(al, extend_to_invariant(al, every),
-                            check=False).at(grid)
-    vals = every.at(grid)
-    pushed, rho = related_sides(G.target, extend_to_invariant(al, every),
-                                anchor_field(al, every), on_slots(gs, 3))
+    each = [(s,) for s in sections]
+    terms, = by_slots(lambda x, y, z, at: (br(x, br(y, z)).at(at),),
+                      [(a, b, c), (b, c, a), (c, a, b)], pts)
+    brs, = by_slots(lambda x, y, at: (br(x, y).at(at),),
+                    [(a, b), (b, a), (a, section_scale(f, b))], pts)
+    x0, ab = pts[None], brs[None, :, 0]
+    rhs = (_mul(f.fn(x0), ab)[0]
+           + section_scale(act_on_function(anchor_field(al, a), f), b).at(pts))
+    back, vals = by_slots(lambda s, x: (restrict_to_unit(
+        al, extend_to_invariant(al, s), check=False).at(x), s.at(x)),
+        each, pts)
+    pushed, rho = by_slots(lambda s, x: related_sides(
+        G.target, extend_to_invariant(al, s), anchor_field(al, s), x),
+        each, gs)
     return {
         "jacobi": [terms[:, 0] + terms[:, 1] + terms[:, 2]],
-        "antisymmetry": [pair[:, 0], pair[:, 1]],
+        "antisymmetry": [brs[:, 0], brs[:, 1]],
+        "leibniz": [brs[:, 2], rhs],
+        "anchor_morphism": [_anchor_blocks(G, x0, ab)[0]],
         "psi_phi": [x[:, j] for j in range(3) for x in (back, vals)],
         "t_related": [x[:, j] for j in range(3) for x in (pushed, rho)],
     }
@@ -270,9 +284,11 @@ def test_stacked_jacobi_batch_passes_the_gather_bound():
     # at 250 points the three stacked terms hold 750 towers a column,
     # past the gather bound at orders 2 and 3, where one term is below it
     assert 250 < min(_GATHER_BELOW[2], _GATHER_BELOW[3]) < 3 * 250
+    # 200 and 250 points are stacked, 600 run one slot at a time
+    assert 3 * 250 < _STACK_BELOW <= 3 * 600
 
 
-@pytest.mark.parametrize("samples", [200, 250])
+@pytest.mark.parametrize("samples", [200, 250, 600])
 @pytest.mark.parametrize("name", sorted(STACKED_CASES))
 def test_stacked_laws_keep_the_bits_of_the_loop_per_section(name, samples):
     al = algebroid_of(STACKED_CASES[name]())
@@ -290,13 +306,38 @@ def test_stacked_laws_keep_the_bits_of_the_loop_per_section(name, samples):
     draw = rng_for(48, name)    # the laws' first two draws
     pts = al.base.sample(draw, samples)
     gs = al.gpd.sample_arrows(draw, samples)
-    want = _laws_by_section(al, sections, pts, gs)
-    got = _laws_stacked(al, sections, pts, gs)
+    want = _laws_by_section(al, sections, f, pts, gs)
+    got = _laws_stacked(al, sections, f, pts, gs)
     for law, (arrays, value) in want.items():
         assert res[law] == value, law
         assert len(got[law]) == len(arrays)
         for x, y in zip(got[law], arrays):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), law
+
+
+@pytest.mark.parametrize("n", [20, _STACK_BELOW // 2])
+def test_by_slots_stacks_below_the_bound_and_runs_rows_above(als, n):
+    al = als["action_gl2"]
+    rng = rng_for(50, "algebroid/by_slots")
+    secs = [al.section(random_expr(rng, 2, al.rank, depth=2), name=f"s{k}")
+            for k in range(4)]
+    pts = al.base.sample(rng, n)
+    rows = [(secs[0], secs[1]), (secs[2], secs[3]), (secs[1], secs[0])]
+    seen = []
+
+    def run(x, y, at):
+        seen.append((x.name, y.name, at.shape))
+        return algebroid_bracket(al, x, y).at(at), y.at(at)
+
+    got = by_slots(run, rows, pts)
+    if 3 * n < _STACK_BELOW:
+        assert seen == [("(s0,s2,s1)", "(s1,s3,s0)", (2, 3, n))]
+    else:
+        assert seen == [(x.name, y.name, (2, n)) for x, y in rows]
+    for j, (x, y) in enumerate(rows):
+        assert got[0][:, j].tobytes() == \
+            algebroid_bracket(al, x, y).at(pts).tobytes()
+        assert got[1][:, j].tobytes() == y.at(pts).tobytes()
 
 
 def test_stacked_section_runs_each_section_on_its_slot(als):

@@ -322,16 +322,6 @@ class TestTangentGroupoid:
         rng = rng_for(5, "groupoid/tg/" + name)
         assert worst(check_groupoid_axioms(TG, rng, 80)) < TOL
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
-    def test_chart_lifts_are_the_tangent_groupoids_maps(self, name):
-        G = BUILTIN_GROUPOIDS[name]()
-        TG = tangent_groupoid(G)
-        TTG = tangent_groupoid(TG)
-        assert G.chart_lifts is G.chart_lifts
-        for (compose, unit), H in zip(G.chart_lifts, (TG, TTG)):
-            assert compose.to_json_dict() == H.compose.body.to_json_dict()
-            assert unit.to_json_dict() == H.unit.body.to_json_dict()
-
     def test_flatten_roundtrip(self):
         rng = rng_for(6, "groupoid/flat")
         blocks = rng.uniform(-1, 1, size=(4, 3, 7))
