@@ -53,105 +53,150 @@ def order_of(blocks: np.ndarray) -> int:
     return n.bit_length() - 1
 
 
+class _Schedule(NamedTuple):
+    """A compiled program: what ``Expr`` runs and how it writes outputs."""
+    lifted: tuple     # the constants a step reads as towers
+    steps: tuple      # (node id, fn, register a, register b, dead registers)
+    out_src: tuple    # each output's input slot, float or step register
+    gather: tuple | None     # on_blocks: input columns as one gather
+    fill: tuple | None       # on_blocks: float columns and their towers
+    step_outs: tuple         # on_blocks: (column, register) of step outputs
+
+
 class Expr:
     """An immutable program with ``n_inputs`` arguments and a tuple of
     output node ids.
 
-    Construction validates every node, marks the nodes that some output
-    reads, and compiles only those into a schedule: constant nodes stay
-    floats, nodes whose operands are all constant are folded into floats,
-    and every other node becomes a step that computes its coefficient
-    array from the arrays of earlier nodes.  A node that no output reads
-    is validated but never run, so it cannot raise ``DomainError``.
-    Arrays live in registers: the input slots first, then one constant
-    tower per constant that a step needs as a tower, then one per step,
-    in schedule order.  Each step lists the registers it reads for the
-    last time, and evaluation drops them as soon as the step has run;
-    input registers and those of outputs are never dropped.  An output
-    is an input slot, a float or a step register (``_out_src``), and
-    ``on_blocks`` writes each kind at once: the inputs by one gather,
-    the floats by one write, and only the step outputs one by one.  Its
-    tables (``_plan``) are built on its first call: many programs are
-    only spliced into larger ones and never run.
+    Construction validates every node in one pass.  The first run
+    (``evaluate``, ``on_blocks`` or a call) compiles the program into a
+    ``_Schedule`` and keeps it: many programs are only spliced into
+    larger ones and never run, and they are never compiled.  Compiling
+    marks the nodes that some output reads and schedules only those:
+    constant nodes stay floats, nodes whose operands are all constant
+    are folded into floats, and every other node becomes a step that
+    computes its coefficient array from the arrays of earlier nodes.  A
+    node that no output reads is validated but never run, so it cannot
+    raise ``DomainError``.  Arrays live in registers: the input slots
+    first, then one constant tower per constant that a step needs as a
+    tower, then one per step, in schedule order.  Each step lists the
+    registers it reads for the last time, and evaluation drops them as
+    soon as the step has run; input registers and those of outputs are
+    never dropped.  An output is an input slot, a float or a step
+    register (``out_src``), and ``on_blocks`` writes each kind at once:
+    the inputs by one gather, the floats by one write, and only the step
+    outputs one by one.
     """
 
-    __slots__ = ("nodes", "n_inputs", "outputs", "_lifted", "_steps",
-                 "_out_src", "_plan")
+    __slots__ = ("nodes", "n_inputs", "outputs", "_schedule")
 
     def __init__(self, nodes: Sequence[Node], n_inputs: int,
                  outputs: Sequence[int]) -> None:
         nodes = tuple(nodes)
-        outputs = tuple(int(i) for i in outputs)
+        outputs = tuple(map(int, outputs))
         if n_inputs < 0:
             raise ValueError("n_inputs must be nonnegative")
-        consts: list[float | None] = [None] * len(nodes)
-        reg: dict[int, int] = {}
-        for nid, node in enumerate(nodes):
-            if node.op not in _ARITY:
-                raise ValueError(f"node {nid}: unknown op {node.op!r}")
-            if len(node.args) != _ARITY[node.op]:
-                raise ValueError(f"node {nid}: op {node.op!r} takes "
-                                 f"{_ARITY[node.op]} args, got {len(node.args)}")
-            for a in node.args:
+        arity_of = _ARITY.get
+        for nid, (op, args, value, index) in enumerate(nodes):
+            arity = arity_of(op)
+            if arity is None:
+                raise ValueError(f"node {nid}: unknown op {op!r}")
+            if len(args) != arity:
+                raise ValueError(f"node {nid}: op {op!r} takes {arity} args, "
+                                 f"got {len(args)}")
+            for a in args:
                 if not 0 <= a < nid:
                     raise ValueError(f"node {nid}: arg {a} not topologically "
                                      "earlier")
-            if node.op == "input":
-                if node.index is None or not 0 <= node.index < n_inputs:
-                    raise ValueError(f"node {nid}: input slot {node.index} out "
+            if arity:
+                if index is None and op == "pow_int":
+                    raise ValueError(f"node {nid}: pow_int without exponent")
+            elif op == "input":
+                if index is None or not 0 <= index < n_inputs:
+                    raise ValueError(f"node {nid}: input slot {index} out "
                                      f"of range for {n_inputs} inputs")
-                reg[nid] = node.index
-            elif node.op == "const":
-                if node.value is None:
-                    raise ValueError(f"node {nid}: const without value")
-                consts[nid] = float(node.value)
-            elif node.op == "pow_int" and node.index is None:
-                raise ValueError(f"node {nid}: pow_int without exponent")
+            elif value is None:
+                raise ValueError(f"node {nid}: const without value")
+            else:
+                float(value)  # refuses a value that is not a number
         for o in outputs:
             if not 0 <= o < len(nodes):
                 raise ValueError(f"output id {o} out of range")
-        live = set(outputs)  # the nodes some output reads
-        for nid in reversed(range(len(nodes))):
-            if nid in live:
-                live.update(nodes[nid].args)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "n_inputs", n_inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "_schedule", None)
+
+    def _compile(self) -> _Schedule:
+        """Compile the program (see the class docstring) and keep it."""
+        nodes, n_inputs, outputs = self.nodes, self.n_inputs, self.outputs
+        live = [False] * len(nodes)  # whether some output reads the node
+        for o in outputs:
+            live[o] = True
+        for nid in range(len(nodes) - 1, -1, -1):
+            if live[nid]:
+                for a in nodes[nid][1]:
+                    live[a] = True
+        consts: list[float | None] = [None] * len(nodes)
+        reg: dict[int, int] = {}
         lifted, steps = set(), []
-        for nid in sorted(live):
-            node = nodes[nid]
-            if node.op in ("input", "const"):
+        for nid, node in enumerate(nodes):
+            if not live[nid]:
                 continue
-            step = _step(node, consts)
-            if all(consts[a] is not None for a in node.args):
-                consts[nid] = _fold(node.op, *step, consts)
+            op, args, value, index = node
+            if not args:
+                if op == "input":
+                    reg[nid] = index
+                else:
+                    consts[nid] = float(value)
+                continue
+            step = _step(op, args, index, consts)
+            if consts[args[0]] is not None and consts[args[-1]] is not None:
+                consts[nid] = _fold(op, *step, consts)
                 if consts[nid] is not None:
                     continue
                 # not folded: it runs at evaluate, on constant towers of
                 # the evaluation's order and batch shape
-                lifted.update(node.args)
-            elif node.op == "div" and consts[node.args[1]] == 0.0:
-                lifted.add(node.args[1])  # so recip raises, as for a tower
+                lifted.update(args)
+            elif op == "div" and consts[args[1]] == 0.0:
+                lifted.add(args[1])  # so recip raises, as for a tower
             steps.append((nid, *step))
         lifted = sorted(lifted)
-        numbered = lifted + [step[0] for step in steps]
-        reg.update((nid, n_inputs + k) for k, nid in enumerate(numbered))
+        for k, nid in enumerate(lifted + [step[0] for step in steps]):
+            reg[nid] = n_inputs + k
         out_src = tuple(reg[o] if consts[o] is None else consts[o]
                         for o in outputs)
-        steps = [(nid, fn, reg[a], reg[b]) for nid, fn, a, b in steps]
-        last: dict[int, int] = {}  # register -> the step that reads it last
-        for k, (_, _, a, b) in enumerate(steps):
-            last[a] = last[b] = k
-        kept = {src for src in out_src if type(src) is not float}
-        dead: list[list[int]] = [[] for _ in steps]
-        for r, k in last.items():
-            if not (r < n_inputs or r in kept):
-                dead[k].append(r)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "n_inputs", n_inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "_lifted", tuple(consts[i] for i in lifted))
-        object.__setattr__(self, "_steps", tuple(
-            step + (tuple(d),) for step, d in zip(steps, dead)))
-        object.__setattr__(self, "_out_src", out_src)
-        object.__setattr__(self, "_plan", None)
+        # backwards, each register a step reads and no later step or
+        # output does is dead after it; input registers are never dead
+        later = {src for src in out_src if type(src) is not float}
+        for k in range(len(steps) - 1, -1, -1):
+            nid, fn, a, b = steps[k]
+            a, b = reg[a], reg[b]
+            dead = ()
+            if a >= n_inputs and a not in later:
+                dead = (a,)
+                later.add(a)
+            if b >= n_inputs and b not in later:
+                dead += (b,)
+                later.add(b)
+            steps[k] = (nid, fn, a, b, dead)
+        gather, fill, step_outs = [], [], []  # (column, source) by kind
+        for j, src in enumerate(out_src):
+            if type(src) is float:
+                fill.append((j, src))
+            elif src < n_inputs:
+                gather.append((j, src))
+            else:
+                step_outs.append((j, src))
+        if fill:  # the constant towers of every order, one column each
+            block = np.zeros((1 << MAX_ORDER, len(fill)))
+            block[0] = [c for _, c in fill]
+            fill = (_index([j for j, _ in fill]), block)
+        schedule = _Schedule(
+            tuple(consts[i] for i in lifted), tuple(steps), out_src,
+            tuple(_index(col) for col in zip(*gather)) if gather else None,
+            fill or None, tuple(step_outs))
+        object.__setattr__(self, "_schedule", schedule)
+        return schedule
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr instances are immutable")
@@ -192,11 +237,12 @@ class Expr:
         else:
             order = 0 if order is None else order
             batch_shape = () if batch_shape is None else tuple(batch_shape)
-        if self._steps:
+        schedule = self._schedule or self._compile()
+        if schedule.steps:
             regs = self._run(regs, order, batch_shape)
         towers: dict[int, Tower] = {}
         out = []
-        for o, src in zip(self.outputs, self._out_src):
+        for o, src in zip(self.outputs, schedule.out_src):
             t = towers.get(o)
             if t is None:
                 if type(src) is float:
@@ -233,9 +279,10 @@ class Expr:
             raise ValueError(f"axis 1 must have length {self.n_inputs}, got "
                              f"shape {blocks.shape}")
         n, batch = len(blocks), blocks.shape[2:]
-        if self._steps:  # before ``out`` exists, which would raise the peak
+        _, steps, _, gather, fill, step_outs = (self._schedule
+                                                or self._compile())
+        if steps:  # before ``out`` exists, which would raise the peak
             regs = self._run(list(blocks.swapaxes(0, 1)), order, batch)
-        gather, fill, step_outs = self._plan or self._block_plan()
         out = np.empty((n, self.n_outputs) + batch)
         if gather is not None:
             cols, slots = gather
@@ -247,42 +294,19 @@ class Expr:
             out[:, j] = regs[r]
         return out
 
-    def _block_plan(self) -> tuple:
-        """The output tables of ``on_blocks``, made and kept on its first
-        call: the input columns as one gather, the float columns with a
-        block of their constant towers at every order, and the step
-        outputs as ``(column, register)`` pairs."""
-        gather, fill, step_outs = [], [], []  # (column, source) by kind
-        for j, src in enumerate(self._out_src):
-            if type(src) is float:
-                fill.append((j, src))
-            elif src < self.n_inputs:
-                gather.append((j, src))
-            else:
-                step_outs.append((j, src))
-        gather = tuple(_index(col) for col in zip(*gather)) if gather else None
-        if fill:  # the constant towers of every order, one column each
-            block = np.zeros((1 << MAX_ORDER, len(fill)))
-            block[0] = [c for _, c in fill]
-            fill = (_index([j for j, _ in fill]), block)
-        else:
-            fill = None
-        plan = (gather, fill, tuple(step_outs))
-        object.__setattr__(self, "_plan", plan)
-        return plan
-
     def _run(self, regs: list, order: int, batch_shape: tuple) -> list:
         """Run the schedule on the input arrays ``regs``, in place.
 
         Returns the register list; only the input and output registers
         are sure to still hold their arrays.
         """
+        lifted, steps = (self._schedule or self._compile())[:2]
         shape = (1 << order,) + tuple(batch_shape)
-        for c in self._lifted:
+        for c in lifted:
             regs.append(np.zeros(shape))
             regs[-1][0] = c
         try:
-            for nid, fn, a, b, dead in self._steps:
+            for nid, fn, a, b, dead in steps:
                 regs.append(fn(regs[a], regs[b]))
                 for r in dead:
                     regs[r] = None
@@ -352,14 +376,20 @@ def _with_const(op: str, c: float, const_left: bool) -> Callable:
     It does Tower's float operations for that operand: ``t + c`` and
     ``c + t`` add the constant tower ``[c, 0, ...]`` to ``t``, so
     ``-0.0 + 0.0`` gives ``+0.0`` above the value slot; ``t * c`` and
-    ``t / c`` scale by a float; ``c / t`` is ``recip(t) * c``.
+    ``t / c`` scale by a float; ``c / t`` is ``recip(t) * c``.  At
+    order 0 the constant tower is ``c`` alone, so a sum or difference
+    takes the float directly, the same IEEE operation per entry without
+    the tower's allocation and broadcast.
     """
     if op == "add":
-        return lambda x, _: _add(x, _constant(c, _order_of(x)))
+        return lambda x, _: (x + c if len(x) == 1
+                             else _add(x, _constant(c, _order_of(x))))
     if op == "sub":
         if const_left:
-            return lambda x, _: _sub(_constant(c, _order_of(x)), x)
-        return lambda x, _: _sub(x, _constant(c, _order_of(x)))
+            return lambda x, _: (c - x if len(x) == 1
+                                 else _sub(_constant(c, _order_of(x)), x))
+        return lambda x, _: (x - c if len(x) == 1
+                             else _sub(x, _constant(c, _order_of(x))))
     if op == "mul":
         return lambda x, _: x * c
     if const_left:
@@ -368,13 +398,13 @@ def _with_const(op: str, c: float, const_left: bool) -> Callable:
     return lambda x, _: x * inv
 
 
-def _step(node: Node, consts: Sequence[float | None]) -> tuple:
-    """``(fn, a, b)``: ``fn(array of a, array of b)`` computes ``node``.
+def _step(op: str, args: tuple, index, consts: Sequence[float | None]) -> tuple:
+    """``(fn, a, b)``: ``fn(array of a, array of b)`` computes the node
+    ``op(*args)`` (``index`` is a power's exponent).
 
     A constant operand is bound into ``fn`` (see ``_with_const``), and
     both indices then name the other operand.  Unary steps ignore ``b``.
     """
-    op, args = node.op, node.args
     a = b = args[0]
     if op in _BINARY_OPS:
         b = args[1]
@@ -385,8 +415,7 @@ def _step(node: Node, consts: Sequence[float | None]) -> tuple:
             return _with_const(op, ca, True), b, b
         return _with_const(op, cb, False), a, a
     if op == "pow_int":
-        k = node.index
-        return (lambda x, _: _pow(x, k)), a, b
+        return (lambda x, _: _pow(x, index)), a, b
     return _UNARY_OPS[op], a, b
 
 
@@ -418,17 +447,30 @@ def _fold(op: str, fn: Callable, a: int, b: int,
     fold = _FLOAT_FOLDS.get(op)
     if fold is not None:
         value = fold(consts[a], consts[b])
-    else:
-        x, y = (np.full((1, 1), consts[i]) for i in (a, b))
+    else:  # a power or a primitive, unary: ``b`` is ``a``
+        x = np.array([[consts[a]]])
         try:
             with np.errstate(all="ignore"):
-                value = float(fn(x, y)[0, 0])
+                value = float(fn(x, x)[0, 0])
         except DomainError:
             return None
     return value if value is not None and math.isfinite(value) else None
 
 
 # -- building ---------------------------------------------------------
+
+def _binary(op: str, flip: bool = False) -> Callable:
+    """The operator method of ``op`` on a handle and a handle or number;
+    ``flip`` puts the other operand first."""
+    def method(self: "Handle", other) -> "Handle":
+        b = self.builder
+        if type(other) is not Handle:
+            other = b.lift(other)
+            if other is None:
+                return NotImplemented
+        return b.node(op, (other.id, self.id) if flip else (self.id, other.id))
+    return method
+
 
 class Handle:
     """A reference to a node inside a builder, with operator sugar."""
@@ -439,36 +481,10 @@ class Handle:
         self.builder = builder
         self.id = nid
 
-    def _bin(self, op, other, flip=False):
-        other = self.builder.lift(other)
-        if other is None:
-            return NotImplemented
-        a, b = (other, self) if flip else (self, other)
-        return self.builder.node(op, (a.id, b.id))
-
-    def __add__(self, other):
-        return self._bin("add", other)
-
-    def __radd__(self, other):
-        return self._bin("add", other, flip=True)
-
-    def __sub__(self, other):
-        return self._bin("sub", other)
-
-    def __rsub__(self, other):
-        return self._bin("sub", other, flip=True)
-
-    def __mul__(self, other):
-        return self._bin("mul", other)
-
-    def __rmul__(self, other):
-        return self._bin("mul", other, flip=True)
-
-    def __truediv__(self, other):
-        return self._bin("div", other)
-
-    def __rtruediv__(self, other):
-        return self._bin("div", other, flip=True)
+    __add__, __radd__ = _binary("add"), _binary("add", flip=True)
+    __sub__, __rsub__ = _binary("sub"), _binary("sub", flip=True)
+    __mul__, __rmul__ = _binary("mul"), _binary("mul", flip=True)
+    __truediv__, __rtruediv__ = _binary("div"), _binary("div", flip=True)
 
     def __neg__(self):
         return self.builder.node("neg", (self.id,))
@@ -476,7 +492,7 @@ class Handle:
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)):
             return NotImplemented
-        return self.builder.node("pow_int", (self.id,), index=int(k))
+        return self.builder.node("pow_int", (self.id,), None, int(k))
 
 
 def _handle_prim(op):
@@ -491,6 +507,9 @@ sin = _handle_prim("sin")
 cos = _handle_prim("cos")
 sqrt = _handle_prim("sqrt")
 
+# ``Node(...)`` without the keyword handling of NamedTuple's ``__new__``
+_new_node = tuple.__new__
+
 
 class ExprBuilder:
     """Accumulates hash-consed nodes and freezes them into an Expr."""
@@ -498,34 +517,49 @@ class ExprBuilder:
     def __init__(self, n_inputs: int) -> None:
         self.n_inputs = n_inputs
         self._nodes: list[Node] = []
-        self._memo: dict = {}
+        self._memo: dict = {}  # node (with a constant's sign) -> its handle
 
     def node(self, op: str, args: tuple[int, ...] = (), value=None,
              index=None) -> Handle:
+        if value is not None and op == "const" and not args and index is None:
+            return self._const(value)
+        key = node = _new_node(Node, (op, args, value, index))
+        if value is not None:  # a value on another op: kept apart the same way
+            key = (node, math.copysign(1.0, value))
+        h = self._memo.get(key)
+        if h is None:
+            h = self._memo[key] = Handle(self, len(self._nodes))
+            self._nodes.append(node)
+        return h
+
+    def _const(self, value) -> Handle:
         # 0.0 == -0.0, so the sign joins the key to keep the two apart
-        sign = None if value is None else math.copysign(1.0, value)
-        key = (op, args, value, index, sign)
-        nid = self._memo.get(key)
-        if nid is None:
-            nid = len(self._nodes)
-            self._nodes.append(Node(op, args, value, index))
-            self._memo[key] = nid
-        return Handle(self, nid)
+        key = (value, math.copysign(1.0, value))
+        h = self._memo.get(key)
+        if h is None:
+            h = self._memo[key] = Handle(self, len(self._nodes))
+            self._nodes.append(_new_node(Node, ("const", (), value, None)))
+        return h
 
     def input(self, slot: int) -> Handle:
-        return self.node("input", index=slot)
+        return self.node("input", (), None, slot)
 
     def inputs(self) -> list[Handle]:
         return [self.input(i) for i in range(self.n_inputs)]
 
     def const(self, value: float) -> Handle:
-        return self.node("const", value=float(value))
+        return self._const(float(value))
 
     def lift(self, value) -> Handle | None:
-        if isinstance(value, Handle):
+        """A handle, or a number as a constant node; None for anything
+        else."""
+        kind = type(value)
+        if kind is Handle:
             return value
+        if kind is float:
+            return self._const(value)
         if isinstance(value, (int, float, np.floating, np.integer)):
-            return self.const(float(value))
+            return self._const(float(value))
         return None
 
     def splice(self, expr: Expr, arguments: Sequence[Handle]) -> list[Handle]:
@@ -534,13 +568,12 @@ class ExprBuilder:
             raise ValueError(f"expected {expr.n_inputs} arguments, got "
                              f"{len(arguments)}")
         local: list[Handle] = []
-        for node in expr.nodes:
-            if node.op == "input":
-                local.append(arguments[node.index])
+        for op, args, value, index in expr.nodes:
+            if op == "input":
+                local.append(arguments[index])
             else:
-                local.append(self.node(node.op,
-                                       tuple(local[a].id for a in node.args),
-                                       node.value, node.index))
+                local.append(self.node(op, tuple([local[a].id for a in args]),
+                                       value, index))
         return [local[o] for o in expr.outputs]
 
     def finish(self, outputs: Iterable[Handle]) -> Expr:

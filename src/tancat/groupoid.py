@@ -116,32 +116,55 @@ class FiberedGroupoid:
 
 # -- pointwise axiom checks -------------------------------------------
 
+def _each(f, calls, chart_axis: int = 0) -> list[np.ndarray]:
+    """``f`` at each argument tuple of ``calls``, by one evaluation.
+
+    The arguments of a call are joined along ``chart_axis`` (0 for
+    points, 1 for tangent points), and the calls along the batch, the
+    last axis.  Each result is the view of its call's columns in the
+    joined output: a program runs column by column, so these are the
+    bits of one evaluation per call.
+    """
+    args = [np.concatenate(col, axis=-1) for col in zip(*calls)]
+    out = f(np.concatenate(args, axis=chart_axis) if len(args) > 1 else args[0])
+    pieces, start = [], 0
+    for call in calls:
+        stop = start + call[0].shape[-1]
+        pieces.append(out[..., start:stop])
+        start = stop
+    return pieces
+
+
 def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
                           samples: int = 200) -> dict[str, float]:
-    """Residuals of the groupoid laws at sampled strings."""
+    """Residuals of the groupoid laws at sampled strings.
+
+    Every sample is drawn first; then each structure map runs once on
+    all of its inputs that are known by then (``_each``).
+    """
     p = G.base.dim
-    res: dict[str, float] = {}
     x = G.sample_objects(rng, samples)
-    ux = G.unit(x)
-    res["unit_section"] = max(residual(ux[:p], x), residual(G.target(ux), x))
     g1, h1 = G.sample_composable(rng, samples, 2)
-    gh = G.compose_pair(g1, h1)
-    res["compose_source"] = residual(gh[:p], h1[:p])
-    res["compose_target"] = residual(G.target(gh), G.target(g1))
     a, b, c = G.sample_composable(rng, samples, 3)
-    res["associativity"] = residual(
-        G.compose_pair(G.compose_pair(a, b), c),
-        G.compose_pair(a, G.compose_pair(b, c)))
     g = G.sample_arrows(rng, samples)
-    res["unit_left"] = residual(G.compose_pair(G.unit(G.target(g)), g), g)
-    res["unit_right"] = residual(G.compose_pair(g, G.unit(g[:p])), g)
+    sg = g[:p]
     gi = G.inverse(g)
-    res["inverse_exchange"] = max(residual(gi[:p], G.target(g)),
-                                  residual(G.target(gi), g[:p]))
-    res["inverse_left"] = residual(G.compose_pair(gi, g), G.unit(g[:p]))
-    res["inverse_right"] = residual(G.compose_pair(g, gi),
-                                    G.unit(G.target(g)))
-    return res
+    tg1, tg, tgi = _each(G.target, [(g1,), (g,), (gi,)])
+    ux, utg, usg = _each(G.unit, [(x,), (tg,), (sg,)])
+    gh, ab, bc, unit_left, unit_right, inv_left, inv_right = _each(
+        G.compose, [(g1, h1), (a, b), (b, c), (utg, g), (g, usg), (gi, g),
+                    (g, gi)])
+    tux, tgh = _each(G.target, [(ux,), (gh,)])
+    ab_c, a_bc = _each(G.compose, [(ab, c), (a, bc)])
+    return {"unit_section": max(residual(ux[:p], x), residual(tux, x)),
+            "compose_source": residual(gh[:p], h1[:p]),
+            "compose_target": residual(tgh, tg1),
+            "associativity": residual(ab_c, a_bc),
+            "unit_left": residual(unit_left, g),
+            "unit_right": residual(unit_right, g),
+            "inverse_exchange": max(residual(gi[:p], tg), residual(tgi, sg)),
+            "inverse_left": residual(inv_left, usg),
+            "inverse_right": residual(inv_right, utg)}
 
 
 # -- the tangent groupoid ---------------------------------------------
@@ -239,39 +262,41 @@ def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def check_tangent_functor(G: FiberedGroupoid, rng, order: int,
                           samples: int = 100) -> dict[str, float]:
-    """The groupoid laws after applying the order-n tangent functor."""
+    """The groupoid laws after applying the order-n tangent functor.
+
+    Samples are drawn in the order the laws use them; then each tangent
+    structure map runs once on all of its inputs known by then
+    (``_each``).
+    """
     p = G.base.dim
-    tm = lambda f, pt: apply_tangent(f, pt, check_domain=False)
-    res: dict[str, float] = {}
+    tm = lambda f: lambda pt: apply_tangent(f, pt, check_domain=False)
+    compose, target, unit = tm(G.compose), tm(G.target), tm(G.unit)
 
     a, b, c = _tangent_string(G, rng, order, samples, 3)
-    res["associativity"] = residual(_tcompose(G, _tcompose(G, a, b), c),
-                                    _tcompose(G, a, _tcompose(G, b, c)))
-
     g = _tangent_arrows(G, rng, order, samples)
-    tg = tm(G.target, g)
-    sg = g[:, :p]
-    res["unit_left"] = residual(_tcompose(G, tm(G.unit, tg), g), g)
-    res["unit_right"] = residual(_tcompose(G, g, tm(G.unit, sg)), g)
-
-    gi = tm(G.inverse, g)
-    res["inverse_laws"] = max(
-        residual(_tcompose(G, gi, g), tm(G.unit, sg)),
-        residual(_tcompose(G, g, gi), tm(G.unit, tg)))
-
     g2, h2 = _tangent_string(G, rng, order, samples, 2)
-    gh = _tcompose(G, g2, h2)
-    res["source_target"] = max(
-        residual(gh[:, :p], h2[:, :p]),
-        residual(tm(G.target, gh), tm(G.target, g2)))
-
     # arrows vertical over the source stay vertical after composing
     h0 = np.array(h2)
     h0[1:, :p] = 0.0
-    g0 = _force_source(G, rng, tm(G.target, h0))
-    out = _tcompose(G, g0, h0)
-    res["vertical_closure"] = residual(out[1:, :p], np.zeros_like(out[1:, :p]))
-    return res
+    sg = g[:, :p]
+    gi = tm(G.inverse)(g)
+    tg, tg2, th0 = _each(target, [(g,), (g2,), (h0,)])
+    g0 = _force_source(G, rng, th0)
+    utg, usg = _each(unit, [(tg,), (sg,)])
+    ab, bc, unit_left, unit_right, inv_left, inv_right, gh, out = _each(
+        compose, [(a, b), (b, c), (utg, g), (g, usg), (gi, g), (g, gi),
+                  (g2, h2), (g0, h0)], chart_axis=1)
+    ab_c, a_bc = _each(compose, [(ab, c), (a, bc)], chart_axis=1)
+    tgh = target(gh)
+    return {"associativity": residual(ab_c, a_bc),
+            "unit_left": residual(unit_left, g),
+            "unit_right": residual(unit_right, g),
+            "inverse_laws": max(residual(inv_left, usg),
+                                residual(inv_right, utg)),
+            "source_target": max(residual(gh[:, :p], h2[:, :p]),
+                                 residual(tgh, tg2)),
+            "vertical_closure": residual(out[1:, :p],
+                                         np.zeros_like(out[1:, :p]))}
 
 
 def check_chart_functoriality(G: FiberedGroupoid, rng,

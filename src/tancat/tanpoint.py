@@ -54,23 +54,27 @@ def residual(a, b) -> float:
     """Relative mismatch with an absolute floor near zero.
 
     Infinite when either side holds a value that is not finite, so a
-    NaN can never read as agreement.  A difference with no nonzero
-    entry is 0.0 before the sides are reduced: it holds no NaN, so
-    neither side holds a NaN or an infinity, and the full formula would
-    give 0.0 too.
+    NaN can never read as agreement.  Two sides that are equal
+    everywhere and finite give 0.0 after one comparison pass, as the
+    full formula would; equal sides hold no NaN (NaN != NaN), so only
+    an infinity needs the finiteness test, made on the smaller side,
+    whose every entry meets an equal one of the other.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 and b.size == 0:
         return 0.0
+    same = a == b
+    if same.size and same.all() and np.isfinite(
+            a if a.size <= b.size else b).all():
+        return 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
         diff = a - b
     # max(x.max(), -x.min()) is max(abs(x)) without a temporary; a NaN
-    # in the difference makes both reductions NaN, and + 0.0 turns a
-    # largest magnitude of -0.0 into 0.0
-    num = float(max(diff.max(), -diff.min())) + 0.0
-    if num == 0.0:
-        return 0.0
+    # in the difference makes both reductions NaN.  Unequal sides have a
+    # difference that is NaN, infinite or nonzero somewhere, so num is
+    # never 0.0 here
+    num = float(max(diff.max(), -diff.min()))
     den = 1.0 + float(max(a.max(), -a.min(), b.max(), -b.min()))
     if not (math.isfinite(num) and math.isfinite(den)):
         return math.inf

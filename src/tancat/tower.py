@@ -205,8 +205,9 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     from ``x[0] * y[r]``.  The masks without the outermost generator
     therefore get exactly the sums of the product one order down, so
     dropping that generator commutes with the product bit for bit.
-    Orders 0 and 1 are the first term and the first iteration of the
-    strided loop, written out.  At orders 2-4, operands of fewer than
+    Order 0 is the first term, ``x * y`` (no broadcast of ``x[0]`` is
+    needed), and order 1 the first iteration of the strided loop,
+    written out.  At orders 2-4, operands of fewer than
     ``_GATHER_BELOW`` towers take the term-major gather instead: one
     product of every disjoint pair, ``2**order - 1`` slice adds and one
     permutation (``_gather_tables``), the same sums in the same order
@@ -215,6 +216,8 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.ndim != y.ndim:
         x, y = _align(x, y)
     n = len(x)
+    if n == 1:
+        return x * y
     if n > 2 and max(x.size, y.size) < _GATHER[n][0]:
         left, right, adds, perm = _GATHER[n][1]
         prod = x[left] * y[right]
@@ -224,7 +227,7 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = x[0] * y
     if n == 2:
         out[1] += x[1] * y[0]
-    elif n > 2:
+    else:
         split = (2,) * _order_of(x)
         out_view = out.reshape(split + out.shape[1:])
         y_view = y.reshape(split + y.shape[1:])

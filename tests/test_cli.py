@@ -237,6 +237,25 @@ def test_malformed_spec_is_exit_2(spec, tmp_path, capsys):
     assert "malformed spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"op": "mystery", "args": []}, "unknown op 'mystery'"),
+    ({"op": "neg", "args": [99]}, "not topologically earlier"),
+    ({"op": "const"}, "const without value"),
+    ({"op": "input", "args": [], "index": 99}, "input slot 99 out of range"),
+])
+def test_malformed_node_in_a_spec_is_exit_2(bad, message, tmp_path, capsys):
+    # a node that no output reads is appended to the inverse map, so only
+    # validation at construction can refuse it
+    spec = groupoid_to_json_dict(BUILTIN_GROUPOIDS["action_gl2"]())
+    spec["inverse"]["body"]["nodes"].append(bad)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for command in ("groupoid", "differentiate"):
+        assert main([command, "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed spec" in err and message in err
+
+
 def test_reports_are_strict_json():
     rep = Report("strict", 1)
     rep.add(CheckResult.from_residual("a/nan", 5, float("nan"), 1e-9))

@@ -19,6 +19,11 @@ def tower(order, *coeffs):
     return Tower(order, np.array(coeffs, dtype=float))
 
 
+def schedule(e):
+    # the compiled program, compiling it if no run has yet
+    return e._schedule or e._compile()
+
+
 SQUARE = build(1, lambda xs: [xs[0] * xs[0]])
 CUBE = build(1, lambda xs: [xs[0] ** 3])
 
@@ -294,19 +299,19 @@ def test_on_blocks_matches_per_column_copies_on_random_dags():
         e = random_expr(rng, n_in, int(rng.integers(1, 5)),
                         depth=int(rng.integers(0, 5)))
         blocks = rng.uniform(-1.5, 1.5, size=(1 << order, n_in, 4))
-        assert e._plan is None  # the output tables wait for a first call
+        assert e._schedule is None  # compiled on the first run
         with np.errstate(all="ignore"):
             assert (e.on_blocks(blocks).tobytes()
                     == per_column(e, blocks).tobytes())
-            plan = e._plan
+            compiled = e._schedule
             assert (e.on_blocks(blocks[:1, :, :2]).tobytes()
                     == per_column(e, blocks[:1, :, :2]).tobytes())
-        assert e._plan is plan  # made once, for every order and batch
+        assert e._schedule is compiled  # once, for every order and batch
 
 
 def out_registers(e):
     # the registers outputs read: input slots and steps, not floats
-    return {r for r in e._out_src if type(r) is int}
+    return {r for r in schedule(e).out_src if type(r) is int}
 
 
 def live_registers(e, inputs):
@@ -334,7 +339,8 @@ def test_freed_registers_spare_inputs_and_outputs(order):
     assert_matches_float_reference(e, ins)
     kept = set(range(e.n_inputs)) | out_registers(e)
     assert live_registers(e, ins) == kept
-    assert len(kept) < e.n_inputs + len(e._lifted) + len(e._steps)
+    assert len(kept) < (e.n_inputs + len(schedule(e).lifted)
+                        + len(schedule(e).steps))
 
 
 def test_only_inputs_and_outputs_stay_live_on_random_dags():
@@ -395,7 +401,7 @@ def test_zero_input_expression_matches_reference():
     b = ExprBuilder(0)
     two = b.const(2.0)
     e = b.finish([two, two * two + 1.0, log(two), -0.0, two])
-    assert not e._steps  # every output folds: on_blocks runs no schedule
+    assert not schedule(e).steps  # every output folds: no schedule runs
     for order, batch in ((0, ()), (3, (4,)), (2, (2, 3))):
         assert_matches_reference(e, [], order=order, batch_shape=batch)
         out = e.evaluate([], order=order, batch_shape=batch)
@@ -453,7 +459,7 @@ def test_float_folds_keep_the_bits_of_the_numpy_fold(op):
                  "mul": operator.mul, "div": operator.truediv,
                  "neg": lambda a, _: -a}[op](cx, cy)
             e = b.finish([h])
-            assert (not e._steps) == (got is not None)
+            assert (not schedule(e).steps) == (got is not None)
             if y or op != "div":  # a zero divisor raises, checked elsewhere
                 with np.errstate(all="ignore"):
                     assert_matches_float_reference(e, [])
@@ -477,7 +483,7 @@ def test_only_nodes_an_output_reads_become_steps():
         e = random_expr(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                         depth=int(rng.integers(1, 7)))
         read = read_by_outputs(e)
-        ids = [step[0] for step in e._steps]
+        ids = [step[0] for step in schedule(e).steps]
         assert len(ids) == len(set(ids)) and set(ids) <= read
         dead += len(e.nodes) - len(read)
     assert dead > 0  # the draws do hold nodes that no output reads

@@ -9,8 +9,10 @@ import pytest
 from tancat.domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain,
                            draw_bounds, product_domain)
 from tancat.errors import DomainError, StructureError
-from tancat.expr import ExprBuilder, build, log, reindex_inputs
+from tancat.expr import Expr, ExprBuilder, build, log, reindex_inputs
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
+                             _force_source, _tangent_arrows,
+                             _tangent_string, _tcompose,
                              action_groupoid, check_differentiability,
                              check_groupoid_axioms, check_tangent_functor,
                              groupoid_from_json_dict,
@@ -19,6 +21,7 @@ from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              t_flatten, tangent_domain,
                              tangent_groupoid)
 from tancat.report import rng_for, uniform, uniform_width
+from tancat.tanpoint import apply_tangent, residual
 
 TOL = 1e-9
 
@@ -248,9 +251,9 @@ def test_joined_predicates_match_the_per_constraint_loop():
     # which the joined program runs once
     arrows = matrix_group(3).arrows
     program = arrows._sample_program
-    assert len(program._steps) < sum(len(c._steps) for c in
-                                     arrows.constraints
-                                     + arrows.sample_constraints)
+    steps = lambda e: len(e._compile().steps)
+    assert steps(program) < sum(steps(c) for c in arrows.constraints
+                                + arrows.sample_constraints)
     rng = np.random.default_rng(41)
     pts = rng.uniform(-1.2, 1.2, size=(9, 2, 300))
     pts[:, 0, :3] = 0.0        # det 0: outside the chart
@@ -409,6 +412,131 @@ class TestSabotage:
         # the laws comparing against the unit notice
         assert bad == {"unit_left", "unit_right",
                        "inverse_left", "inverse_right"}
+
+
+# -- the batched laws against one map evaluation per law term --------
+
+def loop_groupoid_axioms(G, rng, samples):
+    # one call per structure map and law term, in the order the laws read
+    p = G.base.dim
+    res = {}
+    x = G.sample_objects(rng, samples)
+    ux = G.unit(x)
+    res["unit_section"] = max(residual(ux[:p], x), residual(G.target(ux), x))
+    g1, h1 = G.sample_composable(rng, samples, 2)
+    gh = G.compose_pair(g1, h1)
+    res["compose_source"] = residual(gh[:p], h1[:p])
+    res["compose_target"] = residual(G.target(gh), G.target(g1))
+    a, b, c = G.sample_composable(rng, samples, 3)
+    res["associativity"] = residual(
+        G.compose_pair(G.compose_pair(a, b), c),
+        G.compose_pair(a, G.compose_pair(b, c)))
+    g = G.sample_arrows(rng, samples)
+    res["unit_left"] = residual(G.compose_pair(G.unit(G.target(g)), g), g)
+    res["unit_right"] = residual(G.compose_pair(g, G.unit(g[:p])), g)
+    gi = G.inverse(g)
+    res["inverse_exchange"] = max(residual(gi[:p], G.target(g)),
+                                  residual(G.target(gi), g[:p]))
+    res["inverse_left"] = residual(G.compose_pair(gi, g), G.unit(g[:p]))
+    res["inverse_right"] = residual(G.compose_pair(g, gi),
+                                    G.unit(G.target(g)))
+    return res
+
+
+def loop_tangent_functor(G, rng, order, samples):
+    p = G.base.dim
+    tm = lambda f, pt: apply_tangent(f, pt, check_domain=False)
+    tc = lambda g, h: _tcompose(G, g, h)
+    res = {}
+    a, b, c = _tangent_string(G, rng, order, samples, 3)
+    res["associativity"] = residual(tc(tc(a, b), c), tc(a, tc(b, c)))
+    g = _tangent_arrows(G, rng, order, samples)
+    tg = tm(G.target, g)
+    sg = g[:, :p]
+    res["unit_left"] = residual(tc(tm(G.unit, tg), g), g)
+    res["unit_right"] = residual(tc(g, tm(G.unit, sg)), g)
+    gi = tm(G.inverse, g)
+    res["inverse_laws"] = max(residual(tc(gi, g), tm(G.unit, sg)),
+                              residual(tc(g, gi), tm(G.unit, tg)))
+    g2, h2 = _tangent_string(G, rng, order, samples, 2)
+    gh = tc(g2, h2)
+    res["source_target"] = max(
+        residual(gh[:, :p], h2[:, :p]),
+        residual(tm(G.target, gh), tm(G.target, g2)))
+    h0 = np.array(h2)
+    h0[1:, :p] = 0.0
+    g0 = _force_source(G, rng, tm(G.target, h0))
+    out = tc(g0, h0)
+    res["vertical_closure"] = residual(out[1:, :p], np.zeros_like(out[1:, :p]))
+    return res
+
+
+def _uninverted(G: FiberedGroupoid) -> FiberedGroupoid:
+    # an action groupoid whose inverse moves the point but keeps g
+    p = G.base.dim
+    b = ExprBuilder(G.arrow_dim)
+    hs = b.inputs()
+    body = b.finish(b.splice(G.inverse.body, hs)[:p] + hs[p:])
+    return dataclasses.replace(
+        G, inverse=SmoothMap(G.inverse.dom, G.inverse.cod, body,
+                             name="inverse"))
+
+
+LAW_GROUPOIDS = {
+    **BUILTIN_GROUPOIDS,
+    "pair1": lambda: pair_groupoid(box_domain(1, -2, 2, name="line")),
+    "broken_inverse": lambda: _uninverted(BUILTIN_GROUPOIDS["action_gl2"]()),
+}
+
+
+def assert_same_residuals(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GROUPOIDS))
+@pytest.mark.parametrize("samples", [1, 50, 200])
+def test_batched_laws_keep_the_bits_of_one_call_per_term(name, samples):
+    G = LAW_GROUPOIDS[name]()
+    rngs = [rng_for(samples, "groupoid/batched/" + name) for _ in range(2)]
+    assert_same_residuals(check_groupoid_axioms(G, rngs[0], samples),
+                          loop_groupoid_axioms(G, rngs[1], samples))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    for order in (1, 2):
+        assert_same_residuals(check_tangent_functor(G, rngs[0], order, samples),
+                              loop_tangent_functor(G, rngs[1], order, samples))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    if name == "broken_inverse":
+        bad = check_groupoid_axioms(G, rng_for(3, "groupoid/batched"), samples)
+        assert {k for k, v in bad.items() if v > TOL} == {
+            "inverse_exchange", "inverse_left", "inverse_right"}
+
+
+@pytest.mark.parametrize("name", ["pair", "action_gl2"])
+def test_batched_laws_evaluate_six_structure_maps(name, monkeypatch):
+    G = BUILTIN_GROUPOIDS[name]()
+    maps = {getattr(G, m).body: m for m in ("target", "compose", "unit",
+                                            "inverse")}
+    calls = []
+    on_blocks = Expr.on_blocks
+
+    def counted(self, blocks):
+        calls.append(maps.get(self))
+        return on_blocks(self, blocks)
+
+    monkeypatch.setattr(Expr, "on_blocks", counted)
+    # sampling strings of two and three arrows runs the target 3 times
+    sampling = ["target"] * 3
+    check_groupoid_axioms(G, rng_for(1, "groupoid/count"), 20)
+    assert sorted(filter(None, calls)) == sorted(
+        sampling + ["inverse", "target", "unit", "compose", "target",
+                    "compose"])
+    calls.clear()
+    check_tangent_functor(G, rng_for(1, "groupoid/count"), 1, 20)
+    assert sorted(filter(None, calls)) == sorted(
+        sampling + ["inverse", "target", "unit", "compose", "compose",
+                    "target"])
 
 
 class TestSerialization:

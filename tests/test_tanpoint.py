@@ -176,6 +176,17 @@ class TestBasics:
         cases += [(same, same.copy()), (signed, np.abs(signed)),
                   (np.full((3, 4), 2.5), np.array([2.5])),
                   (np.full(50_000, -1.0), np.full(50_000, -1.0))]
+        # equal sides, which one comparison decides unless a side is not
+        # finite: infinities on either side of a broadcast, NaN against
+        # itself, both sides broadcast, signed zeros broadcast
+        inf_row = np.array([np.inf, 1.0, -np.inf, 2.0])
+        cases += [(np.full((3, 4), np.inf), np.array([np.inf])),
+                  (np.array([-np.inf]), np.full((2, 3), -np.inf)),
+                  (np.tile(inf_row, (3, 1)), inf_row),
+                  (inf_row, np.tile(inf_row, (3, 1))),
+                  (np.full(4, np.nan), np.full(4, np.nan)),
+                  (np.full((3, 1), 2.0), np.full((1, 4), 2.0)),
+                  (np.full((2, 3), -0.0), np.array([0.0]))]
         for a, b in cases:
             got, want = residual(a, b), by_abs(a, b)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
