@@ -30,12 +30,17 @@ SUITES = ("action_gl2", "matrix2", "matrix3", "pair")
 
 # (file stem, argv); the seed is passed explicitly so $TANCAT_SEED
 # cannot move the reports.  "axioms --dims 1,2,3 --samples 10000 --tol
-# 1e-9" is the second run, since those are the defaults.
+# 1e-9" is the second run, since those are the defaults.  The default
+# differentiate runs stack their law terms (``algebroid.by_slots``); the
+# two at 2 000 samples run one slot at a time, with strided products.
 RUNS = ([("axioms", ["axioms"]),
          ("axioms-samples10000", ["axioms", "--samples", "10000"]),
          ("bracket", ["bracket"])]
         + [(f"{cmd}-{s}", [cmd, "--suite", s])
-           for cmd in ("groupoid", "differentiate") for s in SUITES])
+           for cmd in ("groupoid", "differentiate") for s in SUITES]
+        + [(f"differentiate-{s}-samples2000",
+            ["differentiate", "--suite", s, "--samples", "2000"])
+           for s in ("action_gl2", "matrix3")])
 
 
 def environment() -> dict:
