@@ -28,7 +28,8 @@ from pathlib import Path
 from .algebroid import Algebroid, bracket_table, check_algebroid_laws
 from .axioms import run_axiom_suite
 from .domain import box_domain
-from .errors import DomainError, SamplerError, StructureError
+from .errors import (DomainError, FiberMismatchError, KernelViolationError,
+                     SamplerError, StructureError, VerticalityError)
 from .fields import (ScalarField, VectorField, bracket_by_jacobians,
                      check_bracket_laws, kernel_residual, lie_bracket)
 from .groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
@@ -245,9 +246,12 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (StructureError, SamplerError, DomainError) as err:
+    except (StructureError, SamplerError, DomainError, VerticalityError,
+            KernelViolationError, FiberMismatchError) as err:
         # a spec that parses but cannot be worked with, such as a domain
-        # constraint that leaves a primitive's domain
+        # constraint that leaves a primitive's domain, or a groupoid
+        # that passes its gate at a loose --tol but fails a construction
+        # check of fixed tolerance
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,10 @@ import pytest
 
 import tancat.algebroid
 import tancat.cli
+import tancat.errors
 from tancat.cli import main
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
-from tancat.expr import build
+from tancat.expr import ExprBuilder, build
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              check_groupoid_axioms, groupoid_to_json_dict,
                              pair_groupoid)
@@ -118,6 +119,52 @@ def test_differentiate_rejects_broken_groupoid(tmp_path):
     failed = [c["name"] for c in rep["checks"] if not c["pass"]]
     assert failed and all(n.startswith("gate/") for n in failed)
     assert "bracket_table" not in rep    # stops before differentiating
+
+
+def drifting_compose_spec(tmp_path) -> Path:
+    """action_gl2 whose composite's source coordinate moves by 1e-6 times
+    the first entry of the first arrow's matrix: every gate law is off
+    by about 1e-6, and the field phi_psi restricts is not vertical."""
+    G = BUILTIN_GROUPOIDS["action_gl2"]()
+    b = ExprBuilder(G.compose.dom.dim)
+    hs = b.inputs()
+    outs = b.splice(G.compose.body, hs)
+    outs[0] = outs[0] + 1e-6 * hs[G.base.dim]
+    bad = SmoothMap(G.compose.dom, G.compose.cod, b.finish(outs),
+                    name="compose")
+    spec = tmp_path / "drift.json"
+    spec.write_text(json.dumps(groupoid_to_json_dict(replace(G, compose=bad))))
+    return spec
+
+
+def test_structure_error_past_a_loose_gate_is_exit_2(tmp_path, capsys):
+    # at --tol 1e-3 the gate passes, then restrict_to_unit's fixed
+    # verticality check refuses the field: a message, not a traceback
+    spec = drifting_compose_spec(tmp_path)
+    args = ["differentiate", "--spec", str(spec), "--samples", "50",
+            "--seed", "7", "--out", str(tmp_path / "rep.json")]
+    assert main(args + ["--tol", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^error: field inv\(s0\) has anchor components of "
+                     r"size [0-9.e+-]+ at the units", err, re.M)
+    assert "Traceback" not in err
+    # at the default --tol the same spec fails its gate checks
+    assert main(args) == 1
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failed and all(n.startswith("gate/") for n in failed)
+
+
+@pytest.mark.parametrize("error", [tancat.errors.VerticalityError,
+                                   tancat.errors.KernelViolationError,
+                                   tancat.errors.FiberMismatchError])
+def test_construction_errors_are_exit_2(error, monkeypatch, capsys):
+    def raise_it(*args, **kwargs):
+        raise error("the construction refused its input")
+    monkeypatch.setattr(tancat.cli, "check_algebroid_laws", raise_it)
+    assert main(["differentiate", "--samples", "10"]) == 2
+    assert (capsys.readouterr().err
+            == "error: the construction refused its input\n")
 
 
 def _units_of_interval() -> FiberedGroupoid:
