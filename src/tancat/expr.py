@@ -151,7 +151,7 @@ class Expr:
                 continue
             step = _step(op, args, index, consts)
             if consts[args[0]] is not None and consts[args[-1]] is not None:
-                consts[nid] = _fold(op, *step, consts)
+                consts[nid] = _fold(op, *step, consts, index)
                 if consts[nid] is not None:
                     continue
                 # not folded: it runs at evaluate, on constant towers of
@@ -432,22 +432,45 @@ _FLOAT_FOLDS = {
 }
 
 
+def _fold_pow(x: float, exponent: int) -> float | None:
+    """``_pow`` at order 0 on a Python float: the same square-and-multiply
+    sequence, then ``1.0 / x`` (``recip``'s value) for a negative
+    exponent; None for a zero divisor, where ``recip`` raises."""
+    if not exponent:
+        return 1.0
+    result, square, k = None, x, abs(exponent)
+    while k:
+        if k & 1:
+            result = square if result is None else result * square
+        k >>= 1
+        if k:
+            square = square * square
+    if exponent > 0:
+        return result
+    return 1.0 / result if result else None
+
+
 def _fold(op: str, fn: Callable, a: int, b: int,
-          consts: Sequence[float | None]) -> float | None:
+          consts: Sequence[float | None],
+          exponent: int | None = None) -> float | None:
     """The float ``fn`` gives on the constants ``a`` and ``b``, or None if
     it raises a domain error or is not finite there.
 
-    Arithmetic folds on Python floats (``_FLOAT_FOLDS``); powers and
-    primitives run ``fn`` on order-0 towers.  A non-finite value is left
-    to the constant towers of the evaluation: above order 0, an infinite
-    derivative makes the derivative slots of a constant tower NaN
-    (0 * inf), which a float constant would not give; its value slot
-    keeps the order-0 value.
+    Arithmetic and integer powers (``exponent``) fold on Python floats
+    (``_FLOAT_FOLDS``, ``_fold_pow``), by the IEEE operations of the
+    order-0 kernels; primitives run ``fn`` on order-0 towers, since
+    ``math.sin`` and ``np.sin`` can differ in the last bit.  A
+    non-finite value is left to the constant towers of the evaluation:
+    above order 0, an infinite derivative makes the derivative slots of
+    a constant tower NaN (0 * inf), which a float constant would not
+    give; its value slot keeps the order-0 value.
     """
     fold = _FLOAT_FOLDS.get(op)
     if fold is not None:
         value = fold(consts[a], consts[b])
-    else:  # a power or a primitive, unary: ``b`` is ``a``
+    elif op == "pow_int":
+        value = _fold_pow(consts[a], exponent)
+    else:  # a primitive, unary: ``b`` is ``a``
         x = np.array([[consts[a]]])
         try:
             with np.errstate(all="ignore"):

@@ -11,7 +11,7 @@ from tancat.errors import DomainError
 from tancat.expr import (Expr, ExprBuilder, Node, _fold, build, exp, log,
                          parallel, reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
-from tancat.tower import (Tower, _add, _div, _mul, _sub, lift_primitive,
+from tancat.tower import (Tower, _add, _div, _mul, _pow, _sub, lift_primitive,
                           pow_int, reciprocal, split_top)
 
 
@@ -463,6 +463,30 @@ def test_float_folds_keep_the_bits_of_the_numpy_fold(op):
             if y or op != "div":  # a zero divisor raises, checked elsewhere
                 with np.errstate(all="ignore"):
                     assert_matches_float_reference(e, [])
+
+
+POW_VALUES = FOLD_VALUES + [0.5, -0.75, 1e-170, 1e160, -1e-170, 1.0 + 2.0 ** -52]
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_power_folds_keep_the_bits_of_the_tower_step(k):
+    # square-and-multiply on floats against _pow on a (1, 1) tower:
+    # overflow, underflow to a zero divisor, NaN and infinities included
+    for x in POW_VALUES:
+        try:
+            with np.errstate(all="ignore"):
+                want = float(_pow(np.full((1, 1), x), k)[0, 0])
+        except DomainError:
+            want = None
+        if want is not None and not math.isfinite(want):
+            want = None
+        got = _fold("pow_int", None, 0, 0, [x], k)
+        assert (got is None) == (want is None), (x, k)
+        if got is not None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        b = ExprBuilder(0)
+        e = b.finish([b.const(x) ** k])
+        assert (not schedule(e).steps) == (got is not None)
 
 
 def read_by_outputs(e):
