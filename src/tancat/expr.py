@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .tower import (MAX_ORDER, Tower, _add, _constant, _div, _lift, _mul,
-                    _order_of, _pow, _sub)
+                    _order_of, _pow, _sub, sparse_mul)
 
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
@@ -61,6 +61,8 @@ class _Schedule(NamedTuple):
     gather: tuple | None     # on_blocks: input columns as one gather
     fill: tuple | None       # on_blocks: float columns and their towers
     step_outs: tuple         # on_blocks: (column, register) of step outputs
+    multiplies: bool         # whether a step multiplies two towers
+    plans: dict              # on_blocks: input pattern -> steps to run
 
 
 class Expr:
@@ -191,10 +193,12 @@ class Expr:
             block = np.zeros((1 << MAX_ORDER, len(fill)))
             block[0] = [c for _, c in fill]
             fill = (_index([j for j, _ in fill]), block)
+        multiplies = any(fn is _mul or fn is _div or nodes[nid][0] == "pow_int"
+                         for nid, fn, _, _, _ in steps)
         schedule = _Schedule(
             tuple(consts[i] for i in lifted), tuple(steps), out_src,
             tuple(_index(col) for col in zip(*gather)) if gather else None,
-            fill or None, tuple(step_outs))
+            fill or None, tuple(step_outs), multiplies, {})
         object.__setattr__(self, "_schedule", schedule)
         return schedule
 
@@ -279,10 +283,12 @@ class Expr:
             raise ValueError(f"axis 1 must have length {self.n_inputs}, got "
                              f"shape {blocks.shape}")
         n, batch = len(blocks), blocks.shape[2:]
-        _, steps, _, gather, fill, step_outs = (self._schedule
-                                                or self._compile())
+        schedule = self._schedule or self._compile()
+        _, steps, _, gather, fill, step_outs, multiplies, _ = schedule
         if steps:  # before ``out`` exists, which would raise the peak
-            regs = self._run(list(blocks.swapaxes(0, 1)), order, batch)
+            if multiplies and order and blocks.size:
+                steps = self._steps_for(blocks, schedule)
+            regs = self._run(list(blocks.swapaxes(0, 1)), order, batch, steps)
         out = np.empty((n, self.n_outputs) + batch)
         if gather is not None:
             cols, slots = gather
@@ -294,13 +300,79 @@ class Expr:
             out[:, j] = regs[r]
         return out
 
-    def _run(self, regs: list, order: int, batch_shape: tuple) -> list:
-        """Run the schedule on the input arrays ``regs``, in place.
+    def _steps_for(self, blocks: np.ndarray, schedule: _Schedule) -> tuple:
+        """The steps that run on ``blocks``: the schedule's own when every
+        input column depends on every generator, else its plan for the
+        columns' generator sets (``_sparse_steps``), kept per pattern.
+
+        A column whose top coefficient is nonzero at the first point
+        depends on every generator, so when all are, that is the only
+        test.  Otherwise one reduction over the blocks finds the rows
+        (mask, column) that are nonzero anywhere; their bytes key
+        ``schedule.plans``.
+        """
+        batch_axes = tuple(range(2, blocks.ndim))
+        if blocks[(-1, slice(None)) + (0,) * len(batch_axes)].all():
+            return schedule.steps
+        nonzero = blocks[1:] != 0.0
+        if batch_axes:
+            nonzero = nonzero.any(axis=batch_axes)
+        key = nonzero.tobytes()
+        steps = schedule.plans.get(key)
+        if steps is None:
+            steps = schedule.plans[key] = self._sparse_steps(nonzero, schedule)
+        return steps
+
+    def _sparse_steps(self, nonzero: np.ndarray, schedule: _Schedule) -> tuple:
+        """The schedule's steps with generator-sparse products.
+
+        ``nonzero[m - 1, i]`` tells whether mask ``m`` of input ``i`` is
+        nonzero somewhere.  An input's generator set is the union of its
+        nonzero masks, and the schedule carries the sets: the union of
+        the operands' for add, sub, mul and div, and the operand's own for
+        neg, constant ops, lifts and powers (whose two register indices
+        are one).  Lifted constants count as depending on every
+        generator, so their towers stay dense.  Each product, quotient
+        or power whose operands miss a generator gets the kernel of
+        ``sparse_mul`` for their sets; if none does, these are the
+        schedule's own steps.
+        """
+        order = len(nonzero).bit_length()
+        full = (1 << order) - 1
+        sets = [0] * self.n_inputs
+        for mask, row in enumerate(nonzero.tolist(), 1):
+            for i, hit in enumerate(row):
+                if hit:
+                    sets[i] |= mask
+        sets += [full] * len(schedule.lifted)
+        steps, sparse = [], False
+        for step in schedule.steps:
+            nid, fn, a, b, dead = step
+            sa, sb = sets[a], sets[b]
+            sets.append(sa | sb)
+            if sa & sb != full:
+                if fn is _mul:
+                    fn = sparse_mul(order, sa, sb)
+                elif fn is _div:
+                    fn = _sparse_div(sparse_mul(order, sa, sb))
+                elif self.nodes[nid][0] == "pow_int":
+                    fn = _sparse_pow(self.nodes[nid][3], sparse_mul(order, sa, sa))
+                if fn is not step[1]:
+                    step = (nid, fn, a, b, dead)
+                    sparse = True
+            steps.append(step)
+        return tuple(steps) if sparse else schedule.steps
+
+    def _run(self, regs: list, order: int, batch_shape: tuple,
+             steps: tuple | None = None) -> list:
+        """Run the schedule, or ``steps`` in its place, on the input
+        arrays ``regs``, in place.
 
         Returns the register list; only the input and output registers
         are sure to still hold their arrays.
         """
-        lifted, steps = (self._schedule or self._compile())[:2]
+        lifted, default = (self._schedule or self._compile())[:2]
+        steps = default if steps is None else steps
         shape = (1 << order,) + tuple(batch_shape)
         for c in lifted:
             regs.append(np.zeros(shape))
@@ -366,6 +438,18 @@ def _unary(prim: str) -> Callable:
 
 
 _BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
+
+
+def _sparse_div(mul: Callable) -> Callable:
+    def step(x, y):
+        return mul(x, _lift("recip", y))
+    return step
+
+
+def _sparse_pow(exponent: int, mul: Callable) -> Callable:
+    def step(x, _):
+        return _pow(x, exponent, mul)
+    return step
 _UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
 _UNARY_OPS["neg"] = lambda x, _: -x
 

@@ -38,52 +38,68 @@ from .errors import DomainError
 MAX_ORDER = 4
 
 
-def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
-    """Index pairs for the tower product at the given order.
+def _views(order: int, left: int, rights: int) -> tuple[tuple, tuple]:
+    """``(hit, miss)`` for left mask ``left`` against the right masks
+    inside ``rights``.
 
     With the coefficient axis viewed as ``(2,) * order``, axis 0 being
-    the outermost generator, entry ``left - 1`` is ``(hit, miss)`` for
-    left mask ``left``: ``hit`` selects every result mask that contains
-    ``left`` and ``miss`` every right mask disjoint from it, in the same
-    order.  Both are basic indices, so they select views.  The trailing
-    ``...`` keeps a fully indexed unbatched block a writable 0-d view.
+    the outermost generator, ``hit`` selects every result mask ``left |
+    m`` and ``miss`` every right mask ``m``, in the same order, for the
+    masks ``m`` inside ``rights`` and disjoint from ``left``.  Both are
+    basic indices, so they select views.  The trailing ``...`` keeps a
+    fully indexed unbatched block a writable 0-d view.
     """
-    table = []
-    for left in range(1, 1 << order):
-        bits = [left >> (order - 1 - axis) & 1 for axis in range(order)]
-        hit = tuple(1 if bit else slice(None) for bit in bits) + (...,)
-        miss = tuple(0 if bit else slice(None) for bit in bits) + (...,)
-        table.append((hit, miss))
-    return tuple(table)
+    hit, miss = [], []
+    for axis in range(order):
+        bit = 1 << (order - 1 - axis)
+        if left & bit:
+            hit.append(1)
+            miss.append(0)
+        else:
+            free = slice(None) if rights & bit else 0
+            hit.append(free)
+            miss.append(free)
+    return tuple(hit) + (...,), tuple(miss) + (...,)
+
+
+def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Index pairs for the tower product at the given order: entry
+    ``left - 1`` is ``_views(order, left, every mask)``, the result masks
+    that contain ``left`` and the right masks disjoint from it."""
+    full = (1 << order) - 1
+    return tuple(_views(order, left, full) for left in range(1, 1 << order))
 
 
 _MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
 
 
-def _gather_tables(order: int) -> tuple:
+def _gather_tables(order: int, lefts: int = -1, rights: int = -1) -> tuple:
     """The tables of the term-major product at the given order.
 
-    ``(left, right, adds, perm)``: the ``3**order`` disjoint mask pairs,
-    as the left and right masks of each product, term-major: term ``t``
-    of a result mask ``r`` is its ``t``-th submask in increasing order
-    times the rest, and the masks run most terms first, so each term's
-    masks are a prefix of the first.  ``adds`` holds one ``(head,
-    term)`` slice pair per later term, and ``perm[r]`` is where the sum
-    of mask ``r`` ends up.  Each mask thus sums its terms in increasing
-    left mask, starting from ``x[0] * y[r]``: the strided loop's order.
+    ``(left, right, adds, masks)``: the disjoint mask pairs, left mask
+    inside ``lefts`` and right mask inside ``rights`` (every mask by
+    default), as the left and right masks of each product, term-major:
+    term ``t`` of a result mask ``r`` is its ``t``-th such pair in
+    increasing left mask, and the result masks, those inside ``lefts |
+    rights``, run most terms first, so each term's masks are a prefix of
+    ``masks``.  ``adds`` holds one ``(head, term)`` slice pair per later
+    term; after them, row ``i`` holds the sum of mask ``masks[i]``.  Each
+    mask thus sums its terms in increasing left mask, starting from its
+    first pair: the strided loop's order, less the terms left out.
     """
-    masks = sorted(range(1 << order), key=lambda r: -bin(r).count("1"))
-    subsets = {r: [s for s in range(r + 1) if s & r == s] for r in masks}
+    terms = {r: [s for s in range(r + 1) if s & r == s and s & lefts == s
+                 and (r ^ s) & rights == r ^ s]
+             for r in range(1 << order)}
+    masks = sorted((r for r in terms if terms[r]), key=lambda r: -len(terms[r]))
     left, right, adds = [], [], []
-    for t in range(1 << order):
-        having = [r for r in masks if len(subsets[r]) > t]
+    for t in range(len(terms[masks[0]])):
+        having = [r for r in masks if len(terms[r]) > t]
         if t:
             adds.append((slice(0, len(having)),
                          slice(len(left), len(left) + len(having))))
-        left += [subsets[r][t] for r in having]
-        right += [r ^ subsets[r][t] for r in having]
-    return (np.array(left), np.array(right), tuple(adds),
-            np.argsort(masks))
+        left += [terms[r][t] for r in having]
+        right += [r ^ terms[r][t] for r in having]
+    return np.array(left), np.array(right), tuple(adds), np.array(masks)
 
 
 # Below this many towers in a batch, the term-major gather beats the
@@ -98,8 +114,15 @@ def _gather_tables(order: int) -> tuple:
 _GATHER_BELOW = {k: min(crossing, (128 << 10) // (8 * 3 ** k))
                  for k, crossing in ((2, 700), (3, 2500), (4, 1600))}
 
+def _dense_gather(order: int) -> tuple:
+    """``_gather_tables`` of every mask pair, with ``perm[r]`` the row of
+    mask ``r``'s sum in place of ``masks``."""
+    left, right, adds, masks = _gather_tables(order)
+    return left, right, adds, np.argsort(masks)
+
+
 # coefficient count -> (operand size below which the gather runs, tables)
-_GATHER = {1 << k: (below << k, _gather_tables(k))
+_GATHER = {1 << k: (below << k, _dense_gather(k))
            for k, below in _GATHER_BELOW.items()}
 
 
@@ -237,6 +260,116 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+class _SparsePlan(NamedTuple):
+    """How ``_mul_sparse`` multiplies for one ``(order, lefts, rights)``.
+
+    ``first`` views the right masks inside ``rights``, the first term's
+    results.  ``terms`` holds ``(left, hit, miss, first_term)`` for each
+    nonzero left mask inside ``lefts``, increasing (``_views``):
+    ``first_term`` is set when the left mask holds only generators
+    outside ``rights``, and then every result it reaches has no earlier
+    term, so the products are written, not added.  ``outside`` views the
+    result masks with a generator outside both sets, which stay zero;
+    ``gather`` and ``outside_masks`` are the same for the term-major
+    gather (``_gather_tables``).
+    """
+    first: tuple
+    terms: tuple
+    outside: tuple
+    gather: tuple
+    outside_masks: np.ndarray
+
+
+def _sparse_plan(order: int, lefts: int, rights: int) -> _SparsePlan:
+    union = lefts | rights
+    terms = tuple((left, *_views(order, left, rights), not left & rights)
+                  for left in range(1, 1 << order) if left & lefts == left)
+    outside = tuple(
+        tuple(1 if a == axis else slice(None) for a in range(order)) + (...,)
+        for axis in range(order) if not union >> (order - 1 - axis) & 1)
+    masks = [r for r in range(1 << order) if r & union != r]
+    return _SparsePlan(_views(order, 0, rights)[1], terms, outside,
+                       _gather_tables(order, lefts, rights), np.array(masks))
+
+
+def _mul_sparse(x: np.ndarray, y: np.ndarray, plan: _SparsePlan) -> np.ndarray:
+    """``_mul`` of two operands of one shape whose coefficients are zero
+    outside the masks inside two generator sets, by a plan of
+    ``sparse_mul``.
+
+    Only the pairs of a left mask inside the left set and a right mask
+    inside the right set are multiplied, and each result mask sums them
+    in increasing left mask, as ``_mul`` does; masks outside the union
+    of the sets are +0.0.  A skipped term is a product with an exact
+    zero, so a result differs from ``_mul``'s only in the sign of a sum
+    of zeros, or where a skipped zero met an inf or a NaN (0 * inf is
+    NaN).  Small operands take the term-major gather of the kept pairs,
+    larger ones the strided loop over the left set's masks.
+    """
+    out = np.empty(x.shape)
+    if x.size < _GATHER[len(x)][0]:
+        left, right, adds, masks = plan.gather
+        prod = x[left] * y[right]
+        for head, term in adds:
+            prod[head] += prod[term]
+        out[masks] = prod[: len(masks)]
+        if plan.outside:
+            out[plan.outside_masks] = 0.0
+        return out
+    split = (2,) * _order_of(x)
+    y_view = y.reshape(split + y.shape[1:])
+    out_view = out.reshape(y_view.shape)
+    np.multiply(x[0], y_view[plan.first], out=out_view[plan.first])
+    for row, hit, miss, first_term in plan.terms:
+        if first_term:
+            np.multiply(x[row], y_view[miss], out=out_view[hit])
+        else:
+            acc = out_view[hit]
+            acc += x[row] * y_view[miss]
+    for view in plan.outside:
+        out_view[view] = 0.0
+    return out
+
+
+def _left_free(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[0] * y
+
+
+def _right_free(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x * y[0]
+
+
+# (order, left set, right set) -> the product kernel of sparse_mul
+_SPARSE_MUL: dict[tuple, Callable] = {}
+
+
+def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
+    """The product kernel ``fn(x, y)`` for operands of one shape whose
+    coefficients are zero outside the masks inside the generator sets
+    ``lefts`` and ``rights`` (bit ``i-1`` for ``e_i``).
+
+    ``_mul`` itself when both sets hold every generator.  When one set
+    is empty, the product is one broadcast multiply by the other
+    operand's value slot: ``x[0] * y`` or ``x * y[0]``, each result mask
+    with its one nonzero term.  Otherwise ``_mul_sparse`` with a plan
+    built on first use and kept per ``(order, lefts, rights)``.
+    """
+    key = (order, lefts, rights)
+    fn = _SPARSE_MUL.get(key)
+    if fn is None:
+        if lefts == rights == (1 << order) - 1:
+            fn = _mul
+        elif not lefts:
+            fn = _left_free
+        elif not rights:
+            fn = _right_free
+        else:
+            plan = _sparse_plan(order, lefts, rights)
+            fn = lambda x, y: _mul_sparse(x, y, plan)
+        _SPARSE_MUL[key] = fn
+    return fn
+
+
 def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _mul(x, _lift("recip", y))
 
@@ -278,10 +411,15 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pow(c: np.ndarray, exponent: int) -> np.ndarray:
-    """Integer power by square-and-multiply; ``c`` itself for exponent 1."""
+def _pow(c: np.ndarray, exponent: int, mul: Callable = None) -> np.ndarray:
+    """Integer power by square-and-multiply; ``c`` itself for exponent 1.
+
+    ``mul`` is the product kernel, ``_mul`` by default; every product
+    has both operands inside ``c``'s generator set.
+    """
+    mul = mul or _mul
     if exponent < 0:
-        return _lift("recip", _pow(c, -exponent))
+        return _lift("recip", _pow(c, -exponent, mul))
     if exponent == 0:
         return _constant(np.ones(c.shape[1:]), _order_of(c))
     result = None
@@ -289,10 +427,10 @@ def _pow(c: np.ndarray, exponent: int) -> np.ndarray:
     k = exponent
     while k:
         if k & 1:
-            result = square if result is None else _mul(result, square)
+            result = square if result is None else mul(result, square)
         k >>= 1
         if k:
-            square = _mul(square, square)
+            square = mul(square, square)
     return result
 
 
