@@ -10,7 +10,9 @@ pass.  Supported operations::
 Evaluation maps towers to towers, so the same program yields values,
 first tangents, or any iterated tangent depending on the order of its
 arguments; ``Expr.on_blocks`` takes the towers laid side by side in one
-array, the layout of a tangent point.  Expressions are immutable;
+array, the layout of a tangent point, and multiplies only the terms
+that the generator sets of its input columns allow (see :class:`Expr`).
+Expressions are immutable;
 building happens through :class:`ExprBuilder` or the :func:`build`
 convenience wrapper, both of which hash-cons nodes so repeated subterms
 are shared.
@@ -87,6 +89,16 @@ class Expr:
     register (``out_src``), and ``on_blocks`` writes each kind at once:
     the inputs by one gather, the floats by one write, and only the step
     outputs one by one.
+
+    ``on_blocks`` also reads which generators each input column depends
+    on, and multiplies only the terms they allow (``_steps_for``,
+    ``_sparse_steps``): every column dense runs the schedule as compiled,
+    after one test of the top coefficients at the first point; other
+    input patterns run a plan of it, kept on the schedule per pattern,
+    whose products, quotients and powers take ``tower.sparse_mul``.
+    Results keep the dense layout and differ from the dense run only
+    where ``sparse_mul``'s do: in the sign of a sum of zeros, or where a
+    skipped zero met an inf or a NaN.  ``evaluate`` always runs dense.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_schedule")
@@ -312,7 +324,8 @@ class Expr:
         ``schedule.plans``.
         """
         batch_axes = tuple(range(2, blocks.ndim))
-        if blocks[(-1, slice(None)) + (0,) * len(batch_axes)].all():
+        top = blocks[(-1, slice(None)) + (0,) * len(batch_axes)]
+        if 0.0 not in top.tolist():  # cheaper than .all() on a few floats
             return schedule.steps
         nonzero = blocks[1:] != 0.0
         if batch_axes:
@@ -355,8 +368,9 @@ class Expr:
                     fn = sparse_mul(order, sa, sb)
                 elif fn is _div:
                     fn = _sparse_div(sparse_mul(order, sa, sb))
-                elif self.nodes[nid][0] == "pow_int":
-                    fn = _sparse_pow(self.nodes[nid][3], sparse_mul(order, sa, sa))
+                elif self.nodes[nid].op == "pow_int":
+                    fn = _sparse_pow(self.nodes[nid].index,
+                                     sparse_mul(order, sa, sa))
                 if fn is not step[1]:
                     step = (nid, fn, a, b, dead)
                     sparse = True

@@ -15,7 +15,15 @@ batch of independent towers.
 The arithmetic lives in array kernels (``_mul``, ``_lift``, ``_pow``,
 ``_add``, ``_sub``) that take coefficient arrays and return fresh ones;
 :class:`Tower`'s operators, :func:`tower_mul`, :func:`lift_primitive`
-and :func:`pow_int` are thin wrappers over them.  ``_lift`` applies a
+and :func:`pow_int` are thin wrappers over them.  A generator set is a
+mask of generators, and a coefficient array lies inside it when every
+coefficient at a mask outside the set is zero.  ``sparse_mul`` gives
+the product kernel for operands inside two sets, which multiplies only
+the mask pairs inside them and keeps each kept sum's order, so its
+result differs from ``_mul``'s only in the sign of a sum of zeros, or
+where a skipped zero met an inf or a NaN (``_mul_sparse``).
+``Expr.on_blocks`` reads the sets of its input columns and uses it;
+every other caller multiplies densely.  ``_lift`` applies a
 scalar primitive by the set-partition (multivariate Faa di Bruno)
 formula: each coefficient is a sum over the set partitions of its mask,
 read from tables built at import and added in an order fixed by the
