@@ -205,7 +205,7 @@ class Expr:
             block = np.zeros((1 << MAX_ORDER, len(fill)))
             block[0] = [c for _, c in fill]
             fill = (_index([j for j, _ in fill]), block)
-        multiplies = any(fn is _mul or fn is _div or nodes[nid][0] == "pow_int"
+        multiplies = any(fn is _mul or fn is _div or nodes[nid].op == "pow_int"
                          for nid, fn, _, _, _ in steps)
         schedule = _Schedule(
             tuple(consts[i] for i in lifted), tuple(steps), out_src,
@@ -452,20 +452,22 @@ def _unary(prim: str) -> Callable:
 
 
 _BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
+_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
+_UNARY_OPS["neg"] = lambda x, _: -x
 
 
 def _sparse_div(mul: Callable) -> Callable:
+    """The ``div`` step with the product kernel ``mul``."""
     def step(x, y):
         return mul(x, _lift("recip", y))
     return step
 
 
 def _sparse_pow(exponent: int, mul: Callable) -> Callable:
+    """The ``pow_int`` step with the product kernel ``mul``."""
     def step(x, _):
         return _pow(x, exponent, mul)
     return step
-_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
-_UNARY_OPS["neg"] = lambda x, _: -x
 
 
 def _with_const(op: str, c: float, const_left: bool) -> Callable:

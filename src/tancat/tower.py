@@ -122,6 +122,7 @@ def _gather_tables(order: int, lefts: int = -1, rights: int = -1) -> tuple:
 _GATHER_BELOW = {k: min(crossing, (128 << 10) // (8 * 3 ** k))
                  for k, crossing in ((2, 700), (3, 2500), (4, 1600))}
 
+
 def _dense_gather(order: int) -> tuple:
     """``_gather_tables`` of every mask pair, with ``perm[r]`` the row of
     mask ``r``'s sum in place of ``masks``."""
@@ -419,13 +420,12 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pow(c: np.ndarray, exponent: int, mul: Callable = None) -> np.ndarray:
+def _pow(c: np.ndarray, exponent: int, mul: Callable = _mul) -> np.ndarray:
     """Integer power by square-and-multiply; ``c`` itself for exponent 1.
 
-    ``mul`` is the product kernel, ``_mul`` by default; every product
-    has both operands inside ``c``'s generator set.
+    ``mul`` is the product kernel; each of its products has both
+    operands inside ``c``'s generator set.
     """
-    mul = mul or _mul
     if exponent < 0:
         return _lift("recip", _pow(c, -exponent, mul))
     if exponent == 0:
