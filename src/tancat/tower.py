@@ -358,9 +358,9 @@ def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
     ``lefts`` and ``rights`` (bit ``i-1`` for ``e_i``).
 
     ``_mul`` itself when both sets hold every generator.  When one set
-    is empty, the product is one broadcast multiply by the other
-    operand's value slot: ``x[0] * y`` or ``x * y[0]``, each result mask
-    with its one nonzero term.  Otherwise ``_mul_sparse`` with a plan
+    is empty, the product is one broadcast multiply by that operand's
+    value slot: ``x[0] * y`` or ``x * y[0]``, each result mask with its
+    one nonzero term.  Otherwise ``_mul_sparse`` with a plan
     built on first use and kept per ``(order, lefts, rights)``.
     """
     key = (order, lefts, rights)
