@@ -90,15 +90,17 @@ class Expr:
     the inputs by one gather, the floats by one write, and only the step
     outputs one by one.
 
-    ``on_blocks`` also reads which generators each input column depends
-    on, and multiplies only the terms they allow (``_steps_for``,
-    ``_sparse_steps``): every column dense runs the schedule as compiled,
-    after one test of the top coefficients at the first point; other
-    input patterns run a plan of it, kept on the schedule per pattern,
-    whose products, quotients and powers take ``tower.sparse_mul``.
-    Results keep the dense layout and differ from the dense run only
-    where ``sparse_mul``'s do: in the sign of a sum of zeros, or where a
-    skipped zero met an inf or a NaN.  ``evaluate`` always runs dense.
+    At orders 2-4, ``on_blocks`` also reads which generators each input
+    column depends on, and multiplies only the terms they allow
+    (``_steps_for``, ``_sparse_steps``): every column dense runs the
+    schedule as compiled, after one test of the top coefficients at the
+    first point; other input patterns run a plan of it, kept on the
+    schedule per pattern, whose products, quotients and powers take
+    ``tower.sparse_mul``.  Results keep the dense layout and differ from
+    the dense run only where ``sparse_mul``'s do: in the sign of a sum of
+    zeros, or where a skipped zero met an inf or a NaN.  At order 1 a
+    skipped term saves one multiply-add of the batch, about what reading
+    the sets costs, so order 1, like ``evaluate``, always runs dense.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_schedule")
@@ -298,7 +300,7 @@ class Expr:
         schedule = self._schedule or self._compile()
         _, steps, _, gather, fill, step_outs, multiplies, _ = schedule
         if steps:  # before ``out`` exists, which would raise the peak
-            if multiplies and order and blocks.size:
+            if multiplies and order > 1 and blocks.size:
                 steps = self._steps_for(blocks, schedule)
             regs = self._run(list(blocks.swapaxes(0, 1)), order, batch, steps)
         out = np.empty((n, self.n_outputs) + batch)

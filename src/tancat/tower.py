@@ -17,11 +17,12 @@ The arithmetic lives in array kernels (``_mul``, ``_lift``, ``_pow``,
 :class:`Tower`'s operators, :func:`tower_mul`, :func:`lift_primitive`
 and :func:`pow_int` are thin wrappers over them.  A generator set is a
 mask of generators, and a coefficient array lies inside it when every
-coefficient at a mask outside the set is zero.  ``sparse_mul`` gives
-the product kernel for operands inside two sets, which multiplies only
-the mask pairs inside them and keeps each kept sum's order, so its
-result differs from ``_mul``'s only in the sign of a sum of zeros, or
-where a skipped zero met an inf or a NaN (``_mul_sparse``).
+coefficient at a mask outside the set is zero.  ``_mul`` runs from a
+plan of the mask pairs to multiply, by default every disjoint pair;
+``sparse_mul`` gives the product kernel for operands inside two sets,
+whose plan keeps only the pairs inside them in each kept sum's order,
+so its result differs from the dense product only in the sign of a sum
+of zeros, or where a skipped zero met an inf or a NaN.
 ``Expr.on_blocks`` reads the sets of its input columns and uses it;
 every other caller multiplies densely.  ``_lift`` applies a
 scalar primitive by the set-partition (multivariate Faa di Bruno)
@@ -123,15 +124,41 @@ _GATHER_BELOW = {k: min(crossing, (128 << 10) // (8 * 3 ** k))
                  for k, crossing in ((2, 700), (3, 2500), (4, 1600))}
 
 
-def _dense_gather(order: int) -> tuple:
-    """``_gather_tables`` of every mask pair, with ``perm[r]`` the row of
-    mask ``r``'s sum in place of ``masks``."""
-    left, right, adds, masks = _gather_tables(order)
-    return left, right, adds, np.argsort(masks)
+class _MulPlan(NamedTuple):
+    """Which mask pairs ``_mul`` multiplies at one order, for a left
+    operand inside the generator set ``lefts`` and a right one inside
+    ``rights`` (``_mul_plan``).
+
+    ``gather`` holds the term-major tables (``_gather_tables``).  For
+    the strided loop, ``first`` views the right masks inside ``rights``,
+    the first term's results, and ``terms`` holds ``(left, hit, miss,
+    first_term)`` for each nonzero left mask inside ``lefts``,
+    increasing (``_views``): ``first_term`` is set when the left mask
+    holds only generators outside ``rights``, and then every result it
+    reaches has no earlier term, so the products are written, not added.
+    ``outside`` indexes the result masks with a generator outside both
+    sets, which no term reaches and which are set to zero; ``None`` when
+    there are none.
+    """
+    gather: tuple
+    first: tuple
+    terms: tuple
+    outside: np.ndarray | None
 
 
-# coefficient count -> (operand size below which the gather runs, tables)
-_GATHER = {1 << k: (below << k, _dense_gather(k))
+def _mul_plan(order: int, lefts: int, rights: int) -> _MulPlan:
+    union = lefts | rights
+    terms = tuple((left, *_views(order, left, rights), not left & rights)
+                  for left in range(1, 1 << order) if left & lefts == left)
+    outside = [r for r in range(1 << order) if r & union != r]
+    return _MulPlan(_gather_tables(order, lefts, rights),
+                    _views(order, 0, rights)[1], terms,
+                    np.array(outside) if outside else None)
+
+
+# coefficient count -> (operand size below which the gather runs, plan of
+# every mask pair)
+_GATHER = {1 << k: (below << k, _mul_plan(k, (1 << k) - 1, (1 << k) - 1))
            for k, below in _GATHER_BELOW.items()}
 
 
@@ -230,7 +257,8 @@ def _sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x - y
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mul(x: np.ndarray, y: np.ndarray,
+         plan: _MulPlan | None = None) -> np.ndarray:
     """Product in the tower ring: subset convolution over disjoint masks.
 
     Each result mask sums its terms in increasing left mask, starting
@@ -241,102 +269,53 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     needed), and order 1 the first iteration of the strided loop,
     written out.  At orders 2-4, operands of fewer than
     ``_GATHER_BELOW`` towers take the term-major gather instead: one
-    product of every disjoint pair, ``2**order - 1`` slice adds and one
-    permutation (``_gather_tables``), the same sums in the same order
+    product of every pair, ``2**order - 1`` slice adds and one scatter
+    of the sums (``_gather_tables``), the same sums in the same order
     for fewer numpy calls.
+
+    ``plan`` (orders 2-4, from ``sparse_mul``) multiplies only the pairs
+    of a left mask inside one generator set and a right mask inside
+    another, for operands whose coefficients vanish outside them; the
+    default plan holds every pair.  A skipped term is a product with an
+    exact zero and the kept ones are added in the same order, so a
+    result differs from the dense product only in the sign of a sum of
+    zeros, or where a skipped zero met an inf or a NaN (0 * inf is NaN).
+    Masks with a generator outside both sets are +0.0.
     """
     if x.ndim != y.ndim:
         x, y = _align(x, y)
     n = len(x)
     if n == 1:
         return x * y
-    if n > 2 and max(x.size, y.size) < _GATHER[n][0]:
-        left, right, adds, perm = _GATHER[n][1]
-        prod = x[left] * y[right]
-        for head, term in adds:
-            prod[head] += prod[term]
-        return prod[perm]
-    out = x[0] * y
     if n == 2:
+        out = x[0] * y
         out[1] += x[1] * y[0]
-    else:
-        split = (2,) * _order_of(x)
-        out_view = out.reshape(split + out.shape[1:])
-        y_view = y.reshape(split + y.shape[1:])
-        for row, (hit, miss) in zip(x[1:], _MUL_VIEWS[len(split)]):
-            acc = out_view[hit]
-            acc += row * y_view[miss]
-    return out
-
-
-class _SparsePlan(NamedTuple):
-    """How ``_mul_sparse`` multiplies for one ``(order, lefts, rights)``.
-
-    ``first`` views the right masks inside ``rights``, the first term's
-    results.  ``terms`` holds ``(left, hit, miss, first_term)`` for each
-    nonzero left mask inside ``lefts``, increasing (``_views``):
-    ``first_term`` is set when the left mask holds only generators
-    outside ``rights``, and then every result it reaches has no earlier
-    term, so the products are written, not added.  ``outside`` views the
-    result masks with a generator outside both sets, which stay zero;
-    ``gather`` and ``outside_masks`` are the same for the term-major
-    gather (``_gather_tables``).
-    """
-    first: tuple
-    terms: tuple
-    outside: tuple
-    gather: tuple
-    outside_masks: np.ndarray
-
-
-def _sparse_plan(order: int, lefts: int, rights: int) -> _SparsePlan:
-    union = lefts | rights
-    terms = tuple((left, *_views(order, left, rights), not left & rights)
-                  for left in range(1, 1 << order) if left & lefts == left)
-    outside = tuple(
-        tuple(1 if a == axis else slice(None) for a in range(order)) + (...,)
-        for axis in range(order) if not union >> (order - 1 - axis) & 1)
-    masks = [r for r in range(1 << order) if r & union != r]
-    return _SparsePlan(_views(order, 0, rights)[1], terms, outside,
-                       _gather_tables(order, lefts, rights), np.array(masks))
-
-
-def _mul_sparse(x: np.ndarray, y: np.ndarray, plan: _SparsePlan) -> np.ndarray:
-    """``_mul`` of two operands of one shape whose coefficients are zero
-    outside the masks inside two generator sets, by a plan of
-    ``sparse_mul``.
-
-    Only the pairs of a left mask inside the left set and a right mask
-    inside the right set are multiplied, and each result mask sums them
-    in increasing left mask, as ``_mul`` does; masks outside the union
-    of the sets are +0.0.  A skipped term is a product with an exact
-    zero, so a result differs from ``_mul``'s only in the sign of a sum
-    of zeros, or where a skipped zero met an inf or a NaN (0 * inf is
-    NaN).  Small operands take the term-major gather of the kept pairs,
-    larger ones the strided loop over the left set's masks.
-    """
-    out = np.empty(x.shape)
-    if x.size < _GATHER[len(x)][0]:
+        return out
+    below, dense = _GATHER[n]
+    if plan is None:
+        plan = dense
+    if max(x.size, y.size) < below:
         left, right, adds, masks = plan.gather
         prod = x[left] * y[right]
         for head, term in adds:
             prod[head] += prod[term]
+        out = np.empty((n,) + prod.shape[1:])
         out[masks] = prod[: len(masks)]
-        if plan.outside:
-            out[plan.outside_masks] = 0.0
-        return out
-    split = (2,) * _order_of(x)
-    y_view = y.reshape(split + y.shape[1:])
-    out_view = out.reshape(y_view.shape)
-    np.multiply(x[0], y_view[plan.first], out=out_view[plan.first])
-    for row, hit, miss, first_term in plan.terms:
-        if first_term:
-            np.multiply(x[row], y_view[miss], out=out_view[hit])
-        else:
-            acc = out_view[hit]
-            acc += x[row] * y_view[miss]
-    for view in plan.outside:
-        out_view[view] = 0.0
+    else:
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        split = (2,) * _order_of(x)
+        out_view = out.reshape(split + out.shape[1:])
+        y_view = y.reshape(split + y.shape[1:])
+        first = plan.first
+        np.multiply(x[0], y_view[first], out=out_view[first])
+        for row, hit, miss, first_term in plan.terms:
+            if first_term:
+                np.multiply(x[row], y_view[miss], out=out_view[hit])
+            else:
+                acc = out_view[hit]
+                acc += x[row] * y_view[miss]
+    if plan.outside is not None:
+        out[plan.outside] = 0.0
     return out
 
 
@@ -353,15 +332,16 @@ _SPARSE_MUL: dict[tuple, Callable] = {}
 
 
 def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
-    """The product kernel ``fn(x, y)`` for operands of one shape whose
-    coefficients are zero outside the masks inside the generator sets
-    ``lefts`` and ``rights`` (bit ``i-1`` for ``e_i``).
+    """The product kernel ``fn(x, y)`` for operands whose coefficients
+    are zero outside the masks inside the generator sets ``lefts`` and
+    ``rights`` (bit ``i-1`` for ``e_i``).
 
     ``_mul`` itself when both sets hold every generator.  When one set
     is empty, the product is one broadcast multiply by that operand's
     value slot: ``x[0] * y`` or ``x * y[0]``, each result mask with its
-    one nonzero term.  Otherwise ``_mul_sparse`` with a plan
-    built on first use and kept per ``(order, lefts, rights)``.
+    one nonzero term.  Otherwise ``_mul`` with the plan of the two sets
+    (``_mul_plan``), built on first use and kept per ``(order, lefts,
+    rights)``.
     """
     key = (order, lefts, rights)
     fn = _SPARSE_MUL.get(key)
@@ -373,8 +353,8 @@ def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
         elif not rights:
             fn = _right_free
         else:
-            plan = _sparse_plan(order, lefts, rights)
-            fn = lambda x, y: _mul_sparse(x, y, plan)
+            plan = _mul_plan(order, lefts, rights)
+            fn = lambda x, y: _mul(x, y, plan)
         _SPARSE_MUL[key] = fn
     return fn
 
