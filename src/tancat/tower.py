@@ -23,15 +23,15 @@ plan of the mask pairs to multiply, by default every disjoint pair;
 whose plan keeps only the pairs inside them in each kept sum's order,
 so its result differs from the dense product only in the sign of a sum
 of zeros, or where a skipped zero met an inf or a NaN.
-``Expr.on_blocks`` reads the sets of its input columns and uses it;
-every other caller multiplies densely.  ``_lift`` applies a
-scalar primitive by the set-partition (multivariate Faa di Bruno)
-formula: each coefficient is a sum over the set partitions of its mask,
-read from tables built at import and added in an order fixed by the
-mask alone, so a lift keeps its bits when outer generators are dropped
-or a batch column is lifted alone.  Returned towers are
-immutable (the coefficient array is marked read-only), so values can be
-shared freely between threads.  ``Expr`` runs its schedule on the
+``Expr.on_blocks`` reads the sets of its input columns at orders 2-4
+and uses ``sparse_mul``; every other caller multiplies densely.
+``_lift`` applies a scalar primitive by the set-partition
+(multivariate Faa di Bruno) formula: each coefficient is a sum over the
+set partitions of its mask, read from tables built at import and added
+in an order fixed by the mask alone, so a lift keeps its bits when
+outer generators are dropped or a batch column is lifted alone.
+Returned towers are immutable (the coefficient array is marked
+read-only), so values can be shared freely between threads.  ``Expr`` runs its schedule on the
 kernels directly: its intermediates are private writable arrays, and
 only the towers ``evaluate`` returns are wrapped, read-only.
 """

@@ -98,6 +98,31 @@ def test_an_infinity_in_either_operand_stays_non_finite(order):
                 assert np.isfinite(np.delete(got, 2, axis=1)).all()
 
 
+
+@pytest.mark.parametrize("path", ["gather", "loop"])
+@pytest.mark.parametrize("order", range(2, MAX_ORDER + 1))
+def test_an_infinity_meets_only_the_kept_terms(order, path, monkeypatch):
+    # the plan skips every pair outside the sets, so an inf value slot of
+    # x meets only y's masks inside its set: inf there, no 0 * inf (NaN)
+    # elsewhere, and +0.0 at the masks outside both sets
+    n = 1 << order
+    bound = math.inf if path == "gather" else 0
+    monkeypatch.setitem(tower_module._GATHER, n,
+                        (bound, tower_module._GATHER[n][1]))
+    rng = np.random.default_rng(960 + order)
+    for lefts in range(1, n):
+        for rights in range(1, n):
+            if lefts | rights == n - 1:
+                continue
+            x = restricted(rng.uniform(0.5, 2.0, (n, 3)), lefts)
+            y = restricted(rng.uniform(0.5, 2.0, (n, 3)), rights)
+            x[0, 1] = np.inf
+            got = sparse_mul(order, lefts, rights)(x, y)
+            assert np.isinf(got[inside(order, rights), 1]).all()
+            assert np.isfinite(got[~inside(order, rights), 1]).all()
+            outside = got[~inside(order, lefts | rights)]
+            assert not outside.any() and not np.signbit(outside).any()
+
 def column_blocks(rng, order, n_in, batch, sets):
     """Random blocks whose column ``i`` is zero outside ``sets[i]``."""
     blocks = rng.uniform(-1.5, 1.5, size=(1 << order, n_in) + batch)
