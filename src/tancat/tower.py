@@ -31,9 +31,10 @@ set partitions of its mask, read from tables built at import and added
 in an order fixed by the mask alone, so a lift keeps its bits when
 outer generators are dropped or a batch column is lifted alone.
 Returned towers are immutable (the coefficient array is marked
-read-only), so values can be shared freely between threads.  ``Expr`` runs its schedule on the
-kernels directly: its intermediates are private writable arrays, and
-only the towers ``evaluate`` returns are wrapped, read-only.
+read-only), so values can be shared freely between threads.  ``Expr``
+runs its schedule on the kernels directly: its intermediates are
+private writable arrays, and only the towers ``evaluate`` returns are
+wrapped, read-only.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def _views(order: int, left: int, rights: int) -> tuple[tuple, tuple]:
 def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
     """Index pairs for the tower product at the given order: entry
     ``left - 1`` is ``_views(order, left, every mask)``, the result masks
-    that contain ``left`` and the right masks disjoint from it."""
+    that contain ``left`` and the right masks disjoint from it.  These
+    are the dense plan's loop terms; the tests run the plain strided
+    loop from them as the reference product."""
     full = (1 << order) - 1
     return tuple(_views(order, left, full) for left in range(1, 1 << order))
 
@@ -82,24 +85,25 @@ def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
 _MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
 
 
-def _gather_tables(order: int, lefts: int = -1, rights: int = -1) -> tuple:
+def _gather_tables(order: int, lefts: int, rights: int) -> tuple:
     """The tables of the term-major product at the given order.
 
     ``(left, right, adds, masks)``: the disjoint mask pairs, left mask
-    inside ``lefts`` and right mask inside ``rights`` (every mask by
-    default), as the left and right masks of each product, term-major:
-    term ``t`` of a result mask ``r`` is its ``t``-th such pair in
-    increasing left mask, and the result masks, those inside ``lefts |
-    rights``, run most terms first, so each term's masks are a prefix of
-    ``masks``.  ``adds`` holds one ``(head, term)`` slice pair per later
-    term; after them, row ``i`` holds the sum of mask ``masks[i]``.  Each
-    mask thus sums its terms in increasing left mask, starting from its
-    first pair: the strided loop's order, less the terms left out.
+    inside ``lefts`` and right mask inside ``rights``, as the left and
+    right masks of each product, term-major: term ``t`` of a result mask
+    ``r`` is its ``t``-th such pair in increasing left mask, and the
+    result masks, those inside ``lefts | rights``, run most terms first,
+    so each term's masks are a prefix of ``masks``.  ``adds`` holds one
+    ``(head, term)`` slice pair per later term; after them, row ``i``
+    holds the sum of mask ``masks[i]``.  Each mask thus sums its terms
+    in increasing left mask, starting from its first pair: the strided
+    loop's order, less the terms left out.
     """
     terms = {r: [s for s in range(r + 1) if s & r == s and s & lefts == s
                  and (r ^ s) & rights == r ^ s]
              for r in range(1 << order)}
-    masks = sorted((r for r in terms if terms[r]), key=lambda r: -len(terms[r]))
+    masks = sorted((r for r in terms if terms[r]),
+                   key=lambda r: -len(terms[r]))
     left, right, adds = [], [], []
     for t in range(len(terms[masks[0]])):
         having = [r for r in masks if len(terms[r]) > t]
