@@ -98,7 +98,6 @@ def test_an_infinity_in_either_operand_stays_non_finite(order):
                 assert np.isfinite(np.delete(got, 2, axis=1)).all()
 
 
-
 @pytest.mark.parametrize("path", ["gather", "loop"])
 @pytest.mark.parametrize("order", range(2, MAX_ORDER + 1))
 def test_an_infinity_meets_only_the_kept_terms(order, path, monkeypatch):
@@ -122,6 +121,7 @@ def test_an_infinity_meets_only_the_kept_terms(order, path, monkeypatch):
             assert np.isfinite(got[~inside(order, rights), 1]).all()
             outside = got[~inside(order, lefts | rights)]
             assert not outside.any() and not np.signbit(outside).any()
+
 
 def column_blocks(rng, order, n_in, batch, sets):
     """Random blocks whose column ``i`` is zero outside ``sets[i]``."""
