@@ -39,12 +39,12 @@ from .tanpoint import (add_fiber, apply_tangent, collapse_inner, expand_inner,
                        fiber_component, partial_tangent, project, residual,
                        scale_level, sub_fiber, swap_levels, vertical_lift,
                        vertical_lift_pair, vertical_pair_parts, zero_lift)
-from .tower import MAX_ORDER, Tower, join_top, split_top
+from .tower import MAX_ORDER, Tower, join_top
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_ORDER", "Tower", "join_top", "split_top",
+    "MAX_ORDER", "Tower", "join_top",
     "Expr", "ExprBuilder", "build", "cos", "exp", "log", "parallel", "sin",
     "sqrt", "reindex_inputs", "tangent_lift",
     "Domain", "SmoothMap", "box_domain", "product_domain",

@@ -63,7 +63,7 @@ class _Schedule(NamedTuple):
     gather: tuple | None     # on_blocks: input columns as one gather
     fill: tuple | None       # on_blocks: float columns and their towers
     step_outs: tuple         # on_blocks: (column, register) of step outputs
-    multiplies: bool         # whether a step multiplies two towers
+    multiplies: bool         # whether a step is a product (``_mul``)
     plans: dict              # on_blocks: input pattern -> steps to run
 
 
@@ -95,12 +95,13 @@ class Expr:
     (``_steps_for``, ``_sparse_steps``): every column dense runs the
     schedule as compiled, after one test of the top coefficients at the
     first point; other input patterns run a plan of it, kept on the
-    schedule per pattern, whose products, quotients and powers take
-    ``tower.sparse_mul``.  Results keep the dense layout and differ from
-    the dense run only where ``sparse_mul``'s do: in the sign of a sum of
-    zeros, or where a skipped zero met an inf or a NaN.  At order 1 a
-    skipped term saves one multiply-add of the batch, about what reading
-    the sets costs, so order 1, like ``evaluate``, always runs dense.
+    schedule per pattern, whose products take ``tower.sparse_mul``;
+    quotients and powers run dense.  Results keep the dense layout and
+    differ from the dense run only where ``sparse_mul``'s do: in the
+    sign of a sum of zeros, or where a skipped zero met an inf or a
+    NaN.  At order 1 a skipped term saves one multiply-add of the batch,
+    about what reading the sets costs, so order 1, like ``evaluate``,
+    always runs dense.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_schedule")
@@ -207,8 +208,7 @@ class Expr:
             block = np.zeros((1 << MAX_ORDER, len(fill)))
             block[0] = [c for _, c in fill]
             fill = (_index([j for j, _ in fill]), block)
-        multiplies = any(fn is _mul or fn is _div or nodes[nid].op == "pow_int"
-                         for nid, fn, _, _, _ in steps)
+        multiplies = any(fn is _mul for _, fn, _, _, _ in steps)
         schedule = _Schedule(
             tuple(consts[i] for i in lifted), tuple(steps), out_src,
             tuple(_index(col) for col in zip(*gather)) if gather else None,
@@ -347,10 +347,9 @@ class Expr:
         the operands' for add, sub, mul and div, and the operand's own for
         neg, constant ops, lifts and powers (whose two register indices
         are one).  Lifted constants count as depending on every
-        generator, so their towers stay dense.  Each product, quotient
-        or power whose operands miss a generator gets the kernel of
-        ``sparse_mul`` for their sets; if none does, these are the
-        schedule's own steps.
+        generator, so their towers stay dense.  Each product whose
+        operands miss a generator gets the kernel of ``sparse_mul`` for
+        their sets; if none does, these are the schedule's own steps.
         """
         order = len(nonzero).bit_length()
         full = (1 << order) - 1
@@ -365,17 +364,9 @@ class Expr:
             nid, fn, a, b, dead = step
             sa, sb = sets[a], sets[b]
             sets.append(sa | sb)
-            if sa & sb != full:
-                if fn is _mul:
-                    fn = sparse_mul(order, sa, sb)
-                elif fn is _div:
-                    fn = _sparse_div(sparse_mul(order, sa, sb))
-                elif self.nodes[nid].op == "pow_int":
-                    fn = _sparse_pow(self.nodes[nid].index,
-                                     sparse_mul(order, sa, sa))
-                if fn is not step[1]:
-                    step = (nid, fn, a, b, dead)
-                    sparse = True
+            if fn is _mul and sa & sb != full:
+                step = (nid, sparse_mul(order, sa, sb), a, b, dead)
+                sparse = True
             steps.append(step)
         return tuple(steps) if sparse else schedule.steps
 
@@ -458,25 +449,10 @@ _UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
 _UNARY_OPS["neg"] = lambda x, _: -x
 
 
-def _sparse_div(mul: Callable) -> Callable:
-    """The ``div`` step with the product kernel ``mul``."""
-    def step(x, y):
-        return mul(x, _lift("recip", y))
-    return step
-
-
-def _sparse_pow(exponent: int, mul: Callable) -> Callable:
-    """The ``pow_int`` step with the product kernel ``mul``."""
-    def step(x, _):
-        return _pow(x, exponent, mul)
-    return step
-
-
 def _with_const(op: str, c: float, const_left: bool) -> Callable:
     """The step for ``op`` with the constant ``c`` on one side.
 
-    It does Tower's float operations for that operand: ``t + c`` and
-    ``c + t`` add the constant tower ``[c, 0, ...]`` to ``t``, so
+    A sum or difference adds the constant tower ``[c, 0, ...]``, so
     ``-0.0 + 0.0`` gives ``+0.0`` above the value slot; ``t * c`` and
     ``t / c`` scale by a float; ``c / t`` is ``recip(t) * c``.  At
     order 0 the constant tower is ``c`` alone, so a sum or difference

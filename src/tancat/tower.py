@@ -13,9 +13,10 @@ has length ``2**order``; trailing axes, if present, are a broadcast
 batch of independent towers.
 
 The arithmetic lives in array kernels (``_mul``, ``_lift``, ``_pow``,
-``_add``, ``_sub``) that take coefficient arrays and return fresh ones;
-:class:`Tower`'s operators, :func:`tower_mul`, :func:`lift_primitive`
-and :func:`pow_int` are thin wrappers over them.  A generator set is a
+``_add``, ``_sub``) that take coefficient arrays and return fresh ones.
+:class:`Tower` is an immutable record of one coefficient array, which
+:func:`tower_mul`, :func:`lift_primitive`, :func:`join_top` and
+``Expr.evaluate`` return.  A generator set is a
 mask of generators, and a coefficient array lies inside it when every
 coefficient at a mask outside the set is zero.  ``_mul`` runs from a
 plan of the mask pairs to multiply, by default every disjoint pair;
@@ -237,9 +238,9 @@ def _align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- array kernels ------------------------------------------------------
 #
 # Each kernel takes coefficient arrays (coefficient axis first) and
-# returns a fresh array; none writes into its operands.  ``Tower`` and
-# the functions below wrap them, and ``Expr.evaluate`` runs its
-# schedule on them directly.
+# returns a fresh array; none writes into its operands.  ``Expr`` runs
+# its schedules on them directly, and ``tower_mul`` and
+# ``lift_primitive`` wrap them for towers.
 
 def _constant(value, order: int) -> np.ndarray:
     """Coefficients of a real (or a batch of reals) at the given order."""
@@ -340,19 +341,16 @@ def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
     are zero outside the masks inside the generator sets ``lefts`` and
     ``rights`` (bit ``i-1`` for ``e_i``).
 
-    ``_mul`` itself when both sets hold every generator.  When one set
-    is empty, the product is one broadcast multiply by that operand's
-    value slot: ``x[0] * y`` or ``x * y[0]``, each result mask with its
-    one nonzero term.  Otherwise ``_mul`` with the plan of the two sets
-    (``_mul_plan``), built on first use and kept per ``(order, lefts,
-    rights)``.
+    When one set is empty, the product is one broadcast multiply by that
+    operand's value slot: ``x[0] * y`` or ``x * y[0]``, each result mask
+    with its one nonzero term.  Otherwise ``_mul`` with the plan of the
+    two sets (``_mul_plan``), built on first use and kept per ``(order,
+    lefts, rights)``.
     """
     key = (order, lefts, rights)
     fn = _SPARSE_MUL.get(key)
     if fn is None:
-        if lefts == rights == (1 << order) - 1:
-            fn = _mul
-        elif not lefts:
+        if not lefts:
             fn = _left_free
         elif not rights:
             fn = _right_free
@@ -404,14 +402,10 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pow(c: np.ndarray, exponent: int, mul: Callable = _mul) -> np.ndarray:
-    """Integer power by square-and-multiply; ``c`` itself for exponent 1.
-
-    ``mul`` is the product kernel; each of its products has both
-    operands inside ``c``'s generator set.
-    """
+def _pow(c: np.ndarray, exponent: int) -> np.ndarray:
+    """Integer power by square-and-multiply; ``c`` itself for exponent 1."""
     if exponent < 0:
-        return _lift("recip", _pow(c, -exponent, mul))
+        return _lift("recip", _pow(c, -exponent))
     if exponent == 0:
         return _constant(np.ones(c.shape[1:]), _order_of(c))
     result = None
@@ -419,17 +413,19 @@ def _pow(c: np.ndarray, exponent: int, mul: Callable = _mul) -> np.ndarray:
     k = exponent
     while k:
         if k & 1:
-            result = square if result is None else mul(result, square)
+            result = square if result is None else _mul(result, square)
         k >>= 1
         if k:
-            square = mul(square, square)
+            square = _mul(square, square)
     return result
 
 
 # -- towers ---------------------------------------------------------------
 
 class Tower:
-    """One element of the order-n nilpotent tower ring."""
+    """One element of the order-n nilpotent tower ring: an immutable
+    record of its coefficient array.  Arithmetic runs on the arrays,
+    through the kernels above."""
 
     __slots__ = ("order", "coeffs")
 
@@ -463,100 +459,8 @@ class Tower:
         """Embed a real (or a batch of reals) as a tower of the given order."""
         return cls._raw(order, _constant(value, order))
 
-    @classmethod
-    def generator(cls, order: int, index: int, batch_shape: tuple = ()) -> "Tower":
-        """The nilpotent generator ``e_index`` (1-based) at the given order."""
-        if not 1 <= index <= order:
-            raise ValueError(f"generator index {index} out of range for order {order}")
-        arr = np.zeros((1 << order,) + batch_shape)
-        arr[1 << (index - 1)] = 1.0
-        return cls._raw(order, arr)
-
-    # -- views --------------------------------------------------------
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.coeffs.shape[1:]
-
     def __repr__(self) -> str:
         return f"Tower(order={self.order}, coeffs={self.coeffs!r})"
-
-    # -- ring operations ----------------------------------------------
-
-    def _coerce(self, other) -> "np.ndarray | None":
-        """The coefficients of a tower operand, or of a constant one."""
-        if isinstance(other, Tower):
-            if other.order != self.order:
-                raise ValueError(
-                    f"tower order mismatch: {self.order} vs {other.order}")
-            return other.coeffs
-        if isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            return _constant(other, self.order)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Tower._raw(self.order, _add(self.coeffs, rhs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Tower._raw(self.order, _sub(self.coeffs, rhs))
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Tower._raw(self.order, _sub(rhs, self.coeffs))
-
-    def __neg__(self):
-        return Tower._raw(self.order, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Tower):
-            return tower_mul(self, other)
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Tower._raw(self.order, self.coeffs * float(other))
-        if isinstance(other, np.ndarray):
-            # a per-sample scale: multiply every block elementwise
-            a, b = _align(self.coeffs, np.asarray(other, dtype=np.float64)[None])
-            return Tower._raw(self.order, a * b)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tower):
-            return tower_mul(self, reciprocal(other))
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            if float(other) == 0.0:
-                raise DomainError("division by the scalar zero")
-            return Tower._raw(self.order, self.coeffs / float(other))
-        if isinstance(other, np.ndarray):
-            return self * _scale_array_inverse(other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Tower._raw(self.order, _div(rhs, self.coeffs))
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, np.integer)):
-            return pow_int(self, int(exponent))
-        return NotImplemented
-
-
-def _scale_array_inverse(arr: np.ndarray) -> np.ndarray:
-    if np.any(arr == 0.0):
-        raise DomainError("division by an array containing zero")
-    return 1.0 / arr
 
 
 def tower_mul(a: Tower, b: Tower) -> Tower:
@@ -566,21 +470,9 @@ def tower_mul(a: Tower, b: Tower) -> Tower:
     return Tower._raw(a.order, _mul(a.coeffs, b.coeffs))
 
 
-def split_top(a: Tower) -> tuple[Tower, Tower]:
-    """Split along the outermost generator.
-
-    Returns ``(lo, hi)`` of order ``a.order - 1`` with
-    ``a = lo + e_top * hi``: the two halves of the coefficients.
-    """
-    if a.order == 0:
-        raise ValueError("order-0 towers have no generator to split")
-    half = 1 << (a.order - 1)
-    return (Tower._raw(a.order - 1, a.coeffs[:half].copy()),
-            Tower._raw(a.order - 1, a.coeffs[half:].copy()))
-
-
 def join_top(lo: Tower, hi: Tower) -> Tower:
-    """Inverse of :func:`split_top`."""
+    """``lo + e_top * hi``, one order up: the coefficients of ``lo``, then
+    those of ``hi``, the two broadcast to one batch shape."""
     if lo.order != hi.order:
         raise ValueError(f"tower order mismatch: {lo.order} vs {hi.order}")
     a, b = _align(lo.coeffs, hi.coeffs)
@@ -675,20 +567,3 @@ _PRIMITIVES: dict[str, _Primitive] = {
 def lift_primitive(name: str, a: Tower) -> Tower:
     """Apply a scalar primitive to a tower (see ``_lift``)."""
     return Tower._raw(a.order, _lift(name, a.coeffs))
-
-
-def reciprocal(a: Tower) -> Tower:
-    return lift_primitive("recip", a)
-
-
-def pow_int(a: Tower, exponent: int) -> Tower:
-    """Integer power; negative exponents require a nonzero base point."""
-    return Tower._raw(a.order, _pow(a.coeffs, exponent))
-
-
-def allclose(a: Tower, b: Tower, tol: float = 1e-12) -> bool:
-    if a.order != b.order:
-        return False
-    x, y = _align(a.coeffs, b.coeffs)
-    scale = 1.0 + max(np.max(np.abs(x)), np.max(np.abs(y)))
-    return bool(np.max(np.abs(x - y)) <= tol * scale)

@@ -3,11 +3,11 @@
 Each construction is compared with the route it replaced: the
 coordinates as a list of ``Tower``s, the structure maps run by
 ``Expr.evaluate``, a top generator adjoined by ``join_top`` and split
-off by ``split_top``, and a zero-dimensional base or chart handled by
-an explicit ``like`` tower or an empty fiber.  The two routes run the
-same kernels in the same order, so their coefficients must agree in
-every bit (``tobytes`` equality), at tower orders 0-3 and batch shapes
-(), (7,) and (3, 5).
+off as the top half of the coefficients, and a zero-dimensional base or
+chart handled by an explicit ``like`` tower or an empty fiber.  The two
+routes run the same kernels in the same order, so their coefficients
+must agree in every bit (``tobytes`` equality), at tower orders 0-3 and
+batch shapes (), (7,) and (3, 5).
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from tancat.fields import (ScalarField, VectorField, act_on_function,
                            field_scale, lie_bracket)
 from tancat.groupoid import BUILTIN_GROUPOIDS
 from tancat.randexpr import random_expr
-from tancat.tower import Tower, join_top, split_top
+from tancat.tower import Tower, join_top, tower_mul
 from test_cli import _trivial_group, _units_of_interval
 
 BATCHES = ((), (7,), (3, 5))
@@ -53,7 +53,13 @@ def _like(blocks):
 
 def _zero_top(t):
     """A tower with a fresh outermost generator and a zero top half."""
-    return join_top(t, Tower.constant(np.zeros(t.batch_shape), t.order))
+    return join_top(t, Tower.constant(np.zeros(t.coeffs.shape[1:]), t.order))
+
+
+def _top(t):
+    """The coefficient of the outermost generator, one order down: the
+    top half of the coefficients."""
+    return Tower(t.order - 1, t.coeffs[len(t.coeffs) // 2:])
 
 
 def t_fiber(fn, dim, xs):
@@ -66,27 +72,28 @@ def t_bracket(v, w, dim):
         vhat, what = t_fiber(v, dim, xs), t_fiber(w, dim, xs)
         a = t_fiber(w, dim, [join_top(x, c) for x, c in zip(xs, vhat)])
         b = t_fiber(v, dim, [join_top(x, c) for x, c in zip(xs, what)])
-        return [split_top(s)[1] - split_top(t)[1] for s, t in zip(a, b)]
+        return [Tower(s.order - 1, _top(s).coeffs - _top(t).coeffs)
+                for s, t in zip(a, b)]
     return fn
 
 
 def t_act(v, f, dim):
     def fn(xs):
         vhat = t_fiber(v, dim, xs)
-        return split_top(f([join_top(x, c) for x, c in zip(xs, vhat)]))[1]
+        return _top(f([join_top(x, c) for x, c in zip(xs, vhat)]))
     return fn
 
 
 def t_scale(f, v, dim):
     def fn(xs):
         c = f(xs)
-        return [c * t for t in t_fiber(v, dim, xs)]
+        return [tower_mul(c, t) for t in t_fiber(v, dim, xs)]
     return fn
 
 
 def t_section(body):
     return lambda xs, like: body.evaluate(xs, order=like.order,
-                                          batch_shape=like.batch_shape)
+                                          batch_shape=like.coeffs.shape[1:])
 
 
 def t_extend(G, a):
@@ -96,13 +103,13 @@ def t_extend(G, a):
         like = gs[0]
         tg = G.target.body.evaluate(gs)
         u = G.unit.body.evaluate(tg, order=like.order,
-                                 batch_shape=like.batch_shape)
+                                 batch_shape=like.coeffs.shape[1:])
         av = a(tg, like)
         lift_u = [_zero_top(t) for t in u]
         for i in range(q):
             lift_u[p + i] = join_top(u[p + i], av[i])
         out = G.compose.body.evaluate(lift_u + [_zero_top(t) for t in gs])
-        return [split_top(t)[1] for t in out]
+        return [_top(t) for t in out]
     return fn
 
 
@@ -111,7 +118,7 @@ def t_restrict(G, v):
 
     def fn(xs, like):
         u = G.unit.body.evaluate(xs, order=like.order,
-                                 batch_shape=like.batch_shape)
+                                 batch_shape=like.coeffs.shape[1:])
         return t_fiber(v, G.arrow_dim, u)[p:]
     return fn
 
@@ -125,7 +132,7 @@ def t_anchor(G, a):
         lift = [_zero_top(t) for t in ux]
         for i in range(q):
             lift[p + i] = join_top(ux[p + i], av[i])
-        return [split_top(t)[1] for t in G.target.body.evaluate(lift)]
+        return [_top(t) for t in G.target.body.evaluate(lift)]
     return fn
 
 
@@ -158,7 +165,8 @@ def test_field_constructions_match_the_tower_route(d):
     tf = lambda xs: f_body.evaluate(xs)[0]
     depth1 = [(lie_bracket(v, w), t_bracket(tv, tw, d)),
               (field_scale(f, v), t_scale(tf, tv, d)),
-              (field_scale(-1.25, v), lambda xs: [-1.25 * t for t in tv(xs)])]
+              (field_scale(-1.25, v),
+               lambda xs: [Tower(t.order, t.coeffs * -1.25) for t in tv(xs)])]
     depth2 = [(lie_bracket(u, lie_bracket(v, w)),
                t_bracket(tu, t_bracket(tv, tw, d), d))]
     for order in range(4):

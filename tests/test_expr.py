@@ -11,8 +11,8 @@ from tancat.errors import DomainError
 from tancat.expr import (Expr, ExprBuilder, Node, _fold, build, exp, log,
                          parallel, reindex_inputs, tangent_lift)
 from tancat.randexpr import random_expr
-from tancat.tower import (Tower, _add, _div, _mul, _pow, _sub, lift_primitive,
-                          pow_int, reciprocal, split_top)
+from tancat.tower import (Tower, _add, _constant, _div, _lift, _mul, _pow,
+                          _sub)
 
 
 def tower(order, *coeffs):
@@ -80,32 +80,39 @@ def test_domain_error_carries_node_id():
     assert str(err.value).startswith("node 1 (log): ")
 
 
-def reference_evaluate(e, inputs, order=None, batch_shape=None):
-    """Node-by-node interpreter: every constant a full tower of the batch."""
+# The kernel of each binary operation on two coefficient arrays,
+# coefficient axis first.
+BINARY = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
+
+
+def order_and_batch(inputs, order, batch_shape):
     if inputs:
-        order = inputs[0].order
-        batch_shape = np.broadcast_shapes(*[t.batch_shape for t in inputs])
-    else:
-        order = 0 if order is None else order
-        batch_shape = () if batch_shape is None else tuple(batch_shape)
+        return (inputs[0].order,
+                np.broadcast_shapes(*[t.coeffs.shape[1:] for t in inputs]))
+    return (0 if order is None else order,
+            () if batch_shape is None else tuple(batch_shape))
+
+
+def reference_evaluate(e, inputs, order=None, batch_shape=None):
+    """Node-by-node interpreter on the kernels: every constant a full
+    tower of the batch.  Returns coefficient arrays."""
+    order, batch_shape = order_and_batch(inputs, order, batch_shape)
     vals = []
     for nid, node in enumerate(e.nodes):
-        op = node.op
+        op, args = node.op, [vals[i] for i in node.args]
         try:
             if op == "input":
-                v = inputs[node.index]
+                v = inputs[node.index].coeffs
             elif op == "const":
-                v = Tower.constant(np.full(batch_shape, node.value), order)
+                v = _constant(np.full(batch_shape, node.value), order)
             elif op == "neg":
-                v = -vals[node.args[0]]
+                v = -args[0]
             elif op == "pow_int":
-                v = pow_int(vals[node.args[0]], node.index)
-            elif len(node.args) == 1:
-                v = lift_primitive(op, vals[node.args[0]])
+                v = _pow(args[0], node.index)
+            elif op in BINARY:
+                v = BINARY[op](*args)
             else:
-                a, b = (vals[i] for i in node.args)
-                v = {"add": operator.add, "sub": operator.sub,
-                     "mul": operator.mul, "div": operator.truediv}[op](a, b)
+                v = _lift(op, args[0])
         except DomainError as err:
             raise DomainError(f"node {nid} ({op}): {err}") from err
         vals.append(v)
@@ -113,56 +120,57 @@ def reference_evaluate(e, inputs, order=None, batch_shape=None):
 
 
 def float_reference_evaluate(e, inputs, order=None, batch_shape=None):
-    """Node-by-node interpreter on Tower's operators, constants as floats.
+    """Node-by-node interpreter on the kernels, constants as floats.
 
     This reads the schedule's contract one node at a time.  A node whose
     operands are all floats is computed on order-0 towers of shape (1,)
     and stays a float when finite; otherwise it runs on constant towers
-    of the whole batch.  With one float operand, ``t / c`` is
-    ``t * (1 / c)`` for nonzero ``c`` and ``c / t`` is
-    ``reciprocal(t) * c``.  Constant outputs are towers of the batch.
+    of the whole batch.  With one float operand, ``t * c`` scales by
+    ``c``, ``t / c`` is ``t * (1 / c)`` for nonzero ``c``, ``c / t`` is
+    ``recip(t) * c``, and the other kernels take ``c``'s unbatched
+    constant tower.  Returns coefficient arrays; constant outputs are
+    towers of the batch.
     """
-    if inputs:
-        order = inputs[0].order
-        batch_shape = np.broadcast_shapes(*[t.batch_shape for t in inputs])
-    else:
-        order = 0 if order is None else order
-        batch_shape = () if batch_shape is None else tuple(batch_shape)
+    order, batch_shape = order_and_batch(inputs, order, batch_shape)
 
     def tower_of(v):
-        if isinstance(v, Tower):
+        if isinstance(v, np.ndarray):
             return v
-        return Tower.constant(np.full(batch_shape, v), order)
+        return _constant(np.full(batch_shape, v), order)
 
     def apply(node, args):
         op = node.op
         if op == "neg":
             return -args[0]
         if op == "pow_int":
-            return pow_int(args[0], node.index)
-        if len(args) == 1:
-            return lift_primitive(op, args[0])
+            return _pow(args[0], node.index)
+        if op not in BINARY:
+            return _lift(op, args[0])
         a, b = args
         if op == "div" and isinstance(a, float):
-            return reciprocal(b) * a
-        if op == "div" and isinstance(b, float):
-            return a * (1.0 / b) if b != 0.0 else a / tower_of(b)
-        return {"add": operator.add, "sub": operator.sub,
-                "mul": operator.mul, "div": operator.truediv}[op](a, b)
+            return _lift("recip", b) * a
+        if op == "div" and isinstance(b, float) and b != 0.0:
+            return a * (1.0 / b)
+        if op == "mul" and isinstance(a, float):
+            return b * a
+        if op == "mul" and isinstance(b, float):
+            return a * b
+        return BINARY[op](*(_constant(v, order) if isinstance(v, float) else v
+                            for v in (a, b)))
 
     vals = []
     for nid, node in enumerate(e.nodes):
         op = node.op
         try:
             if op == "input":
-                v = inputs[node.index]
+                v = inputs[node.index].coeffs
             elif op == "const":
                 v = float(node.value)
             elif all(isinstance(vals[i], float) for i in node.args):
                 try:
                     with np.errstate(all="ignore"):
-                        v = float(apply(node, [Tower.constant(np.full(1, vals[i]))
-                                               for i in node.args]).coeffs[0, 0])
+                        v = float(apply(node, [_constant(np.full(1, vals[i]), 0)
+                                               for i in node.args])[0, 0])
                 except DomainError:
                     v = math.nan
                 if not math.isfinite(v):
@@ -178,23 +186,25 @@ def float_reference_evaluate(e, inputs, order=None, batch_shape=None):
 def assert_matches_reference(e, inputs, **kw):
     got = e.evaluate(inputs, **kw)
     want = reference_evaluate(e, inputs, **kw)
+    order, _ = order_and_batch(inputs, kw.get("order"), kw.get("batch_shape"))
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.order == w.order
-        assert g.coeffs.shape == w.coeffs.shape
-        assert np.array_equal(g.coeffs, w.coeffs, equal_nan=True)
+        assert g.order == order
+        assert g.coeffs.shape == w.shape
+        assert np.array_equal(g.coeffs, w, equal_nan=True)
 
 
 def assert_matches_float_reference(e, inputs):
     # the signs of zeros too, which == does not tell apart
     got = e.evaluate(inputs)
     want = float_reference_evaluate(e, inputs)
+    order, _ = order_and_batch(inputs, None, None)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.order == w.order
-        assert g.coeffs.shape == w.coeffs.shape
-        assert np.array_equal(g.coeffs, w.coeffs, equal_nan=True)
-        assert np.array_equal(np.signbit(g.coeffs), np.signbit(w.coeffs))
+        assert g.order == order
+        assert g.coeffs.shape == w.shape
+        assert np.array_equal(g.coeffs, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g.coeffs), np.signbit(w))
 
 
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
@@ -260,8 +270,8 @@ def per_column(e, blocks):
         e, [Tower(order, blocks[:, i]) for i in range(e.n_inputs)],
         order=order, batch_shape=batch)
     out = np.empty((len(blocks), e.n_outputs) + batch)
-    for j, t in enumerate(outs):
-        out[:, j] = t.coeffs
+    for j, c in enumerate(outs):
+        out[:, j] = c
     return out
 
 
@@ -317,7 +327,7 @@ def out_registers(e):
 def live_registers(e, inputs):
     # the registers still holding an array after a run of the schedule
     order = inputs[0].order
-    batch = np.broadcast_shapes(*[t.batch_shape for t in inputs])
+    batch = np.broadcast_shapes(*[t.coeffs.shape[1:] for t in inputs])
     regs = e._run([t.coeffs for t in inputs], order, batch)
     return {r for r, v in enumerate(regs) if v is not None}
 
@@ -405,7 +415,8 @@ def test_zero_input_expression_matches_reference():
     for order, batch in ((0, ()), (3, (4,)), (2, (2, 3))):
         assert_matches_reference(e, [], order=order, batch_shape=batch)
         out = e.evaluate([], order=order, batch_shape=batch)
-        assert all(t.order == order and t.batch_shape == batch for t in out)
+        assert all(t.order == order and t.coeffs.shape[1:] == batch
+                   for t in out)
         blocks = np.empty((1 << order, 0) + batch)
         assert e.on_blocks(blocks).tobytes() == per_column(e, blocks).tobytes()
 
@@ -586,12 +597,13 @@ def test_block_functoriality_of_evaluation():
         n_in = int(rng.integers(1, 4))
         e = random_expr(rng, n_in, 2, depth=4)
         order = int(rng.integers(1, 5))
+        half = 1 << (order - 1)
         ins = [Tower(order, rng.uniform(-0.8, 0.8, size=1 << order))
                for _ in range(n_in)]
         hi = e.evaluate(ins)
-        lo = e.evaluate([split_top(t)[0] for t in ins])
+        lo = e.evaluate([Tower(order - 1, t.coeffs[:half]) for t in ins])
         for a, b in zip(hi, lo):
-            got = split_top(a)[0].coeffs
+            got = a.coeffs[:half]
             scale = 1.0 + np.max(np.abs(b.coeffs))
             assert np.max(np.abs(got - b.coeffs)) <= 1e-12 * scale
 

@@ -12,7 +12,7 @@ from tancat.fields import (ScalarField, VectorField, act_on_function,
                            jacobian_at, kernel_residual, lie_bracket)
 from tancat.randexpr import random_expr
 from tancat.report import rng_for
-from tancat.tower import Tower, join_top, split_top
+from tancat.tower import Tower, join_top
 
 D2 = box_domain(2, -2, 2)
 
@@ -90,7 +90,7 @@ class TestOracles:
         dirs = rng.uniform(-1.0, 1.0, size=(2, 40))
         xs = [join_top(Tower.constant(pts[i]), Tower.constant(dirs[i]))
               for i in range(2)]
-        jet = np.stack([split_top(t)[1].coeffs[0] for t in b.fiber(xs)])
+        jet = np.stack([t.coeffs[1] for t in b.fiber(xs)])  # the e1 slot
         h = 1e-4
         fd = (b.at(pts + h * dirs) - b.at(pts - h * dirs)) / (2 * h)
         assert np.max(np.abs(jet - fd) / (1 + np.abs(jet))) < 1e-5
