@@ -35,10 +35,8 @@ from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import rng_for, uniform
-from .tanpoint import residual
+from .tanpoint import ROUNDOFF_TOL, residual
 from .tower import _mul
-
-GATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,17 +141,16 @@ class Algebroid:
                             name or "const")
 
 
-def algebroid_of(G: FiberedGroupoid, rng: np.random.Generator | None = None,
-                 samples: int = 200, tol: float = GATE_TOL) -> Algebroid:
+def algebroid_of(G: FiberedGroupoid) -> Algebroid:
     """Differentiate a groupoid, refusing structures that fail their laws.
 
     The unit-arrow constructions below silently produce garbage on a
-    non-groupoid, so the gate runs the pointwise axioms first.
+    non-groupoid, so the gate runs the pointwise axioms first, at 200
+    points, each residual held to ``ROUNDOFF_TOL``.
     """
-    if rng is None:
-        rng = rng_for(29, "algebroid/gate/" + (G.name or "?"))
-    res = check_groupoid_axioms(G, rng, samples)
-    bad = {k: v for k, v in res.items() if not v <= tol}
+    rng = rng_for(29, "algebroid/gate/" + (G.name or "?"))
+    res = check_groupoid_axioms(G, rng, 200)
+    bad = {k: v for k, v in res.items() if not v <= ROUNDOFF_TOL}
     if bad:
         raise StructureError(
             f"cannot differentiate {G.name or 'groupoid'}: axiom residuals "
@@ -205,17 +202,16 @@ def extend_to_invariant(al: Algebroid, a: Section) -> VectorField:
 
 
 def restrict_to_unit(al: Algebroid, v: VectorField, check: bool = True,
-                     tol: float = GATE_TOL, name: str = "") -> Section:
+                     name: str = "") -> Section:
     """Read a vertical arrow field back off at the unit arrows."""
     G = al.gpd
     p = G.base.dim
     if check:
         rng = rng_for(31, "algebroid/verticality")
-        # a point base has one unit arrow, so one copy of it will do
-        pts = al.base.sample(rng, 64 if p else 1)
+        pts = al.base.sample(rng, 64)
         anchor_part = v.at(G.unit(pts))[:p]
         drift = residual(anchor_part, np.zeros_like(anchor_part))
-        if drift > tol:
+        if drift > ROUNDOFF_TOL:
             raise VerticalityError(
                 f"field {v.name or '?'} has anchor components of size "
                 f"{drift:.3e} at the units; only vertical fields restrict")
@@ -245,16 +241,16 @@ def pullback_target(al: Algebroid, f: ScalarField) -> ScalarField:
 
 # -- law checking -----------------------------------------------------
 
-def _default_sections(al: Algebroid, rng: np.random.Generator,
-                      count: int = 3, depth: int = 3) -> list[Section]:
+def _default_sections(al: Algebroid,
+                      rng: np.random.Generator) -> list[Section]:
     p, q = al.base.dim, al.rank
     out = []
-    for k in range(count):
+    for k in range(3):
         if p == 0:
             out.append(al.constant_section(uniform(rng, -1.0, 1.0, q),
                                            name=f"s{k}"))
         else:
-            out.append(al.section(random_expr(rng, p, q, depth=depth),
+            out.append(al.section(random_expr(rng, p, q, depth=3),
                                   name=f"s{k}"))
     return out
 
@@ -281,7 +277,7 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     G = al.gpd
     p = G.base.dim
     if sections is None:
-        sections = _default_sections(al, rng, 3)
+        sections = _default_sections(al, rng)
     a, b, c = sections[0], sections[1], sections[2]
     if f is None:
         body = (random_expr(rng, p, 1, depth=3) if p

@@ -63,13 +63,11 @@ class Domain:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Elementwise membership for points of shape (dim,) or (dim, ...)."""
         points = np.asarray(points, dtype=float)
-        batch = points.shape[1:]
-        ok = np.ones(batch, dtype=bool)
-        if self.dim:
-            slack = 1e-9 * (1.0 + np.abs(self.box))
-            lo = (self.box[:, 0] - slack[:, 0]).reshape((self.dim,) + (1,) * len(batch))
-            hi = (self.box[:, 1] + slack[:, 1]).reshape((self.dim,) + (1,) * len(batch))
-            ok &= np.all((points >= lo) & (points <= hi), axis=0)
+        shape = (self.dim,) + (1,) * (points.ndim - 1)
+        slack = 1e-9 * (1.0 + np.abs(self.box))
+        lo = (self.box[:, 0] - slack[:, 0]).reshape(shape)
+        hi = (self.box[:, 1] + slack[:, 1]).reshape(shape)
+        ok = np.all((points >= lo) & (points <= hi), axis=0)
         if self.constraints:
             ok &= _positive(points, self.constraints, self._member_program)
         return ok
@@ -97,7 +95,7 @@ class Domain:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Rejection-sample n member points, shape (dim, n); no point
         is drawn when none is wanted."""
-        if self.dim == 0 or n == 0:
+        if n == 0:
             return np.zeros((self.dim, n))
         chunks: list[np.ndarray] = []
         have = 0
@@ -179,9 +177,9 @@ def _positive(points: np.ndarray, exprs: tuple[Expr, ...],
 
 
 def box_domain(dim: int, lo: float = -1.0, hi: float = 1.0, *,
-               name: str = "", split=None) -> Domain:
+               name: str = "") -> Domain:
     return Domain(dim=dim, box=np.tile([float(lo), float(hi)], (dim, 1)),
-                  name=name, split=split)
+                  name=name)
 
 
 def product_domain(a: Domain, b: Domain, name: str = "") -> Domain:

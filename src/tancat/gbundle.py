@@ -21,9 +21,7 @@ from .errors import VerticalityError
 from .fields import VectorField, field_add, field_scale, lie_bracket
 from .groupoid import FiberedGroupoid, _tcompose
 from .report import uniform
-from .tanpoint import order_of, residual
-
-VERTICAL_TOL = 1e-9
+from .tanpoint import ROUNDOFF_TOL, order_of, residual
 
 
 def _action_pairs(G: FiberedGroupoid, rng: np.random.Generator,
@@ -42,8 +40,8 @@ def vertical_tangent(e: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
     return np.stack([e, fib])
 
 
-def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray, g: np.ndarray,
-                    tol: float = VERTICAL_TOL) -> np.ndarray:
+def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
     """Transport a vertical tangent along an arrow.
 
     The arrow slot is frozen (zero velocity); the result must again be
@@ -53,15 +51,15 @@ def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray, g: np.ndarray,
     if order_of(xi) != 1:
         raise ValueError("vertical transport takes order-1 tangents")
     drift_in = residual(xi[1, :p], np.zeros_like(xi[1, :p]))
-    if drift_in > tol:
+    if drift_in > ROUNDOFF_TOL:
         raise VerticalityError(f"input tangent has anchor velocity "
-                               f"{drift_in:.3e} (tol {tol:.1e})")
+                               f"{drift_in:.3e} (tol {ROUNDOFF_TOL:.1e})")
     g = np.asarray(g, dtype=float)
     out = _tcompose(G, xi, np.stack([g, np.zeros_like(g)]))
     drift = residual(out[1, :p], np.zeros_like(out[1, :p]))
-    if drift > tol:
+    if drift > ROUNDOFF_TOL:
         raise VerticalityError(f"transport leaked an anchor velocity of "
-                               f"{drift:.3e} (tol {tol:.1e})")
+                               f"{drift:.3e} (tol {ROUNDOFF_TOL:.1e})")
     out[1, :p] = 0.0  # out is the fresh result of _tcompose
     return out
 
@@ -84,8 +82,8 @@ def invariance_defect(G: FiberedGroupoid, v: VectorField,
 
 
 def is_invariant(G: FiberedGroupoid, v: VectorField, rng: np.random.Generator,
-                 samples: int = 200, tol: float = VERTICAL_TOL) -> bool:
-    return max(invariance_defect(G, v, rng, samples).values()) <= tol
+                 samples: int = 200) -> bool:
+    return max(invariance_defect(G, v, rng, samples).values()) <= ROUNDOFF_TOL
 
 
 def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,

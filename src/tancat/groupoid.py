@@ -26,7 +26,7 @@ from .errors import SamplerError, StructureError
 from .expr import (Expr, ExprBuilder, build, reindex_inputs,
                    tangent_chart_map)
 from .report import uniform, uniform_width
-from .tanpoint import apply_tangent, residual
+from .tanpoint import ROUNDOFF_TOL, apply_tangent, residual
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,6 @@ class FiberedGroupoid:
     @property
     def fiber_dim(self) -> int:
         return self.arrows.dim - self.base.dim
-
-    @cached_property
-    def source(self) -> SmoothMap:
-        b = ExprBuilder(self.arrow_dim)
-        body = b.finish(b.inputs()[: self.base.dim])
-        return SmoothMap(self.arrows, self.base, body, name="source")
 
     # -- sampling -----------------------------------------------------
 
@@ -186,8 +180,7 @@ def tangent_domain(dom: Domain, sizes, name: str = "") -> Domain:
         pos += 2 * s
     lift = lambda c: reindex_inputs(c, slot_map, 2 * dom.dim)
     split = (2 * sizes[0], 2 * sizes[1]) if len(sizes) == 2 else None
-    return Domain(2 * dom.dim,
-                  np.concatenate(rows) if rows else np.zeros((0, 2)),
+    return Domain(2 * dom.dim, np.concatenate(rows),
                   tuple(lift(c) for c in dom.constraints),
                   name=name or ("T" + dom.name if dom.name else ""),
                   split=split,
@@ -447,9 +440,8 @@ def matrix_group(n: int) -> FiberedGroupoid:
         name=f"gl{n}")
 
 
-def linear_action(n: int, space: Domain | None = None) -> SmoothMap:
+def linear_action(n: int, space: Domain) -> SmoothMap:
     """Matrix-vector multiplication as a smooth action map (g, m) -> g m."""
-    space = space or box_domain(n, name=f"r{n}")
     nn = n * n
 
     def act(xs):
@@ -468,7 +460,6 @@ def linear_action(n: int, space: Domain | None = None) -> SmoothMap:
 
 
 def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
-                    rng: np.random.Generator | None = None,
                     name: str = "") -> FiberedGroupoid:
     """The groupoid of a right-to-left action: an arrow (m, g) runs from
     m to the moved point a(g, m)."""
@@ -479,12 +470,11 @@ def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
     if action.dom.dim != ng + p or action.cod.dim != p:
         raise StructureError(f"action map must be ({ng}+{p})->{p}")
 
-    rng = rng or np.random.default_rng(0)
-    m = space.sample(rng, 64)
+    m = space.sample(np.random.default_rng(0), 64)
     e = group.unit(np.zeros((0, 64)))
     acted = action(np.concatenate([e, m]))
     defect = residual(acted, m)
-    if defect > 1e-9:
+    if defect > ROUNDOFF_TOL:
         raise StructureError(f"unit does not act as the identity "
                              f"(residual {defect:.3e})")
 

@@ -47,7 +47,11 @@ from .expr import order_of
 from .tower import MAX_ORDER
 from .domain import SmoothMap
 
-DEFAULT_MATCH_TOL = 1e-9
+# The size of residual below which two sides agree to round-off: the
+# groupoid laws, vertical transport and matching fibers are identities
+# of the exact tower arithmetic, so every check made while building or
+# combining structures reads this one bound.
+ROUNDOFF_TOL = 1e-9
 
 
 def residual(a, b) -> float:
@@ -127,13 +131,12 @@ def _empty(order: int, like: np.ndarray) -> np.ndarray:
     return np.empty((1 << order,) + like.shape[1:])
 
 
-def _check_shared(a: np.ndarray, b: np.ndarray, tol: float,
-                  where: str = "") -> None:
+def _check_shared(a: np.ndarray, b: np.ndarray, where: str = "") -> None:
     """Refuse two points whose shared blocks ``a`` and ``b`` differ."""
     mismatch = residual(a, b)
-    if mismatch > tol:
-        raise FiberMismatchError(
-            f"shared blocks differ by {mismatch:.3e} (tol {tol:.1e}){where}")
+    if mismatch > ROUNDOFF_TOL:
+        raise FiberMismatchError(f"shared blocks differ by {mismatch:.3e} "
+                                 f"(tol {ROUNDOFF_TOL:.1e}){where}")
 
 
 def apply_tangent(f: SmoothMap, p: np.ndarray,
@@ -162,17 +165,17 @@ def zero_lift(p: np.ndarray, levels: int = 1) -> np.ndarray:
     return out
 
 
-def add_fiber(p: np.ndarray, q: np.ndarray, level: int | None = None,
-              tol: float = DEFAULT_MATCH_TOL) -> np.ndarray:
-    return _fiber_combine(p, q, np.add, level, tol)
+def add_fiber(p: np.ndarray, q: np.ndarray,
+              level: int | None = None) -> np.ndarray:
+    return _fiber_combine(p, q, np.add, level)
 
 
-def sub_fiber(p: np.ndarray, q: np.ndarray, level: int | None = None,
-              tol: float = DEFAULT_MATCH_TOL) -> np.ndarray:
-    return _fiber_combine(p, q, np.subtract, level, tol)
+def sub_fiber(p: np.ndarray, q: np.ndarray,
+              level: int | None = None) -> np.ndarray:
+    return _fiber_combine(p, q, np.subtract, level)
 
 
-def _fiber_combine(p, q, combine, level, tol):
+def _fiber_combine(p, q, combine, level):
     """``combine`` (``np.add`` or ``np.subtract``) on the fibers of one
     level of two points that share every other block."""
     n, nq = order_of(p), order_of(q)
@@ -183,7 +186,7 @@ def _fiber_combine(p, q, combine, level, tol):
     level = _check_level(n, level)
     p, q = np.broadcast_arrays(p, q)
     pv, qv = _level_view(p, n, level), _level_view(q, n, level)
-    _check_shared(pv[:, 0], qv[:, 0], tol, f" at level {level}")
+    _check_shared(pv[:, 0], qv[:, 0], f" at level {level}")
     out = np.empty(p.shape)
     ov = _level_view(out, n, level)
     ov[:, 0] = pv[:, 0]
@@ -218,8 +221,7 @@ def vertical_lift(p: np.ndarray, level: int | None = None) -> np.ndarray:
     return out
 
 
-def vertical_lift_pair(p: np.ndarray, q: np.ndarray,
-                       tol: float = DEFAULT_MATCH_TOL) -> np.ndarray:
+def vertical_lift_pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Two-argument vertical lift ``(u, u1, v1) -> (u, u1, 0, v1)``.
 
     ``p`` and ``q`` must agree on every block not containing their
@@ -230,7 +232,7 @@ def vertical_lift_pair(p: np.ndarray, q: np.ndarray,
         raise ValueError("arguments must share an order >= 1")
     half = 1 << (n - 1)
     pb, qb = np.broadcast_arrays(p, q)
-    _check_shared(pb[:half], qb[:half], tol)
+    _check_shared(pb[:half], qb[:half])
     out = _empty(n + 1, pb)
     out[: 1 << n] = pb
     out[1 << n: (1 << n) + half] = 0.0
@@ -271,8 +273,7 @@ def fiber_component(p: np.ndarray) -> np.ndarray:
     return p[1, 0]
 
 
-def partial_tangent(f: SmoothMap, slot: int, p: np.ndarray,
-                    check_domain: bool = True) -> np.ndarray:
+def partial_tangent(f: SmoothMap, slot: int, p: np.ndarray) -> np.ndarray:
     """Tangent in one factor of a declared product domain.
 
     ``p`` is an order-1 point of the product chart; the fiber of the
@@ -291,7 +292,7 @@ def partial_tangent(f: SmoothMap, slot: int, p: np.ndarray,
         arr[1, d1:] = 0.0
     else:
         arr[1, :d1] = 0.0
-    return apply_tangent(f, arr, check_domain=check_domain)
+    return apply_tangent(f, arr)
 
 
 def collapse_inner(p: np.ndarray) -> np.ndarray:

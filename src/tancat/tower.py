@@ -86,34 +86,49 @@ def _mul_views(order: int) -> tuple[tuple[tuple, tuple], ...]:
 _MUL_VIEWS = {n: _mul_views(n) for n in range(MAX_ORDER + 1)}
 
 
-def _gather_tables(order: int, lefts: int, rights: int) -> tuple:
-    """The tables of the term-major product at the given order.
+def _term_major(terms: dict) -> tuple:
+    """The ragged sums ``terms`` (result mask -> its terms, in summation
+    order) laid out term-major.
 
-    ``(left, right, adds, masks)``: the disjoint mask pairs, left mask
-    inside ``lefts`` and right mask inside ``rights``, as the left and
-    right masks of each product, term-major: term ``t`` of a result mask
-    ``r`` is its ``t``-th such pair in increasing left mask, and the
-    result masks, those inside ``lefts | rights``, run most terms first,
-    so each term's masks are a prefix of ``masks``.  ``adds`` holds one
-    ``(head, term)`` slice pair per later term; after them, row ``i``
-    holds the sum of mask ``masks[i]``.  Each mask thus sums its terms
-    in increasing left mask, starting from its first pair: the strided
-    loop's order, less the terms left out.
+    ``(masks, columns, adds)``: ``masks`` lists the result masks that
+    have a term, most terms first.  Each term is a tuple of masks, and
+    row ``j`` of ``columns`` holds the ``j``-th mask of every term,
+    term-major: the first term of every mask, then the second of every
+    mask that has one, and so on, so each term's masks are a prefix of
+    ``masks``.  ``adds`` holds one ``(head, term)`` slice pair per later
+    term: the values in ``term`` add into those of the same masks in
+    ``head``, one term at a time.  After them, row ``i`` holds the sum
+    of mask ``masks[i]``, in its own order, with its missing terms left
+    out, not padded.
     """
-    terms = {r: [s for s in range(r + 1) if s & r == s and s & lefts == s
-                 and (r ^ s) & rights == r ^ s]
-             for r in range(1 << order)}
     masks = sorted((r for r in terms if terms[r]),
                    key=lambda r: -len(terms[r]))
-    left, right, adds = [], [], []
+    flat, adds = [], []
     for t in range(len(terms[masks[0]])):
         having = [r for r in masks if len(terms[r]) > t]
         if t:
             adds.append((slice(0, len(having)),
-                         slice(len(left), len(left) + len(having))))
-        left += [terms[r][t] for r in having]
-        right += [r ^ terms[r][t] for r in having]
-    return np.array(left), np.array(right), tuple(adds), np.array(masks)
+                         slice(len(flat), len(flat) + len(having))))
+        flat += [terms[r][t] for r in having]
+    return (np.array(masks), tuple(np.array(col) for col in zip(*flat)),
+            tuple(adds))
+
+
+def _gather_tables(order: int, lefts: int, rights: int) -> tuple:
+    """The tables of the term-major product at the given order.
+
+    ``(left, right, adds, masks)`` (``_term_major``): the terms of a
+    result mask ``r`` are its disjoint pairs, left mask inside ``lefts``
+    and right mask inside ``rights``, in increasing left mask, and the
+    result masks are those inside ``lefts | rights``.  Each mask thus
+    sums its terms starting from its first pair: the strided loop's
+    order, less the terms left out.
+    """
+    terms = {r: [(s, r ^ s) for s in range(r + 1) if s & r == s
+                 and s & lefts == s and (r ^ s) & rights == r ^ s]
+             for r in range(1 << order)}
+    masks, (left, right), adds = _term_major(terms)
+    return left, right, adds, masks
 
 
 # Below this many towers in a batch, the term-major gather beats the
@@ -188,35 +203,15 @@ def _lift_tables(order: int) -> tuple:
     """The partition tables of ``_lift`` at the given order.
 
     One entry per block count ``k = 2..order``: ``(k, masks, blocks,
-    adds)``.  ``masks`` lists the result masks that have a ``k``-block
-    partition, most partitions first.  The ``k`` rows of ``blocks`` give
-    the block masks of every (mask, partition) pair, term-major: the
-    first partition of every mask, then the second of every mask that
-    has one, and so on, so each term's masks are a prefix of ``masks``.
-    ``adds`` holds one ``(head, term)`` slice pair per later term: the
-    products in ``term`` add into those of the same masks in ``head``,
-    one term at a time, in each mask's partition order.  A mask's sum
-    is then a plain sequence of adds, the same at every order and batch
-    size; this is the ragged sum with its missing terms left out, not
-    padded with the exact identity -0.0.
+    adds)`` (``_term_major``), whose terms are the ``k``-block partitions
+    of each result mask, so the ``k`` rows of ``blocks`` give the block
+    masks of every (mask, partition) pair.  A mask's sum is then a plain
+    sequence of adds in its partition order, the same at every order
+    and batch size, not padded with the exact identity -0.0.
     """
-    tables = []
-    for k in range(2, order + 1):
-        terms = {r: [p for p in _set_partitions(r) if len(p) == k]
-                 for r in range(1, 1 << order)}
-        masks = sorted((r for r in terms if terms[r]),
-                       key=lambda r: -len(terms[r]))
-        pairs, adds = [], []
-        for t in range(len(terms[masks[0]])):
-            having = [r for r in masks if len(terms[r]) > t]
-            if t:
-                adds.append((slice(0, len(having)),
-                             slice(len(pairs), len(pairs) + len(having))))
-            pairs += [terms[r][t] for r in having]
-        tables.append((k, np.array(masks),
-                       tuple(np.array(col) for col in zip(*pairs)),
-                       tuple(adds)))
-    return tuple(tables)
+    return tuple((k, *_term_major(
+        {r: [p for p in _set_partitions(r) if len(p) == k]
+         for r in range(1, 1 << order)})) for k in range(2, order + 1))
 
 
 _LIFT_TABLES = {n: _lift_tables(n) for n in range(MAX_ORDER + 1)}

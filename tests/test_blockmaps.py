@@ -218,16 +218,3 @@ def test_algebroid_constructions_match_the_tower_route(name):
                   _stacked(t_fiber(t_anchor(G, ta), p, xs), x))
             if order <= 2:
                 _same(bracket.fn(x), _stacked(t_br(xs, like), x))
-
-
-def test_restrict_checks_one_unit_arrow_on_a_point_base():
-    al = algebroid_of(BUILTIN_GROUPOIDS["matrix2"]())
-    v = extend_to_invariant(al, al.constant_section([0.0, 1.0, 0.0, 0.0]))
-    shapes = []
-
-    def fn(x):
-        shapes.append(x.shape)
-        return v.fn(x)
-
-    restrict_to_unit(al, VectorField(v.dom, fn))
-    assert shapes == [(1, 4, 1)]

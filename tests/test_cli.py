@@ -184,7 +184,7 @@ def _units_of_interval() -> FiberedGroupoid:
 def _trivial_group() -> FiberedGroupoid:
     # one object and one arrow: base, arrows and fiber are all empty
     pt = box_domain(0, name="pt")
-    e = box_domain(0, name="e", split=(0, 0))
+    e = Domain(0, name="e", split=(0, 0))
     empty = build(0, lambda s: [])
     return FiberedGroupoid(
         base=pt, arrows=e, target=SmoothMap(e, pt, empty),

@@ -190,6 +190,19 @@ def test_sampling_no_points_draws_nothing(seed):
         assert rng.bit_generator.state == state
 
 
+def test_zero_dimensional_charts_take_the_general_path():
+    # a point chart has no coordinates to draw or to bound, so its
+    # points are an empty axis: no draw, and every point is a member
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert Domain(0).sample(rng, 200).shape == (0, 200)
+    assert rng.bit_generator.state == state
+    assert box_domain(2).sample(rng, 0).shape == (2, 0)
+    inside = Domain(0).contains(np.zeros((0, 3, 5)))
+    assert inside.shape == (3, 5) and inside.all()
+    assert tangent_domain(Domain(0), [0]).box.shape == (0, 2)
+
+
 def loop_sample(dom, rng, n):
     """The rejection sampler with one predicate call per constraint."""
     lo, hi = dom.box[:, 0], dom.box[:, 1]
