@@ -34,8 +34,8 @@ from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
 from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, check_groupoid_axioms
 from .randexpr import random_expr
-from .report import rng_for, uniform
-from .tanpoint import ROUNDOFF_TOL, residual
+from .report import ROUNDOFF_TOL, rng_for
+from .tanpoint import residual
 from .tower import _mul
 
 
@@ -243,16 +243,8 @@ def pullback_target(al: Algebroid, f: ScalarField) -> ScalarField:
 
 def _default_sections(al: Algebroid,
                       rng: np.random.Generator) -> list[Section]:
-    p, q = al.base.dim, al.rank
-    out = []
-    for k in range(3):
-        if p == 0:
-            out.append(al.constant_section(uniform(rng, -1.0, 1.0, q),
-                                           name=f"s{k}"))
-        else:
-            out.append(al.section(random_expr(rng, p, q, depth=3),
-                                  name=f"s{k}"))
-    return out
+    return [al.section(random_expr(rng, al.base.dim, al.rank, depth=3),
+                       name=f"s{k}") for k in range(3)]
 
 
 def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
@@ -280,9 +272,8 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
         sections = _default_sections(al, rng)
     a, b, c = sections[0], sections[1], sections[2]
     if f is None:
-        body = (random_expr(rng, p, 1, depth=3) if p
-                else build(0, lambda xs: [0.7]))
-        f = ScalarField.from_expr(al.base, body, name="f")
+        f = ScalarField.from_expr(al.base, random_expr(rng, p, 1, depth=3),
+                                  name="f")
     pts = al.base.sample(rng, samples)
     gs = G.sample_arrows(rng, samples)
     br = lambda x, y: algebroid_bracket(al, x, y)

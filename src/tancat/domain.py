@@ -15,10 +15,12 @@ import numpy as np
 
 from .errors import DomainError, SamplerError
 from .expr import Expr, ExprBuilder, json_int, reindex_inputs
-from .report import uniform_width
+from .report import ROUNDOFF_TOL, uniform_width
 
 # rejection-sampling rounds before a sampler gives up
 MAX_ROUNDS = 64
+# candidate points drawn per missing point in each round
+CANDIDATES = 3
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class Domain:
         """Elementwise membership for points of shape (dim,) or (dim, ...)."""
         points = np.asarray(points, dtype=float)
         shape = (self.dim,) + (1,) * (points.ndim - 1)
-        slack = 1e-9 * (1.0 + np.abs(self.box))
+        slack = ROUNDOFF_TOL * (1.0 + np.abs(self.box))
         lo = (self.box[:, 0] - slack[:, 0]).reshape(shape)
         hi = (self.box[:, 1] + slack[:, 1]).reshape(shape)
         ok = np.all((points >= lo) & (points <= hi), axis=0)
@@ -90,28 +92,45 @@ class Domain:
 
     @cached_property
     def _bounds(self) -> tuple:
-        return draw_bounds(self.box)
+        """``(lo, width)`` columns of the box rows, for
+        ``report.uniform_width``: each row's ``width`` is ``hi - lo``, as
+        ``rng.uniform`` computes it, so the draw has its bits."""
+        lo = self.box[:, :1]
+        return lo, self.box[:, 1:] - lo
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Rejection-sample n member points, shape (dim, n); no point
-        is drawn when none is wanted."""
-        if n == 0:
-            return np.zeros((self.dim, n))
-        chunks: list[np.ndarray] = []
-        have = 0
+    def sample(self, rng: np.random.Generator, n: int,
+               head: np.ndarray | None = None) -> np.ndarray:
+        """Rejection-sample n points, shape (dim, n).
+
+        With a ``(k, n)`` ``head``, point j starts with the coordinates
+        ``head[:, j]``, taken as given, and only its last ``dim - k`` are
+        drawn.  Each round draws ``CANDIDATES`` tails for each of the m
+        points still missing, as ``CANDIDATES`` blocks of m columns, and
+        a point keeps the first of its tails that ``admits`` accepts;
+        nothing is drawn once no point is missing.
+        """
+        if head is None:
+            head = np.zeros((0, n))
+        k = len(head)
+        lo, width = self._bounds
+        out = np.empty((self.dim, n))
+        out[:k] = head
+        missing = np.arange(n)
         for _ in range(MAX_ROUNDS):
-            draw = uniform_width(rng, *self._bounds,
-                                 size=(self.dim, 2 * (n - have)))
-            ok = self.admits(draw)
-            kept = draw[:, ok]
-            if kept.shape[1]:
-                chunks.append(kept)
-                have += kept.shape[1]
-            if have >= n:
-                return np.concatenate(chunks, axis=1)[:, :n]
+            m = missing.size
+            if not m:
+                return out
+            tails = uniform_width(rng, lo[k:], width[k:],
+                                  size=(self.dim - k, CANDIDATES * m))
+            ok = self.admits(np.concatenate(
+                [np.tile(head[:, missing], CANDIDATES), tails]))
+            ok = ok.reshape(CANDIDATES, m)
+            # a point with no accepted candidate is written over later
+            out[k:, missing] = tails[:, ok.argmax(axis=0) * m + np.arange(m)]
+            missing = missing[~ok.any(axis=0)]
         raise SamplerError(
             f"domain {self.name or self.dim}: rejection budget exhausted "
-            f"({have}/{n} points after {MAX_ROUNDS} rounds)")
+            f"({n - missing.size}/{n} points after {MAX_ROUNDS} rounds)")
 
     # -- serialization ------------------------------------------------
 
@@ -138,14 +157,6 @@ class Domain:
                    sample_constraints=tuple(
                        Expr.from_json_dict(c)
                        for c in data.get("sample_constraints", ())))
-
-
-def draw_bounds(box: np.ndarray) -> tuple:
-    """``(lo, width)`` columns of the rows of ``box``, for
-    ``report.uniform_width``: each row's ``width`` is ``hi - lo``, as
-    ``rng.uniform`` computes it, so the draw has its bits."""
-    lo = box[:, :1]
-    return lo, box[:, 1:] - lo
 
 
 def _joined(exprs: tuple[Expr, ...], dim: int) -> Expr:

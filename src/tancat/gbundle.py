@@ -20,8 +20,8 @@ from . import tanpoint as tp
 from .errors import VerticalityError
 from .fields import VectorField, field_add, field_scale, lie_bracket
 from .groupoid import FiberedGroupoid, _tcompose
-from .report import uniform
-from .tanpoint import ROUNDOFF_TOL, order_of, residual
+from .report import ROUNDOFF_TOL, uniform
+from .tanpoint import order_of, residual
 
 
 def _action_pairs(G: FiberedGroupoid, rng: np.random.Generator,

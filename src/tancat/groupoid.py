@@ -16,17 +16,15 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain, draw_bounds,
-                     product_domain)
-from .errors import SamplerError, StructureError
+from .domain import Domain, SmoothMap, box_domain, product_domain
+from .errors import StructureError
 from .expr import (Expr, ExprBuilder, build, reindex_inputs,
                    tangent_chart_map)
-from .report import uniform, uniform_width
-from .tanpoint import ROUNDOFF_TOL, apply_tangent, residual
+from .report import ROUNDOFF_TOL, uniform
+from .tanpoint import apply_tangent, residual
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ class FiberedGroupoid:
 
     # -- sampling -----------------------------------------------------
 
-    @cached_property
-    def _fiber_bounds(self) -> tuple:
-        return draw_bounds(self.arrows.box[self.base.dim:])
-
     def sample_objects(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.base.sample(rng, n)
 
@@ -75,25 +69,8 @@ class FiberedGroupoid:
 
     def _with_source(self, rng: np.random.Generator,
                      base_pts: np.ndarray) -> np.ndarray:
-        """Arrows with the given source points; only the constraint
-        expressions are enforced (the bases are taken as given)."""
-        p, q = self.base.dim, self.fiber_dim
-        n = base_pts.shape[1]
-        out = np.empty((p + q, n))
-        out[:p] = base_pts
-        need = np.ones(n, dtype=bool)
-        for _ in range(MAX_ROUNDS):
-            idx = np.flatnonzero(need)
-            if not idx.size:
-                return out
-            draw = uniform_width(rng, *self._fiber_bounds, size=(q, idx.size))
-            cand = np.concatenate([base_pts[:, idx], draw], axis=0)
-            ok = self.arrows.admits(cand)
-            hit = idx[ok]
-            out[p:, hit] = draw[:, ok]
-            need[hit] = False
-        raise SamplerError(f"groupoid {self.name or '?'}: could not extend "
-                           f"{int(need.sum())} sources to arrows")
+        """Arrows with the given source points, taken as given."""
+        return self.arrows.sample(rng, base_pts.shape[1], head=base_pts)
 
     def sample_composable(self, rng: np.random.Generator, n: int,
                           length: int = 2) -> list[np.ndarray]:

@@ -10,6 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The size of residual below which two sides agree to round-off: the
+# groupoid laws, vertical transport and matching fibers are identities
+# of the exact tower arithmetic, so every check made while building or
+# combining structures, and the slack of chart membership, reads this
+# one bound.
+ROUNDOFF_TOL = 1e-9
+
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """An independent generator per (seed, label) pair.
@@ -38,7 +45,7 @@ def uniform(rng: np.random.Generator, lo, hi, size=None):
 
 def uniform_width(rng: np.random.Generator, lo, width, size=None):
     """:func:`uniform` from a ``width`` already computed as ``hi - lo``,
-    such as the columns a chart keeps (``domain.draw_bounds``)."""
+    such as the columns a chart keeps (``Domain._bounds``)."""
     u = rng.random(size)
     u *= width
     u += lo

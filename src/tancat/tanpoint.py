@@ -46,12 +46,7 @@ from .errors import DomainError, FiberMismatchError, StructureError
 from .expr import order_of
 from .tower import MAX_ORDER
 from .domain import SmoothMap
-
-# The size of residual below which two sides agree to round-off: the
-# groupoid laws, vertical transport and matching fibers are identities
-# of the exact tower arithmetic, so every check made while building or
-# combining structures reads this one bound.
-ROUNDOFF_TOL = 1e-9
+from .report import ROUNDOFF_TOL
 
 
 def residual(a, b) -> float:

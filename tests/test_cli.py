@@ -155,6 +155,22 @@ def test_structure_error_past_a_loose_gate_is_exit_2(tmp_path, capsys):
     assert failed and all(n.startswith("gate/") for n in failed)
 
 
+def test_arrow_chart_that_admits_no_arrow_is_exit_2(tmp_path, capsys):
+    # the sampler gives up on a chart whose constraint no point meets:
+    # one line that names the chart, not a traceback
+    G = pair_groupoid(box_domain(2, name="square"))
+    never = replace(G.arrows, constraints=(build(4, lambda x: [x[0] - 2.0]),))
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps(groupoid_to_json_dict(replace(G, arrows=never))))
+    out = tmp_path / "rep.json"
+    assert main(["groupoid", "--spec", str(spec), "--samples", "50",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: domain pairs(square): rejection budget exhausted "
+        "(0/50 points after 64 rounds)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [tancat.errors.VerticalityError,
                                    tancat.errors.KernelViolationError,
                                    tancat.errors.FiberMismatchError])

@@ -8,7 +8,10 @@ SIMD paths, so where numpy's version or SIMD targets differ from the
 recorded ones, every field is compared exactly except ``max_residual``,
 which must lie within ``RESIDUAL_SLACK`` of the golden value.
 
-To regenerate the files after a change that moves round-off on purpose::
+Regenerate the files after a change that moves round-off on purpose,
+or that draws other random numbers on purpose (a new sampling rule, or
+a draw taken out), and check in the diff that only ``max_residual``
+values moved::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """

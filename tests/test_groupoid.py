@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from tancat.domain import (MAX_ROUNDS, Domain, SmoothMap, box_domain,
-                           draw_bounds, product_domain)
-from tancat.errors import DomainError, StructureError
+from tancat.domain import (CANDIDATES, Domain, SmoothMap, box_domain,
+                           product_domain)
+from tancat.errors import DomainError, SamplerError, StructureError
 from tancat.expr import Expr, ExprBuilder, build, log, reindex_inputs
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              _force_source, _tangent_arrows,
@@ -129,12 +129,12 @@ def test_draw_keeps_the_bits_and_the_state_of_the_column_draw():
         n = int(rng.integers(0, 50))
         seed = int(rng.integers(1 << 30))
         got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = uniform_width(got_rng, *draw_bounds(box), size=(dim, n))
+        got = uniform_width(got_rng, *Domain(dim, box)._bounds, size=(dim, n))
         want = want_rng.uniform(box[:, 0][:, None], box[:, 1][:, None],
                                 size=(dim, n))
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    lo, width = draw_bounds(np.array([[-1.0, 1.0], [-1.0, 2.0]]))
+    lo, width = Domain(2, np.array([[-1.0, 1.0], [-1.0, 2.0]]))._bounds
     assert lo.shape == width.shape == (2, 1)
     assert width.tolist() == [[2.0], [3.0]]
 
@@ -203,38 +203,31 @@ def test_zero_dimensional_charts_take_the_general_path():
     assert tangent_domain(Domain(0), [0]).box.shape == (0, 2)
 
 
-def loop_sample(dom, rng, n):
-    """The rejection sampler with one predicate call per constraint."""
-    lo, hi = dom.box[:, 0], dom.box[:, 1]
-    chunks, have = [], 0
-    for _ in range(MAX_ROUNDS):
-        draw = rng.uniform(lo[:, None], hi[:, None],
-                           size=(dom.dim, 2 * max(n - have, 1)))
-        ok = np.ones(draw.shape[1], dtype=bool)
+def loop_sample(dom, rng, n, head):
+    """The rejection sampler, with one predicate call per constraint and
+    one candidate scan per point."""
+    k = len(head)
+    lo, hi = dom.box[k:, 0], dom.box[k:, 1]
+    out = np.empty((dom.dim, n))
+    out[:k] = head
+    missing = list(range(n))
+    while missing:
+        m = len(missing)
+        tails = rng.uniform(lo[:, None], hi[:, None],
+                            size=(dom.dim - k, CANDIDATES * m))
+        cand = np.concatenate([np.tile(head[:, missing], CANDIDATES), tails])
+        ok = np.ones(CANDIDATES * m, dtype=bool)
         for c in dom.constraints + dom.sample_constraints:
-            ok &= c(draw)[0] > 0.0
-        chunks.append(draw[:, ok])
-        have += int(ok.sum())
-        if have >= n:
-            return np.concatenate(chunks, axis=1)[:, :n]
-    raise AssertionError("budget exhausted")
-
-
-def loop_with_source(G, rng, base_pts):
-    p, q = G.base.dim, G.fiber_dim
-    lo, hi = G.arrows.box[p:, 0], G.arrows.box[p:, 1]
-    out = np.empty((p + q, base_pts.shape[1]))
-    out[:p] = base_pts
-    need = np.ones(base_pts.shape[1], dtype=bool)
-    while need.any():
-        idx = np.flatnonzero(need)
-        draw = rng.uniform(lo[:, None], hi[:, None], size=(q, idx.size))
-        cand = np.concatenate([base_pts[:, idx], draw], axis=0)
-        ok = np.ones(idx.size, dtype=bool)
-        for c in G.arrows.constraints + G.arrows.sample_constraints:
             ok &= c(cand)[0] > 0.0
-        out[p:, idx[ok]] = draw[:, ok]
-        need[idx[ok]] = False
+        left = []
+        for i, j in enumerate(missing):
+            for col in range(i, CANDIDATES * m, m):
+                if ok[col]:
+                    out[k:, j] = tails[:, col]
+                    break
+            else:
+                left.append(j)
+        missing = left
     return out
 
 
@@ -248,15 +241,54 @@ def test_samplers_keep_the_bits_of_the_per_constraint_loop(name):
                 got_rng, want_rng = (rng_for(n, "sampler/" + name)
                                      for _ in range(2))
                 got = dom.sample(got_rng, n)
-                assert got.tobytes() == loop_sample(dom, want_rng, n).tobytes()
+                want = loop_sample(dom, want_rng, n, np.zeros((0, n)))
+                assert got.tobytes() == want.tobytes()
                 assert (got_rng.bit_generator.state
                         == want_rng.bit_generator.state)
                 assert dom.contains(got).all()
+        # arrows with given sources, by the same loop with a head
         base = H.base.sample(rng_for(3, "sampler/base"), 50)
         got_rng, want_rng = (rng_for(4, "sampler/fiber") for _ in range(2))
         got = H._with_source(got_rng, base)
-        assert got.tobytes() == loop_with_source(H, want_rng, base).tobytes()
+        want = loop_sample(H.arrows, want_rng, 50, base)
+        assert got.tobytes() == want.tobytes()
+        assert got[:H.base.dim].tobytes() == base.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert H.arrows.contains(got).all()
+
+
+def test_sampling_with_a_head_keeps_the_head_and_draws_the_rest():
+    # the head of a product chart is taken as given, also outside the
+    # chart's box, and only the other factor's coordinates are drawn
+    dom = product_domain(box_domain(2), matrix_group(2).arrows)
+    head = uniform(np.random.default_rng(5), -3.0, 3.0, (3, 40))
+    for k in (0, 1, 2, 3):
+        got_rng, want_rng = (rng_for(k, "sampler/head") for _ in range(2))
+        got = dom.sample(got_rng, 40, head=head[:k])
+        want = loop_sample(dom, want_rng, 40, head[:k])
+        assert got.tobytes() == want.tobytes()
+        assert got[:k].tobytes() == head[:k].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert dom.admits(got).all()
+        assert np.all((dom.box[k:, :1] <= got[k:]) & (got[k:] <= dom.box[k:, 1:]))
+    # a full head leaves nothing to draw
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    full = dom.sample(np.random.default_rng(7), 30)
+    assert dom.sample(rng, 30, head=full).tobytes() == full.tobytes()
+    assert rng.bit_generator.state == state
+
+
+def test_sampler_error_names_a_chart_that_admits_no_point():
+    never = Domain(2, constraints=(build(2, lambda x: [x[0] - 2.0]),),
+                   name="beyond")
+    rng = np.random.default_rng(8)
+    with pytest.raises(SamplerError, match="domain beyond: rejection budget "
+                       r"exhausted \(0/5 points after 64 rounds\)"):
+        never.sample(rng, 5)
+    head = np.array([[0.0, 0.5, 3.0]])
+    with pytest.raises(SamplerError, match=r"domain beyond: .* \(1/3 points"):
+        never.sample(rng, 3, head=head)
 
 
 def test_joined_predicates_match_the_per_constraint_loop():
