@@ -8,9 +8,12 @@ defined when source(g) = target(h).
 
 Because all structure maps are expression-backed they can be pushed
 through the tangent construction: :func:`tangent_groupoid` doubles the
-charts and lifts every map, and the order-n checks evaluate the same
-maps on nilpotent towers, so the two routes can be played against each
-other.
+charts and lifts every map.  One law suite,
+:func:`check_groupoid_axioms`, checks G at order 0 and its iterated
+tangent T^n G at order n, on composable strings of order-n tangent
+points (block arrays of shape ``(2**n, dim, samples)``) with each
+structure map evaluated on nilpotent towers; the doubled-chart lifts
+are played against those tower evaluations.
 """
 
 from __future__ import annotations
@@ -21,10 +24,19 @@ import numpy as np
 
 from .domain import Domain, SmoothMap, box_domain, product_domain
 from .errors import StructureError
-from .expr import (Expr, ExprBuilder, build, reindex_inputs,
+from .expr import (Expr, ExprBuilder, build, order_of, reindex_inputs,
                    tangent_chart_map)
 from .report import ROUNDOFF_TOL, uniform
 from .tanpoint import apply_tangent, residual
+
+
+def _tangent(rng: np.random.Generator, vals: np.ndarray,
+             order: int) -> np.ndarray:
+    """An order-n tangent point with value block ``vals``; its velocity
+    blocks are drawn after the values, uniform in [-1, 1], so order 0
+    draws nothing more."""
+    return np.concatenate(
+        [vals[None], uniform(rng, -1.0, 1.0, ((1 << order) - 1,) + vals.shape)])
 
 
 @dataclass(frozen=True)
@@ -72,12 +84,20 @@ class FiberedGroupoid:
         """Arrows with the given source points, taken as given."""
         return self.arrows.sample(rng, base_pts.shape[1], head=base_pts)
 
+    def _over(self, rng: np.random.Generator, src: np.ndarray) -> np.ndarray:
+        """A tangent arrow whose tangent source is the tangent point ``src``."""
+        arrow = _tangent(rng, self._with_source(rng, src[0]), order_of(src))
+        arrow[:, :self.base.dim] = src
+        return arrow
+
     def sample_composable(self, rng: np.random.Generator, n: int,
-                          length: int = 2) -> list[np.ndarray]:
-        """A composable string, leftmost factor first."""
-        chain = [self.sample_arrows(rng, n)]
+                          length: int = 2, order: int = 0) -> list[np.ndarray]:
+        """A composable string of order-n tangent arrows, each of shape
+        ``(2**order, arrow_dim, n)``, leftmost factor first."""
+        chain = [_tangent(rng, self.sample_arrows(rng, n), order)]
         for _ in range(length - 1):
-            chain.append(self._with_source(rng, self.target(chain[-1])))
+            chain.append(self._over(rng, apply_tangent(
+                self.target, chain[-1], check_domain=False)))
         chain.reverse()
         return chain
 
@@ -85,19 +105,21 @@ class FiberedGroupoid:
         return self.compose(np.concatenate([g, h], axis=0))
 
 
-# -- pointwise axiom checks -------------------------------------------
+# -- the groupoid laws ------------------------------------------------
 
-def _each(f, calls, chart_axis: int = 0) -> list[np.ndarray]:
-    """``f`` at each argument tuple of ``calls``, by one evaluation.
+def _each(f: SmoothMap, calls) -> list[np.ndarray]:
+    """The tangent of ``f`` at each argument tuple of ``calls``, by one
+    evaluation.
 
-    The arguments of a call are joined along ``chart_axis`` (0 for
-    points, 1 for tangent points), and the calls along the batch, the
-    last axis.  Each result is the view of its call's columns in the
-    joined output: a program runs column by column, so these are the
-    bits of one evaluation per call.
+    The arguments of a call are joined along the chart axis (axis 1 of
+    a tangent point), and the calls along the batch, the last axis.
+    Each result is the view of its call's columns in the joined output:
+    a program runs column by column, so these are the bits of one
+    evaluation per call.
     """
     args = [np.concatenate(col, axis=-1) for col in zip(*calls)]
-    out = f(np.concatenate(args, axis=chart_axis) if len(args) > 1 else args[0])
+    out = apply_tangent(f, np.concatenate(args, axis=1) if len(args) > 1
+                        else args[0], check_domain=False)
     pieces, start = [], 0
     for call in calls:
         stop = start + call[0].shape[-1]
@@ -107,35 +129,51 @@ def _each(f, calls, chart_axis: int = 0) -> list[np.ndarray]:
 
 
 def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
-                          samples: int = 200) -> dict[str, float]:
-    """Residuals of the groupoid laws at sampled strings.
+                          samples: int = 200, order: int = 0) -> dict[str, float]:
+    """Residuals of the groupoid laws at sampled order-n tangent strings.
 
-    Every sample is drawn first; then each structure map runs once on
-    all of its inputs that are known by then (``_each``).
+    Order 0 checks G; order n checks its iterated tangent groupoid,
+    each structure map applied as its order-n tangent.  Every sample is
+    drawn first; then each structure map runs once on all of its inputs
+    that are known by then (``_each``).  Above order 0, arrows vertical
+    over the source must stay vertical after composing; at order 0
+    every arrow is vertical, so that law is neither drawn nor reported.
     """
     p = G.base.dim
-    x = G.sample_objects(rng, samples)
-    g1, h1 = G.sample_composable(rng, samples, 2)
-    a, b, c = G.sample_composable(rng, samples, 3)
-    g = G.sample_arrows(rng, samples)
-    sg = g[:p]
-    gi = G.inverse(g)
-    tg1, tg, tgi = _each(G.target, [(g1,), (g,), (gi,)])
+    x = _tangent(rng, G.sample_objects(rng, samples), order)
+    g1, h1 = G.sample_composable(rng, samples, 2, order)
+    a, b, c = G.sample_composable(rng, samples, 3, order)
+    g, = G.sample_composable(rng, samples, 1, order)
+    sg = g[:, :p]
+    gi = apply_tangent(G.inverse, g, check_domain=False)
+    targets = [(g1,), (g,), (gi,)]
+    if order:  # h1 made vertical over its source
+        h0 = np.array(h1)
+        h0[1:, :p] = 0.0
+        targets.append((h0,))
+    tg1, tg, tgi, *th0 = _each(G.target, targets)
     ux, utg, usg = _each(G.unit, [(x,), (tg,), (sg,)])
-    gh, ab, bc, unit_left, unit_right, inv_left, inv_right = _each(
-        G.compose, [(g1, h1), (a, b), (b, c), (utg, g), (g, usg), (gi, g),
-                    (g, gi)])
+    pairs = [(g1, h1), (a, b), (b, c), (utg, g), (g, usg), (gi, g), (g, gi)]
+    if order:
+        pairs.append((G._over(rng, th0[0]), h0))
+    gh, ab, bc, unit_left, unit_right, inv_left, inv_right, *out = _each(
+        G.compose, pairs)
     tux, tgh = _each(G.target, [(ux,), (gh,)])
     ab_c, a_bc = _each(G.compose, [(ab, c), (a, bc)])
-    return {"unit_section": max(residual(ux[:p], x), residual(tux, x)),
-            "compose_source": residual(gh[:p], h1[:p]),
-            "compose_target": residual(tgh, tg1),
-            "associativity": residual(ab_c, a_bc),
-            "unit_left": residual(unit_left, g),
-            "unit_right": residual(unit_right, g),
-            "inverse_exchange": max(residual(gi[:p], tg), residual(tgi, sg)),
-            "inverse_left": residual(inv_left, usg),
-            "inverse_right": residual(inv_right, utg)}
+    res = {"unit_section": max(residual(ux[:, :p], x), residual(tux, x)),
+           "compose_source": residual(gh[:, :p], h1[:, :p]),
+           "compose_target": residual(tgh, tg1),
+           "associativity": residual(ab_c, a_bc),
+           "unit_left": residual(unit_left, g),
+           "unit_right": residual(unit_right, g),
+           "inverse_exchange": max(residual(gi[:, :p], tg),
+                                   residual(tgi, sg)),
+           "inverse_left": residual(inv_left, usg),
+           "inverse_right": residual(inv_right, utg)}
+    if order:
+        vert = out[0][1:, :p]
+        res["vertical_closure"] = residual(vert, np.zeros_like(vert))
+    return res
 
 
 # -- the tangent groupoid ---------------------------------------------
@@ -196,77 +234,11 @@ def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
     return np.concatenate([part.reshape((-1,) + pt.shape[2:]) for part in parts])
 
 
-# -- order-n functor checks -------------------------------------------
-
-def _tangent_arrows(G: FiberedGroupoid, rng, order: int, n: int) -> np.ndarray:
-    vals = G.sample_arrows(rng, n)
-    blocks = uniform(rng, -1.0, 1.0, (1 << order, G.arrow_dim, n))
-    blocks[0] = vals
-    return blocks
-
-
-def _force_source(G: FiberedGroupoid, rng, tgt: np.ndarray) -> np.ndarray:
-    """A random tangent arrow whose tangent source is the given point."""
-    p = G.base.dim
-    vals = G._with_source(rng, tgt[0])
-    blocks = uniform(rng, -1.0, 1.0, (len(tgt), G.arrow_dim, tgt.shape[2]))
-    blocks[0] = vals
-    blocks[:, :p] = tgt
-    return blocks
-
-
-def _tangent_string(G: FiberedGroupoid, rng, order: int, n: int,
-                    length: int) -> list[np.ndarray]:
-    chain = [_tangent_arrows(G, rng, order, n)]
-    for _ in range(length - 1):
-        tgt = apply_tangent(G.target, chain[-1], check_domain=False)
-        chain.append(_force_source(G, rng, tgt))
-    chain.reverse()
-    return chain
-
+# -- differentiability ------------------------------------------------
 
 def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return apply_tangent(G.compose, np.concatenate([g, h], axis=1),
                          check_domain=False)
-
-
-def check_tangent_functor(G: FiberedGroupoid, rng, order: int,
-                          samples: int = 100) -> dict[str, float]:
-    """The groupoid laws after applying the order-n tangent functor.
-
-    Samples are drawn in the order the laws use them; then each tangent
-    structure map runs once on all of its inputs known by then
-    (``_each``).
-    """
-    p = G.base.dim
-    tm = lambda f: lambda pt: apply_tangent(f, pt, check_domain=False)
-    compose, target, unit = tm(G.compose), tm(G.target), tm(G.unit)
-
-    a, b, c = _tangent_string(G, rng, order, samples, 3)
-    g = _tangent_arrows(G, rng, order, samples)
-    g2, h2 = _tangent_string(G, rng, order, samples, 2)
-    # arrows vertical over the source stay vertical after composing
-    h0 = np.array(h2)
-    h0[1:, :p] = 0.0
-    sg = g[:, :p]
-    gi = tm(G.inverse)(g)
-    tg, tg2, th0 = _each(target, [(g,), (g2,), (h0,)])
-    g0 = _force_source(G, rng, th0)
-    utg, usg = _each(unit, [(tg,), (sg,)])
-    ab, bc, unit_left, unit_right, inv_left, inv_right, gh, out = _each(
-        compose, [(a, b), (b, c), (utg, g), (g, usg), (gi, g), (g, gi),
-                  (g2, h2), (g0, h0)], chart_axis=1)
-    ab_c, a_bc = _each(compose, [(ab, c), (a, bc)], chart_axis=1)
-    tgh = target(gh)
-    return {"associativity": residual(ab_c, a_bc),
-            "unit_left": residual(unit_left, g),
-            "unit_right": residual(unit_right, g),
-            "inverse_laws": max(residual(inv_left, usg),
-                                residual(inv_right, utg)),
-            "source_target": max(residual(gh[:, :p], h2[:, :p]),
-                                 residual(tgh, tg2)),
-            "vertical_closure": residual(out[1:, :p],
-                                         np.zeros_like(out[1:, :p]))}
 
 
 def check_chart_functoriality(G: FiberedGroupoid, rng,
@@ -288,7 +260,7 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
         compose = tangent_chart_map(compose, [k * p, k * q] * 2,
                                     [k * p, k * q])
         unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
-        g, h = _tangent_string(G, rng, order, samples, 2)
+        g, h = G.sample_composable(rng, samples, 2, order)
         tower = _tcompose(G, g, h)
         chart = compose(np.concatenate([t_flatten(g, sizes),
                                         t_flatten(h, sizes)]))
@@ -303,11 +275,11 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
 
 def check_differentiability(G: FiberedGroupoid, rng,
                             samples: int = 100) -> dict[str, float]:
-    """The functor checks at orders 1 and 2, plus the chart-route
+    """The groupoid laws at orders 1 and 2, plus the chart-route
     comparisons."""
     res: dict[str, float] = {}
     for n in (1, 2):
-        for k, v in check_tangent_functor(G, rng, n, samples).items():
+        for k, v in check_groupoid_axioms(G, rng, samples, n).items():
             res[f"order{n}/{k}"] = v
     res.update(check_chart_functoriality(G, rng, samples))
     return res
