@@ -32,7 +32,7 @@ from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
                      _scaled, _sum, act_on_function, field_scale,
                      lie_bracket, related_sides)
 from .gbundle import invariance_defect
-from .groupoid import FiberedGroupoid, check_groupoid_axioms
+from .groupoid import FiberedGroupoid, _stacks, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import ROUNDOFF_TOL, rng_for
 from .tanpoint import residual
@@ -78,26 +78,22 @@ def on_slots(points: np.ndarray, k: int) -> np.ndarray:
                            (points.shape[0], k) + points.shape[1:])
 
 
-# Stacking runs k slots of n points as k * n towers a column.  Past
-# this many, one run per slot is faster (the stack's intermediates no
-# longer stay in cache) and holds k times less memory.
-_STACK_BELOW = 1500
-
-
 def by_slots(run: Callable[..., tuple[np.ndarray, ...]],
              rows: Sequence[Sequence[Section]],
              points: np.ndarray) -> tuple[np.ndarray, ...]:
     """``run(*row, points)`` for each row of sections, each of its
     arrays with the row on a new axis 1 (the slot axis).
 
-    Below ``_STACK_BELOW`` towers in all, ``run`` runs once, on the
-    columns of ``rows`` stacked (:func:`stack_sections`) at the points
-    in every slot (:func:`on_slots`); larger batches run it once per
-    row.  Either way each slot has the bits of its own run.
+    The stacking rule is the groupoid laws' (``groupoid._stacks``):
+    below ``_STACK_BELOW`` towers in all (rows times batch points),
+    ``run`` runs once, on the columns of ``rows`` stacked
+    (:func:`stack_sections`) at the points in every slot
+    (:func:`on_slots`); larger batches run it once per row.  Either way
+    each slot has the bits of its own run.
     """
     points = np.asarray(points, dtype=float)
     k = len(rows)
-    if k * math.prod(points.shape[1:]) < _STACK_BELOW:
+    if _stacks(k * math.prod(points.shape[1:])):
         return run(*map(stack_sections, zip(*rows)), on_slots(points, k))
     outs = [run(*row, points) for row in rows]
     return tuple(np.stack(parts, axis=1) for parts in zip(*outs))

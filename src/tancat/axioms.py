@@ -52,12 +52,15 @@ def _check(diagram, cases=None):
     ``diagram(ops, rng, case, n)`` draws ``n`` samples for one case, a
     chart dimension from ``cfg.dims`` unless ``cases`` fixes the cases,
     and yields ``(lhs, rhs)`` pairs of block arrays that must agree.
+    Each pair is dropped once its residual is taken, so it is freed
+    before the diagram draws and evaluates the next one.
     """
     def check(cfg, ops, rng):
         worst, runs = 0.0, cases or cfg.dims
         for case in runs:
             for lhs, rhs in diagram(ops, rng, case, cfg.samples):
                 worst = max(worst, residual(lhs, rhs))
+                del lhs, rhs
         return len(runs) * cfg.samples, worst
     return check
 
@@ -187,7 +190,10 @@ def _t3_involution(ops, rng, d, n):
 def _t3_braid(ops, rng, d, n):
     p = _point(rng, d, 3, n)
     s = ops.swap_levels
-    yield s(s(s(p, 1), 2), 1), s(s(s(p, 2), 1), 2)
+    lhs = s(s(s(p, 1), 2), 1)
+    for level in (2, 1, 2):  # each array of this side is freed once swapped
+        p = s(p, level)
+    yield lhs, p
 
 
 def _t3_projection(ops, rng, d, n):

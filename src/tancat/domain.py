@@ -107,30 +107,40 @@ class Domain:
         drawn.  Each round draws ``CANDIDATES`` tails for each of the m
         points still missing, as ``CANDIDATES`` blocks of m columns, and
         a point keeps the first of its tails that ``admits`` accepts;
-        nothing is drawn once no point is missing.
+        nothing is drawn once no point is missing.  A chart with no
+        constraint or guard admits every tail, so it keeps the first n
+        of its first round's draws.
         """
-        if head is None:
-            head = np.zeros((0, n))
-        k = len(head)
+        k = 0 if head is None else len(head)
         lo, width = self._bounds
         out = np.empty((self.dim, n))
-        out[:k] = head
-        missing = np.arange(n)
+        if k:
+            out[:k] = head
+        guarded = self.constraints or self.sample_constraints
+        # the points still missing: every point in the first round,
+        # which reads and writes through slices
+        missing, m = slice(None), n
         for _ in range(MAX_ROUNDS):
-            m = missing.size
             if not m:
                 return out
             tails = uniform_width(rng, lo[k:], width[k:],
                                   size=(self.dim - k, CANDIDATES * m))
-            ok = self.admits(np.concatenate(
-                [np.tile(head[:, missing], CANDIDATES), tails]))
-            ok = ok.reshape(CANDIDATES, m)
+            if not guarded:
+                out[k:] = tails[:, :n]
+                return out
+            cand = tails
+            if k:
+                cand = np.concatenate(
+                    [np.tile(head[:, missing], CANDIDATES), tails])
+            ok = self.admits(cand).reshape(CANDIDATES, m)
             # a point with no accepted candidate is written over later
             out[k:, missing] = tails[:, ok.argmax(axis=0) * m + np.arange(m)]
-            missing = missing[~ok.any(axis=0)]
+            left = np.flatnonzero(~ok.any(axis=0))
+            missing = left if isinstance(missing, slice) else missing[left]
+            m = missing.size
         raise SamplerError(
             f"domain {self.name or self.dim}: rejection budget exhausted "
-            f"({n - missing.size}/{n} points after {MAX_ROUNDS} rounds)")
+            f"({n - m}/{n} points after {MAX_ROUNDS} rounds)")
 
     # -- serialization ------------------------------------------------
 

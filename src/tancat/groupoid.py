@@ -107,24 +107,43 @@ class FiberedGroupoid:
 
 # -- the groupoid laws ------------------------------------------------
 
+# Stacking runs k calls of n points as k * n towers a column.  Past
+# this many, one run per call is faster (the stack's intermediates no
+# longer stay in cache) and holds k times less memory.
+_STACK_BELOW = 1500
+
+
+def _stacks(towers: int) -> bool:
+    """Whether calls that hold ``towers`` towers a column in all run as
+    one evaluation on their stack, rather than one evaluation each."""
+    return towers < _STACK_BELOW
+
+
 def _each(f: SmoothMap, calls) -> list[np.ndarray]:
-    """The tangent of ``f`` at each argument tuple of ``calls``, by one
-    evaluation.
+    """The tangent of ``f`` at each argument tuple of ``calls``.
 
     The arguments of a call are joined along the chart axis (axis 1 of
-    a tangent point), and the calls along the batch, the last axis.
-    Each result is the view of its call's columns in the joined output:
-    a program runs column by column, so these are the bits of one
-    evaluation per call.
+    a tangent point).  Below ``_STACK_BELOW`` towers in all (calls
+    times batch points, :func:`_stacks`) the calls are joined along the
+    batch, the last axis, and ``f`` runs once; each result is the view
+    of its call's columns in the joined output.  Larger batches run
+    ``f`` once per call.  A program runs column by column, so either
+    way each result has the bits of its own evaluation.
     """
-    args = [np.concatenate(col, axis=-1) for col in zip(*calls)]
-    out = apply_tangent(f, np.concatenate(args, axis=1) if len(args) > 1
-                        else args[0], check_domain=False)
+    def joined(args):
+        return np.concatenate(args, axis=1) if len(args) > 1 else args[0]
+
+    sizes = [call[0].shape[-1] for call in calls]
+    if not _stacks(sum(sizes)):
+        return [apply_tangent(f, joined(call), check_domain=False)
+                for call in calls]
+    out = apply_tangent(f, joined([np.concatenate(col, axis=-1)
+                                   for col in zip(*calls)]),
+                        check_domain=False)
     pieces, start = [], 0
-    for call in calls:
-        stop = start + call[0].shape[-1]
-        pieces.append(out[..., start:stop])
-        start = stop
+    for size in sizes:
+        pieces.append(out[..., start:start + size])
+        start += size
     return pieces
 
 
@@ -135,9 +154,11 @@ def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
     Order 0 checks G; order n checks its iterated tangent groupoid,
     each structure map applied as its order-n tangent.  Every sample is
     drawn first; then each structure map runs once on all of its inputs
-    that are known by then (``_each``).  Above order 0, arrows vertical
-    over the source must stay vertical after composing; at order 0
-    every arrow is vertical, so that law is neither drawn nor reported.
+    that are known by then (``_each``): as one evaluation on their
+    stack at small batch, and as one evaluation per input from
+    ``_STACK_BELOW`` towers on.  Above order 0, arrows vertical over
+    the source must stay vertical after composing; at order 0 every
+    arrow is vertical, so that law is neither drawn nor reported.
     """
     p = G.base.dim
     x = _tangent(rng, G.sample_objects(rng, samples), order)

@@ -6,20 +6,20 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tancat.algebroid import (_STACK_BELOW, Section, _anchor_blocks,
-                              algebroid_bracket, algebroid_of, anchor_field,
-                              bracket_table, by_slots,
-                              check_algebroid_laws, extend_to_invariant,
-                              on_slots, pullback_target, restrict_to_unit,
-                              section_add, section_scale, stack_sections)
+from tancat.algebroid import (Section, _anchor_blocks, algebroid_bracket,
+                              algebroid_of, anchor_field, bracket_table,
+                              by_slots, check_algebroid_laws,
+                              extend_to_invariant, on_slots, pullback_target,
+                              restrict_to_unit, section_add, section_scale,
+                              stack_sections)
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
 from tancat.fields import (ScalarField, VectorField, act_on_function,
                            bracket_by_jacobians, check_related, lie_bracket,
                            related_sides)
-from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, matrix_group,
-                             pair_groupoid)
+from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
+                             matrix_group, pair_groupoid)
 from tancat.randexpr import random_expr
 from tancat.report import rng_for
 from tancat.tanpoint import residual

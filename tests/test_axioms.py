@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 
 from tancat import tanpoint as tp
-from tancat.axioms import ALL_CHECKS, DEFAULT_OPS, TangentOps, run_axiom_suite
+from tancat.axioms import (ALL_CHECKS, DEFAULT_OPS, TangentOps, _check,
+                           run_axiom_suite)
 from tancat.report import RunConfig
 
 FAST = RunConfig(seed=11, samples=60)
@@ -32,6 +34,27 @@ def test_reports_are_byte_identical():
     assert data["suite"] == "axioms" and data["seed"] == 11
     names = [c["name"] for c in data["checks"]]
     assert names == sorted(names)
+
+
+def test_runner_frees_each_pair_before_the_diagram_resumes():
+    refs = []
+
+    def fresh(n):
+        arr = np.ones((2, 1, n))
+        refs.append(weakref.ref(arr))
+        return arr
+
+    def diagram(ops, rng, d, n):
+        for _ in range(2):
+            # every array yielded so far, in this case or the one before,
+            # is dead by the time the diagram draws again
+            assert all(ref() is None for ref in refs)
+            yield fresh(n), fresh(n)
+
+    check = _check(diagram)
+    cfg = dataclasses.replace(FAST, samples=5, dims=(1, 2))
+    assert check(cfg, DEFAULT_OPS, None) == (10, 0.0)
+    assert len(refs) == 8
 
 
 def test_seed_changes_samples_not_verdicts():

@@ -10,8 +10,10 @@ from tancat.domain import (CANDIDATES, Domain, SmoothMap, box_domain,
                            product_domain)
 from tancat.errors import DomainError, SamplerError, StructureError
 from tancat.expr import Expr, ExprBuilder, build, log, reindex_inputs
-from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid, _tcompose,
-                             action_groupoid, check_differentiability,
+from tancat import groupoid
+from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
+                             _each, _tcompose, action_groupoid,
+                             check_differentiability,
                              check_groupoid_axioms,
                              groupoid_from_json_dict,
                              groupoid_to_json_dict, linear_action,
@@ -682,6 +684,33 @@ def test_batched_laws_evaluate_six_structure_maps(name, monkeypatch):
         calls.clear()
         check_groupoid_axioms(G, rng_for(1, "groupoid/count"), 20, order)
         assert sorted(filter(None, calls)) == want, order
+
+
+def test_each_keeps_the_bits_of_one_call_on_both_sides_of_the_bound(
+        monkeypatch):
+    # three calls just below the bound run stacked; with a fourth call of
+    # one point they reach it, and every call runs on its own
+    G = BUILTIN_GROUPOIDS["action_gl2"]()
+    rng = rng_for(1, "groupoid/each")
+    n = (_STACK_BELOW - 1) // 3
+    sizes = [n, n, _STACK_BELOW - 1 - 2 * n, 1]
+    calls = [tuple(G.sample_composable(rng, size, 2, order=1))
+             for size in sizes]
+    want = [apply_tangent(G.compose, np.concatenate(call, axis=1),
+                          check_domain=False) for call in calls]
+    runs = []
+
+    def counted(f, p, **kw):
+        runs.append(p.shape[-1])
+        return apply_tangent(f, p, **kw)
+
+    monkeypatch.setattr(groupoid, "apply_tangent", counted)
+    below = _each(G.compose, calls[:3])
+    above = _each(G.compose, calls)
+    assert runs == [_STACK_BELOW - 1] + sizes
+    assert len(below) == 3 and len(above) == 4
+    for got, ref in zip(below + above, want[:3] + want):
+        assert np.array_equal(got, ref)
 
 
 class TestSerialization:
