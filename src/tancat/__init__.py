@@ -15,7 +15,7 @@ verification reports for all of it.
 from .algebroid import (Algebroid, Section, algebroid_bracket, algebroid_of,
                         anchor_field, bracket_table, check_algebroid_laws,
                         extend_to_invariant, pullback_target,
-                        restrict_to_unit, section_add, section_scale)
+                        restrict_to_unit, section_scale)
 from .axioms import ALL_CHECKS, DEFAULT_OPS, TangentOps, run_axiom_suite
 from .domain import Domain, SmoothMap, box_domain, product_domain
 from .errors import (DomainError, FiberMismatchError, KernelViolationError,
@@ -64,7 +64,7 @@ __all__ = [
     "is_invariant", "check_vertical_structure", "check_invariant_closure",
     "Algebroid", "Section", "algebroid_of", "anchor_field",
     "extend_to_invariant", "restrict_to_unit", "algebroid_bracket",
-    "section_add", "section_scale", "pullback_target",
+    "section_scale", "pullback_target",
     "check_algebroid_laws", "bracket_table",
     "RunConfig", "CheckResult", "Report", "rng_for",
     "DomainError", "FiberMismatchError", "KernelViolationError",

@@ -29,14 +29,13 @@ from .domain import Domain
 from .errors import StructureError, VerticalityError
 from .expr import Expr, build
 from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
-                     _scaled, _sum, act_on_function, field_scale,
+                     _scaled, act_on_function, field_scale,
                      lie_bracket, related_sides)
 from .gbundle import invariance_defect
 from .groupoid import FiberedGroupoid, _stacks, check_groupoid_axioms
 from .randexpr import random_expr
 from .report import ROUNDOFF_TOL, rng_for
 from .tanpoint import residual
-from .tower import _mul
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,6 @@ def by_slots(run: Callable[..., tuple[np.ndarray, ...]],
         return run(*map(stack_sections, zip(*rows)), on_slots(points, k))
     outs = [run(*row, points) for row in rows]
     return tuple(np.stack(parts, axis=1) for parts in zip(*outs))
-
-
-def section_add(a: Section, b: Section, name: str = "") -> Section:
-    return Section(a.base, a.rank, _sum(a.fn, b.fn),
-                   name or f"({a.name}+{b.name})")
 
 
 def section_scale(f, a: Section, name: str = "") -> Section:
@@ -299,13 +293,12 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
 
     rho_a = anchor_field(al, a)
     # f [a,b] and the anchor of [a,b] take [a,b] from slot 0 above
-    x0 = pts[None]
-    rhs = (_mul(f.fn(x0), ab[None])[0]
+    rhs = (f.at(pts) * ab
            + section_scale(act_on_function(rho_a, f), b).at(pts))
     res["leibniz"] = residual(brs[:, 2], rhs)
 
     res["anchor_morphism"] = residual(
-        _anchor_blocks(G, x0, ab[None])[0],
+        _anchor_blocks(G, pts[None], ab[None])[0],
         lie_bracket(rho_a, anchor_field(al, b)).at(pts))
     pushed, rho = by_slots(lambda s, x: related_sides(
         G.target, extend_to_invariant(al, s), anchor_field(al, s), x),

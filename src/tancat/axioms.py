@@ -147,7 +147,7 @@ def _t1_interleave(ops, rng, d, n):
                          tangent_lift(f.body))
     for leg, src in ((a, xi), (b, zeta)):
         yield (_interleave(ops.apply(f, src)),
-               ops.apply(tf_chart, leg, check_domain=False))
+               ops.apply(tf_chart, leg))
 
 
 # -- T2: bundle of abelian groups -------------------------------------

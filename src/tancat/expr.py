@@ -353,11 +353,8 @@ class Expr:
         """
         order = len(nonzero).bit_length()
         full = (1 << order) - 1
-        sets = [0] * self.n_inputs
-        for mask, row in enumerate(nonzero.tolist(), 1):
-            for i, hit in enumerate(row):
-                if hit:
-                    sets[i] |= mask
+        masks = np.arange(1, len(nonzero) + 1)[:, None]
+        sets = np.bitwise_or.reduce(nonzero * masks, axis=0).tolist()
         sets += [full] * len(schedule.lifted)
         steps, sparse = [], False
         for step in schedule.steps:

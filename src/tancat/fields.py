@@ -26,7 +26,7 @@ import numpy as np
 from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
-from .tanpoint import apply_tangent, residual
+from .tanpoint import residual
 from .tower import Tower, _mul
 
 KERNEL_TOL = 1e-10
@@ -213,8 +213,7 @@ def related_sides(phi: SmoothMap, v: VectorField, w: VectorField,
     """The tangent of phi applied to v at the points, and w at their
     images: equal when phi carries v to w."""
     points = np.asarray(points, dtype=float)
-    pushed = apply_tangent(phi, np.stack([points, v.at(points)]),
-                           check_domain=False)
+    pushed = phi.body.on_blocks(np.stack([points, v.at(points)]))
     return pushed[1], w.at(pushed[0])
 
 

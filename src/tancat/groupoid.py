@@ -27,7 +27,7 @@ from .errors import StructureError
 from .expr import (Expr, ExprBuilder, build, order_of, reindex_inputs,
                    tangent_chart_map)
 from .report import ROUNDOFF_TOL, uniform
-from .tanpoint import apply_tangent, residual
+from .tanpoint import residual
 
 
 def _tangent(rng: np.random.Generator, vals: np.ndarray,
@@ -96,8 +96,8 @@ class FiberedGroupoid:
         ``(2**order, arrow_dim, n)``, leftmost factor first."""
         chain = [_tangent(rng, self.sample_arrows(rng, n), order)]
         for _ in range(length - 1):
-            chain.append(self._over(rng, apply_tangent(
-                self.target, chain[-1], check_domain=False)))
+            chain.append(self._over(rng, self.target.body.on_blocks(
+                chain[-1])))
         chain.reverse()
         return chain
 
@@ -135,11 +135,9 @@ def _each(f: SmoothMap, calls) -> list[np.ndarray]:
 
     sizes = [call[0].shape[-1] for call in calls]
     if not _stacks(sum(sizes)):
-        return [apply_tangent(f, joined(call), check_domain=False)
-                for call in calls]
-    out = apply_tangent(f, joined([np.concatenate(col, axis=-1)
-                                   for col in zip(*calls)]),
-                        check_domain=False)
+        return [f.body.on_blocks(joined(call)) for call in calls]
+    out = f.body.on_blocks(joined([np.concatenate(col, axis=-1)
+                                   for col in zip(*calls)]))
     pieces, start = [], 0
     for size in sizes:
         pieces.append(out[..., start:start + size])
@@ -166,7 +164,7 @@ def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
     a, b, c = G.sample_composable(rng, samples, 3, order)
     g, = G.sample_composable(rng, samples, 1, order)
     sg = g[:, :p]
-    gi = apply_tangent(G.inverse, g, check_domain=False)
+    gi = G.inverse.body.on_blocks(g)
     targets = [(g1,), (g,), (gi,)]
     if order:  # h1 made vertical over its source
         h0 = np.array(h1)
@@ -258,8 +256,7 @@ def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
 # -- differentiability ------------------------------------------------
 
 def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return apply_tangent(G.compose, np.concatenate([g, h], axis=1),
-                         check_domain=False)
+    return G.compose.body.on_blocks(np.concatenate([g, h], axis=1))
 
 
 def check_chart_functoriality(G: FiberedGroupoid, rng,
@@ -287,9 +284,9 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
                                         t_flatten(h, sizes)]))
         key = "chart_route/order%d" % order
         res[key] = residual(chart, t_flatten(tower, sizes))
-        x = apply_tangent(G.target, h, check_domain=False)
+        x = G.target.body.on_blocks(h)
         chart_u = unit(t_flatten(x, [p]))
-        tower_u = apply_tangent(G.unit, x, check_domain=False)
+        tower_u = G.unit.body.on_blocks(x)
         res[key + "_unit"] = residual(chart_u, t_flatten(tower_u, sizes))
     return res
 

@@ -21,24 +21,23 @@ blocks by index bookkeeping:
 * ``scale_level`` -- fiberwise scalar multiplication of one level
 
 No function writes into its arguments.  ``collapse_inner``,
-``expand_inner``, ``fiber_component`` and the first part of
-``vertical_pair_parts`` return views of their argument; every other
-result is a fresh array, and each of its blocks is written once.  The
-fiberwise maps (``add_fiber``, ``sub_fiber``, ``scale_level``) and the
-lifts (``zero_lift``, ``vertical_lift``, ``vertical_lift_pair``) write
-through slices: a level ``l`` of an order-n point is the view
-``p.reshape(2**(n-l), 2, 2**(l-1), *rest)`` (:func:`_level_view`),
-whose ``[:, 0]`` holds the blocks without the level, in order, and
-whose ``[:, 1]`` holds its fiber.  ``project`` and ``swap_levels``
-gather through index tables.  ``apply_tangent`` runs the map's program
-on the blocks in place (``Expr.on_blocks``): the d columns of a point
-are d towers side by side.
+``expand_inner``, ``fiber_component``, the first part of
+``vertical_pair_parts`` and ``project`` of level 1 or of the outermost
+level return views of their argument; every other result is a fresh
+array, and each of its blocks is written once.  Every structure map
+reads or writes through one level view, with no index tables:
+``width`` levels from level ``l`` of an order-n point split axis 0 as
+``(2**(n-l-width+1), 2, ..., 2, 2**(l-1), *rest)`` (:func:`_level_view`).
+At width 1, ``[:, 0]`` holds the blocks without the level, in order
+(``project``), and ``[:, 1]`` its fiber (the fiberwise maps and the
+lifts); ``swap_levels`` exchanges the two level axes of width 2.
+``apply_tangent`` runs the map's program on the blocks in place
+(``Expr.on_blocks``): the d columns of a point are d towers side by side.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,15 +56,13 @@ def residual(a, b) -> float:
     everywhere and finite give 0.0 after one comparison pass, as the
     full formula would; equal sides hold no NaN (NaN != NaN), so only
     an infinity needs the finiteness test, made on the smaller side,
-    whose every entry meets an equal one of the other.
+    whose every entry meets an equal one of the other.  Empty sides
+    are equal everywhere, so they give 0.0 on the same path.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.size == 0 and b.size == 0:
-        return 0.0
     same = a == b
-    if same.size and same.all() and np.isfinite(
-            a if a.size <= b.size else b).all():
+    if same.all() and np.isfinite(a if a.size <= b.size else b).all():
         return 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
         diff = a - b
@@ -80,23 +77,6 @@ def residual(a, b) -> float:
     return num / den
 
 
-class _LevelTables(NamedTuple):
-    """Block index tables of one level of a point of one order."""
-    keep: np.ndarray   # the blocks without the level, in order: project
-    swap: np.ndarray   # swap[m]: block m with the level and the next exchanged
-
-
-def _level_tables(order: int, level: int) -> _LevelTables:
-    m = np.arange(1 << order)
-    bit = 1 << (level - 1)
-    flip = ((m >> (level - 1)) ^ (m >> level)) & 1
-    return _LevelTables(m[(m & bit) == 0], m ^ (flip * 3 * bit))
-
-
-_LEVEL_TABLES = {(n, level): _level_tables(n, level)
-                 for n in range(1, MAX_ORDER + 1) for level in range(1, n + 1)}
-
-
 def _check_level(order: int, level: int | None) -> int:
     """The level, the outermost one by default, checked against the order."""
     level = order if level is None else level
@@ -105,18 +85,18 @@ def _check_level(order: int, level: int | None) -> int:
     return level
 
 
-def _tables(order: int, level: int | None) -> _LevelTables:
-    return _LEVEL_TABLES[order, _check_level(order, level)]
+def _level_view(p: np.ndarray, order: int, level: int,
+                width: int = 1) -> np.ndarray:
+    """``p`` with the bits of ``width`` levels from ``level`` up split
+    off axis 0, outermost first: ``(2**(order-level-width+1), 2, ...,
+    2, 2**(level-1), *rest)``.
 
-
-def _level_view(p: np.ndarray, order: int, level: int) -> np.ndarray:
-    """``p`` as ``(2**(order-level), 2, 2**(level-1), *rest)``.
-
-    Splitting axis 0 is always a view.  ``[:, 0]`` holds the blocks
-    without the level, in mask order, and ``[:, 1]`` its fiber, each
-    block at the place of its partner in ``[:, 0]``.
+    Splitting axis 0 is always a view.  At width 1, ``[:, 0]`` holds
+    the blocks without the level, in mask order, and ``[:, 1]`` its
+    fiber, each block at the place of its partner in ``[:, 0]``.
     """
-    return p.reshape((1 << (order - level), 2, 1 << (level - 1)) + p.shape[1:])
+    return p.reshape((1 << (order - level - width + 1),) + (2,) * width
+                     + (1 << (level - 1),) + p.shape[1:])
 
 
 def _empty(order: int, like: np.ndarray) -> np.ndarray:
@@ -134,14 +114,17 @@ def _check_shared(a: np.ndarray, b: np.ndarray, where: str = "") -> None:
                                  f"(tol {ROUNDOFF_TOL:.1e}){where}")
 
 
-def apply_tangent(f: SmoothMap, p: np.ndarray,
-                  check_domain: bool = True) -> np.ndarray:
-    """Evaluate the order-n tangent of ``f`` at ``p`` blockwise."""
+def apply_tangent(f: SmoothMap, p: np.ndarray) -> np.ndarray:
+    """Evaluate the order-n tangent of ``f`` at ``p`` blockwise.
+
+    The base point must lie in ``f``'s domain.  ``f.body.on_blocks(p)``
+    runs the same program at any point of the chart's dimension.
+    """
     order_of(p)
     if p.shape[1] != f.dom.dim:
         raise ValueError(f"point dim {p.shape[1]} does not match domain dim "
                          f"{f.dom.dim}")
-    if check_domain and not np.all(f.dom.contains(p[0])):
+    if not np.all(f.dom.contains(p[0])):
         raise DomainError(f"base point outside the domain of {f.name or 'map'}")
     return f.body.on_blocks(p)
 
@@ -149,7 +132,8 @@ def apply_tangent(f: SmoothMap, p: np.ndarray,
 def project(p: np.ndarray, level: int | None = None) -> np.ndarray:
     """Forget one tangent level; remaining levels close ranks."""
     n = order_of(p)
-    return p[_tables(n, level).keep]
+    kept = _level_view(p, n, _check_level(n, level))[:, 0]
+    return kept.reshape((1 << (n - 1),) + p.shape[1:])
 
 
 def zero_lift(p: np.ndarray, levels: int = 1) -> np.ndarray:
@@ -176,8 +160,6 @@ def _fiber_combine(p, q, combine, level):
     n, nq = order_of(p), order_of(q)
     if n != nq:
         raise ValueError(f"order mismatch: {n} vs {nq}")
-    if n == 0:
-        raise ValueError("order-0 points have no fiber to combine")
     level = _check_level(n, level)
     p, q = np.broadcast_arrays(p, q)
     pv, qv = _level_view(p, n, level), _level_view(q, n, level)
@@ -192,9 +174,9 @@ def _fiber_combine(p, q, combine, level):
 def swap_levels(p: np.ndarray, level: int) -> np.ndarray:
     """Exchange tangent levels ``level`` and ``level + 1``."""
     n = order_of(p)
-    tables = _tables(n, level)
-    _tables(n, level + 1)
-    return p[tables.swap]
+    _check_level(n, level + 1)
+    pv = _level_view(p, n, _check_level(n, level), 2)
+    return pv.swapaxes(1, 2).reshape(p.shape)
 
 
 def vertical_lift(p: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -209,7 +191,7 @@ def vertical_lift(p: np.ndarray, level: int | None = None) -> np.ndarray:
     pv = _level_view(p, n, level)
     out = _empty(n + 1, p)
     # the level's bit becomes two bits, read here as [:, b1, b2]
-    ov = out.reshape((1 << (n - level), 2, 2, 1 << (level - 1)) + p.shape[1:])
+    ov = _level_view(out, n + 1, level, 2)
     ov[:, 0, 0] = pv[:, 0]
     ov[:, 1, 1] = pv[:, 1]
     ov[:, 0, 1] = ov[:, 1, 0] = 0.0
@@ -247,8 +229,6 @@ def vertical_pair_parts(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def scale_level(p: np.ndarray, factor, level: int | None = None) -> np.ndarray:
     """Multiply the fiber blocks of one level by a scalar (or batch)."""
     n = order_of(p)
-    if n == 0:
-        raise ValueError("order-0 points have no fiber to scale")
     level = _check_level(n, level)
     pv = _level_view(np.asarray(p, dtype=float), n, level)
     out = np.empty(p.shape)

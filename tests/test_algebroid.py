@@ -10,14 +10,14 @@ from tancat.algebroid import (Section, _anchor_blocks, algebroid_bracket,
                               algebroid_of, anchor_field, bracket_table,
                               by_slots, check_algebroid_laws,
                               extend_to_invariant, on_slots, pullback_target,
-                              restrict_to_unit, section_add, section_scale,
+                              restrict_to_unit, section_scale,
                               stack_sections)
 from tancat.domain import Domain, SmoothMap, box_domain, product_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
 from tancat.fields import (ScalarField, VectorField, act_on_function,
-                           bracket_by_jacobians, check_related, lie_bracket,
-                           related_sides)
+                           _sum, bracket_by_jacobians, check_related,
+                           lie_bracket, related_sides)
 from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
                              matrix_group, pair_groupoid)
 from tancat.randexpr import random_expr
@@ -179,7 +179,8 @@ def test_section_module_ops(als):
     a = al.section(build(2, lambda s: [s[0], s[1], 1.0 + 0.0 * s[0], 0.0 * s[1]]))
     b = al.constant_section([1.0, 0.0, 0.0, 1.0])
     f = ScalarField.from_expr(al.base, build(2, lambda s: [s[0] * s[1]]))
-    lhs = section_scale(f, section_add(a, b)).at(pts)
+    a_plus_b = Section(al.base, al.rank, _sum(a.fn, b.fn))
+    lhs = section_scale(f, a_plus_b).at(pts)
     rhs = f.at(pts) * (a.at(pts) + b.at(pts))
     assert np.abs(lhs - rhs).max() < 1e-14
     assert np.abs(section_scale(2.5, b).at(pts) - 2.5 * b.at(pts)).max() == 0.0
@@ -399,7 +400,8 @@ def test_bracket_bilinear(alpha, beta):
     A = al.constant_section([0.3, -0.1, 0.7, 0.2])
     B = al.constant_section([0.0, 1.0, -0.5, 0.4])
     C = al.constant_section([0.9, 0.0, 0.1, -0.6])
-    mix = section_add(section_scale(alpha, A), section_scale(beta, B))
+    mix = Section(al.base, al.rank, _sum(section_scale(alpha, A).fn,
+                                         section_scale(beta, B).fn))
     lhs = algebroid_bracket(al, mix, C).at(POINT)
     rhs = (alpha * algebroid_bracket(al, A, C).at(POINT)
            + beta * algebroid_bracket(al, B, C).at(POINT))

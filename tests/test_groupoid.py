@@ -10,7 +10,6 @@ from tancat.domain import (CANDIDATES, Domain, SmoothMap, box_domain,
                            product_domain)
 from tancat.errors import DomainError, SamplerError, StructureError
 from tancat.expr import Expr, ExprBuilder, build, log, reindex_inputs
-from tancat import groupoid
 from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
                              _each, _tcompose, action_groupoid,
                              check_differentiability,
@@ -21,7 +20,7 @@ from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
                              t_flatten, tangent_domain,
                              tangent_groupoid)
 from tancat.report import rng_for, uniform, uniform_width
-from tancat.tanpoint import apply_tangent, residual
+from tancat.tanpoint import residual
 
 TOL = 1e-9
 
@@ -94,8 +93,8 @@ class TestAxioms:
             a, b, c = G.sample_composable(rng, 40, 3, order)
             for left, right in ((a, b), (b, c)):
                 assert left.shape == (1 << order, G.arrow_dim, 40)
-                assert np.array_equal(left[:, :p], apply_tangent(
-                    G.target, right, check_domain=False))
+                assert np.array_equal(left[:, :p],
+                                      G.target.body.on_blocks(right))
             assert all(G.arrows.admits(arrow[0]).all() for arrow in (a, b, c))
 
 
@@ -576,7 +575,7 @@ def loop_groupoid_axioms(G, rng, samples, order):
     the order the laws read, on tangent strings drawn arrow by arrow:
     each arrow's values first, then its velocity blocks."""
     p = G.base.dim
-    tm = lambda f, pt: apply_tangent(f, pt, check_domain=False)
+    tm = lambda f, pt: f.body.on_blocks(pt)
     tc = lambda g, h: _tcompose(G, g, h)
 
     def tangent(vals):
@@ -696,15 +695,16 @@ def test_each_keeps_the_bits_of_one_call_on_both_sides_of_the_bound(
     sizes = [n, n, _STACK_BELOW - 1 - 2 * n, 1]
     calls = [tuple(G.sample_composable(rng, size, 2, order=1))
              for size in sizes]
-    want = [apply_tangent(G.compose, np.concatenate(call, axis=1),
-                          check_domain=False) for call in calls]
+    want = [G.compose.body.on_blocks(np.concatenate(call, axis=1))
+            for call in calls]
     runs = []
+    on_blocks = Expr.on_blocks
 
-    def counted(f, p, **kw):
-        runs.append(p.shape[-1])
-        return apply_tangent(f, p, **kw)
+    def counted(self, blocks):
+        runs.append(blocks.shape[-1])
+        return on_blocks(self, blocks)
 
-    monkeypatch.setattr(groupoid, "apply_tangent", counted)
+    monkeypatch.setattr(Expr, "on_blocks", counted)
     below = _each(G.compose, calls[:3])
     above = _each(G.compose, calls)
     assert runs == [_STACK_BELOW - 1] + sizes

@@ -145,6 +145,11 @@ class TestBasics:
             warnings.simplefilter("error")  # inf - inf must not warn
             assert residual(np.array([np.inf]), np.array([np.inf])) == np.inf
 
+    def test_residual_of_empty_sides_is_zero(self):
+        # blocks of a zero-dimensional chart: equal everywhere, vacuously
+        for shape in ((2, 0, 5), (0,), (4, 0)):
+            assert residual(np.zeros(shape), np.zeros(shape)) == 0.0
+
     def test_residual_keeps_the_bits_of_the_abs_formula(self):
         def by_abs(a, b):
             # the formula with three abs temporaries that residual replaced
@@ -286,6 +291,19 @@ def _old_zero_lift(p, levels):
     return out
 
 
+def _old_keep(order, level):
+    """The blocks without the level, in order: ``project``'s table."""
+    m = np.arange(1 << order)
+    return m[(m & (1 << (level - 1))) == 0]
+
+
+def _old_swap(order, level):
+    """``swap[m]``: block m with the level and the next exchanged."""
+    m = np.arange(1 << order)
+    flip = ((m >> (level - 1)) ^ (m >> level)) & 1
+    return m ^ (flip * 3 * (1 << (level - 1)))
+
+
 def _old_vertical_lift_pair(p, q):
     n = order_of(p)
     half = 1 << (n - 1)
@@ -414,6 +432,25 @@ class TestSliceWrittenOpsKeepTheOldBits:
                     _same_bits(tp.vertical_lift_pair(pa, qa),
                                _old_vertical_lift_pair(pa, qa))
 
+    @pytest.mark.parametrize("n,level,d,batch", [
+        (n, level, d, batch) for n in range(1, MAX_ORDER + 1)
+        for level in range(1, n + 1) for d in (0, 3)
+        for batch in ((), (7,), (2, 3))])
+    def test_project_and_swap_gather_the_old_tables(self, n, level, d, batch):
+        # the level views against the index tables they replaced; the
+        # argument's bytes must not change, though project may return
+        # a view of it
+        rng = np.random.default_rng([n, level, d, len(batch), 3])
+        p = _blocks(rng, (1 << n, d) + batch)
+        for pa in _layouts(p, rng):
+            before = pa.tobytes()
+            _same_bits(tp.project(pa, level), pa[_old_keep(n, level)])
+            assert pa.tobytes() == before
+            if level < n:
+                _same_bits(tp.swap_levels(pa, level),
+                           pa[_old_swap(n, level)])
+                assert pa.tobytes() == before
+
     def test_order_zero_lifts(self):
         rng = np.random.default_rng(3)
         p = _blocks(rng, (1, 2, 4))
@@ -467,7 +504,7 @@ class TestSwapAndLift:
             tp.vertical_lift_pair(pt(5, 2), pt(6, 3))
 
 
-# every (order, level) key of the block index tables
+# every (order, level) pair of a level of a point
 KEYS = [(n, level) for n in range(1, MAX_ORDER + 1) for level in range(1, n + 1)]
 
 
@@ -547,7 +584,8 @@ class TestApply:
         from tancat.errors import DomainError
         with pytest.raises(DomainError):
             tp.apply_tangent(f, pt(3.0, 1.0))
-        out = tp.apply_tangent(f, pt(3.0, 1.0), check_domain=False)
+        # off the chart, the map's program runs on the blocks directly
+        out = f.body.on_blocks(pt(3.0, 1.0))
         assert cols(out) == pytest.approx([9.0, 6.0])
 
     @pytest.mark.parametrize("dim", [0, 1, 3])
