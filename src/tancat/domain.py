@@ -8,6 +8,7 @@ numerically delicate regions without shrinking the chart itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,16 +40,15 @@ class Domain:
             raise ValueError(f"domain {self.name or self.dim}: negative dim")
         box = self.box
         if box is None:
-            box = np.tile([-1.0, 1.0], (self.dim, 1))
+            box = (-1.0, 1.0) * self.dim
         # a read-only copy: a later write to the caller's array cannot
         # move the chart, nor its cached draw bounds
         box = np.array(box, dtype=float).reshape(self.dim, 2)
         box.setflags(write=False)
         # a finite width also rules out an infinite bound, and it is what
-        # the sampler's uniform draw needs
-        with np.errstate(over="ignore", invalid="ignore"):
-            width = box[:, 1] - box[:, 0]
-        if not (np.isfinite(width) & (width >= 0)).all():
+        # the sampler's uniform draw needs; Python floats subtract as
+        # numpy does, without its overflow and invalid warnings
+        if not all(0.0 <= hi - lo < math.inf for lo, hi in box.tolist()):
             raise ValueError(f"domain {self.name or self.dim}: box rows must "
                              f"be [lo, hi] with 0 <= hi - lo < inf")
         object.__setattr__(self, "box", box)
@@ -199,8 +199,8 @@ def _positive(points: np.ndarray, exprs: tuple[Expr, ...],
 
 def box_domain(dim: int, lo: float = -1.0, hi: float = 1.0, *,
                name: str = "") -> Domain:
-    return Domain(dim=dim, box=np.tile([float(lo), float(hi)], (dim, 1)),
-                  name=name)
+    # the rows, flat: Domain makes its one array of them
+    return Domain(dim=dim, box=(float(lo), float(hi)) * dim, name=name)
 
 
 def product_domain(a: Domain, b: Domain, name: str = "") -> Domain:

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tower import (MAX_ORDER, Tower, _add, _constant, _div, _lift, _mul,
-                    _order_of, _pow, _sub, sparse_mul)
+from .tower import (_PERIODIC, MAX_ORDER, Tower, _add, _constant, _div, _lift,
+                    _mul, _order_of, _periodic_lift, _pow, _sub, sparse_mul)
 
 _UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
@@ -102,6 +102,13 @@ class Expr:
     NaN.  At order 1 a skipped term saves one multiply-add of the batch,
     about what reading the sets costs, so order 1, like ``evaluate``,
     always runs dense.
+
+    The schedule carries the memos of its ``sin`` and ``cos`` steps as
+    it carries ``plans``: each of those steps keeps the value and slope
+    of the last base it lifted, and reuses them on a base with the same
+    shape and bits (``tower._periodic_lift``).  A memo is replaced in one
+    assignment, as a plan is added in one, and neither is changed in
+    place, so a program stays safe to share between threads.
     """
 
     __slots__ = ("nodes", "n_inputs", "outputs", "_schedule")
@@ -442,7 +449,9 @@ def _unary(prim: str) -> Callable:
 
 
 _BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
-_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS}
+# sin and cos are not here: each of their nodes gets a step of its own
+_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS
+              if prim not in _PERIODIC}
 _UNARY_OPS["neg"] = lambda x, _: -x
 
 
@@ -479,6 +488,8 @@ def _step(op: str, args: tuple, index, consts: Sequence[float | None]) -> tuple:
 
     A constant operand is bound into ``fn`` (see ``_with_const``), and
     both indices then name the other operand.  Unary steps ignore ``b``.
+    A ``sin`` or ``cos`` step is built anew for its node, and keeps the
+    value and slope of the last base it lifted (``tower._periodic_lift``).
     """
     a = b = args[0]
     if op in _BINARY_OPS:
@@ -491,6 +502,9 @@ def _step(op: str, args: tuple, index, consts: Sequence[float | None]) -> tuple:
         return _with_const(op, cb, False), a, a
     if op == "pow_int":
         return (lambda x, _: _pow(x, index)), a, b
+    if op in _PERIODIC:
+        lift = _periodic_lift(op)
+        return (lambda x, _: lift(x)), a, b
     return _UNARY_OPS[op], a, b
 
 

@@ -31,6 +31,16 @@ and uses ``sparse_mul``; every other caller multiplies densely.
 set partitions of its mask, read from tables built at import and added
 in an order fixed by the mask alone, so a lift keeps its bits when
 outer generators are dropped or a batch column is lifted alone.
+``Expr`` lifts each ``sin`` or ``cos`` node through a kernel of its own
+(``_periodic_lift``) that keeps a memo: the shape and a copy of the
+bytes of the last base it lifted, with that base's value and slope.
+The key is bitwise, so -0.0 and +0.0 are different bases and a NaN
+base matches its own bits only.  A base that matches reuses the value
+and slope at any order, every higher jet being a negation of one of
+them, so a program run at several orders over the same points, as the
+bracket's kernel certificate and nested brackets do, computes each
+sine and cosine once.  The memo holds one base and lives as long as the
+kernel, that is, as long as its program's compiled schedule.
 Returned towers are immutable (the coefficient array is marked
 read-only), so values can be shared freely between threads.  ``Expr``
 runs its schedule on the kernels directly: its intermediates are
@@ -379,10 +389,15 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
         prim = _PRIMITIVES[name]
     except KeyError:
         raise ValueError(f"unknown primitive {name!r}") from None
-    order = _order_of(c)
     base = c[0]
     prim.check(base)
-    derivs = prim.jets(base, order)
+    return _faa_di_bruno(c, prim.jets(base, _order_of(c)))
+
+
+def _faa_di_bruno(c: np.ndarray, derivs: list) -> np.ndarray:
+    """The body of ``_lift``: ``f(c)`` from the derivatives ``derivs[k]
+    = f^(k)(c[0])``, ``k = 0..order``, which it only reads."""
+    order = len(derivs) - 1
     out = np.empty(c.shape)
     out[0] = derivs[0]
     if order:
@@ -521,19 +536,22 @@ def _jets_log(base, order):
         for k, c in zip(range(2, order + 1), (-1.0, 2.0, -6.0))]
 
 def _periodic_jets(value, slope, order):
-    """``value, slope(), -value, -slope(), value``, up to ``order``."""
-    jets = [value]
-    if order:
-        jets.append(slope())
+    """``value, slope, -value, -slope, value``, up to ``order``."""
+    jets = [value, slope][: order + 1]
     for k in range(2, order + 1):
         jets.append(-jets[k - 2])
     return jets
 
-def _jets_sin(base, order):
-    return _periodic_jets(np.sin(base), lambda: np.cos(base), order)
+# sin and cos: the value and the slope at a base
+_PERIODIC = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda b: -np.sin(b))}
 
-def _jets_cos(base, order):
-    return _periodic_jets(np.cos(base), lambda: -np.sin(base), order)
+def _periodic(name):
+    value_of, slope_of = _PERIODIC[name]
+
+    def jets(base, order):
+        return _periodic_jets(value_of(base), slope_of(base) if order else None,
+                              order)
+    return jets
 
 def _jets_sqrt(base, order):
     r = np.sqrt(base)
@@ -552,11 +570,42 @@ def _jets_recip(base, order):
 _PRIMITIVES: dict[str, _Primitive] = {
     "exp": _Primitive(_no_check, _jets_exp),
     "log": _Primitive(_check_positive("log"), _jets_log),
-    "sin": _Primitive(_no_check, _jets_sin),
-    "cos": _Primitive(_no_check, _jets_cos),
+    "sin": _Primitive(_no_check, _periodic("sin")),
+    "cos": _Primitive(_no_check, _periodic("cos")),
     "sqrt": _Primitive(_check_positive("sqrt"), _jets_sqrt),
     "recip": _Primitive(_check_nonzero("recip"), _jets_recip),
 }
+
+
+def _periodic_lift(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """``_lift`` of ``sin`` or ``cos`` as a kernel ``fn(c)`` that keeps
+    the value and the slope of the last base it lifted.
+
+    The memo is one tuple, ``((shape, bytes), value, slope)``: the base's
+    shape and a copy of its bytes, then its jets, the slope ``None`` until
+    an order above 0 needs it.  A call reads the tuple once and replaces
+    it in one assignment, so concurrent calls see a whole tuple, matching
+    or not.  The key is bitwise: -0.0 and +0.0 are different bases (their
+    sines differ in sign), and a NaN base matches its own bits.  A base
+    with the key's shape and bytes gets the jets it would get anew, at
+    any order, since ``np.sin`` and ``np.cos`` read only those, and every
+    higher jet is a negation of them; the memo's arrays are only read.
+    """
+    value_of, slope_of = _PERIODIC[name]
+    last = None
+
+    def lift(c: np.ndarray) -> np.ndarray:
+        nonlocal last
+        base = c[0]
+        key = (base.shape, base.tobytes())
+        memo = last
+        if memo is None or memo[0] != key:
+            memo = (key, value_of(base), None)
+        if len(c) > 1 and memo[2] is None:
+            memo = (key, memo[1], slope_of(base))
+        last = memo
+        return _faa_di_bruno(c, _periodic_jets(memo[1], memo[2], _order_of(c)))
+    return lift
 
 
 def lift_primitive(name: str, a: Tower) -> Tower:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from tancat.errors import DomainError
-from tancat.expr import (Expr, ExprBuilder, Node, _fold, build, exp, log,
-                         parallel, reindex_inputs, tangent_lift)
+from tancat import tower as tower_module
+from tancat.expr import (Expr, ExprBuilder, Node, _fold, build, cos, exp, log,
+                         parallel, reindex_inputs, sin, tangent_lift)
 from tancat.randexpr import random_expr
 from tancat.tower import (Tower, _add, _constant, _div, _lift, _mul, _pow,
                           _sub)
@@ -681,3 +682,141 @@ def test_double_tangent_lift_matches_order2_towers():
     jet, = e.evaluate([Tower(2, [x[i], u1[i], u2[i], u12[i]])
                        for i in range(2)])
     assert np.allclose(flat, jet.coeffs, atol=1e-11)
+
+
+# -- the sin and cos memo ----------------------------------------------
+#
+# Each sin or cos step keeps the value and slope of the last base it
+# lifted.  A program that has run on other bases must give every output
+# the bits that a freshly built copy of it gives.
+
+# sin and cos of an input and of a product, with the sign of sin(x0)
+# reaching an output
+PERIODIC = build(2, lambda xs: [sin(xs[0] * xs[1]) + cos(xs[1]),
+                                cos(xs[0]) * sin(xs[0]), cos(xs[0] * xs[1])])
+
+
+def fresh(e):
+    return Expr(e.nodes, e.n_inputs, e.outputs)
+
+
+def assert_as_fresh(e, blocks):
+    got = e.on_blocks(blocks)
+    want = fresh(e).on_blocks(blocks.copy())
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_blocks(rng, order, batch):
+    return rng.uniform(-2.0, 2.0, size=(1 << order, 2) + batch)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("order", range(5))
+def test_periodic_memo_on_bases_a_b_a(order, batch):
+    rng = np.random.default_rng(order)
+    e = fresh(PERIODIC)
+    a, b = random_blocks(rng, order, batch), random_blocks(rng, order, batch)
+    again = random_blocks(rng, order, batch)
+    again[0] = a[0]  # base A, other tangent rows
+    for blocks in (a, b, a, again):
+        assert_as_fresh(e, blocks)
+
+
+def test_periodic_memo_on_an_order_climb():
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-2.0, 2.0, size=(2, 9))
+    e = fresh(PERIODIC)
+    for order in (1, 4, 1, 0, 3):
+        blocks = random_blocks(rng, order, (9,))
+        blocks[0] = base
+        assert_as_fresh(e, blocks)
+
+
+def test_periodic_memo_computes_each_base_once(monkeypatch):
+    calls = []
+    for name, (value_of, slope_of) in list(tower_module._PERIODIC.items()):
+        monkeypatch.setitem(tower_module._PERIODIC, name, (
+            lambda x, f=value_of, n=name: calls.append(n) or f(x),
+            lambda x, f=slope_of, n=name: calls.append(n + "'") or f(x)))
+    e = build(1, lambda xs: [sin(xs[0]), cos(xs[0])])
+    rng = np.random.default_rng(6)
+    blocks = random_blocks(rng, 0, (4,))[:, :1]
+    e.on_blocks(blocks)
+    assert sorted(calls) == ["cos", "sin"]  # order 0 needs no slope
+    for order in (2, 4, 1):
+        climb = rng.uniform(-2.0, 2.0, size=(1 << order, 1, 4))
+        climb[0] = blocks[0]
+        e.on_blocks(climb)
+    assert sorted(calls) == ["cos", "cos'", "sin", "sin'"]
+    e.on_blocks(blocks + 1.0)
+    assert len(calls) == 6  # a new base: values only, at order 0
+
+
+def test_periodic_memo_keys_signed_zeros_apart():
+    # -0.0 == 0.0, but sin(-0.0) is -0.0: a key by numeric equality
+    # would hand the second base the first one's sines
+    e = fresh(PERIODIC)
+    for order in (0, 2):
+        plus = np.zeros((1 << order, 2, 3))
+        plus[1:] = 1.0
+        minus = plus.copy()
+        minus[0, 0] = -0.0
+        for blocks in (plus, minus, plus):
+            assert_as_fresh(e, blocks)
+    assert np.signbit(e.on_blocks(minus)[0, 1]).all()
+
+
+def test_periodic_memo_on_nan_bases():
+    e = fresh(PERIODIC)
+    rng = np.random.default_rng(7)
+    blocks = random_blocks(rng, 2, (5,))
+    nan = blocks.copy()
+    nan[0, :, 1:3] = np.nan
+    with np.errstate(invalid="ignore"):
+        for b in (nan, nan, blocks, nan):
+            assert_as_fresh(e, b)
+
+
+def test_periodic_memo_copies_its_key():
+    # the caller may write into its block array between two calls
+    e = fresh(PERIODIC)
+    blocks = random_blocks(np.random.default_rng(8), 3, (6,))
+    assert_as_fresh(e, blocks)
+    blocks[0, 0, 2] += 0.5
+    blocks[0, 1, 4] = -blocks[0, 1, 4]
+    assert_as_fresh(e, blocks)
+
+
+def test_periodic_memo_keys_the_base_shape():
+    rng = np.random.default_rng(9)
+    e = fresh(PERIODIC)
+    row = random_blocks(rng, 2, (4,))
+    stacked = np.stack([row] * 3, axis=2)  # (3, n) bases after (n,)
+    for blocks in (row, stacked, row):
+        assert_as_fresh(e, blocks)
+    # the same bytes in another shape
+    flat = random_blocks(rng, 1, (6,))
+    for blocks in (flat, flat.reshape(2, 2, 2, 3), flat.reshape(2, 2, 3, 2)):
+        assert_as_fresh(e, np.ascontiguousarray(blocks))
+
+
+def test_periodic_memo_shared_between_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(10)
+    inputs = [random_blocks(rng, order, (50,)) for order in (0, 1, 3, 4)]
+    inputs += [b.copy() for b in inputs]
+    for b in inputs[4:]:
+        b[0, 0] += 1.0
+    want = [fresh(PERIODIC).on_blocks(b) for b in inputs]
+    e = fresh(PERIODIC)
+
+    def run(k):
+        return [e.on_blocks(inputs[(k + j) % len(inputs)]).tobytes()
+                for j in range(40)]
+
+    with ThreadPoolExecutor(2) as pool:
+        for k, got in enumerate(pool.map(run, range(4))):
+            assert got == [want[(k + j) % len(inputs)].tobytes()
+                           for j in range(40)]

@@ -5,14 +5,15 @@ import pytest
 
 from tancat.domain import SmoothMap, box_domain
 from tancat.errors import KernelViolationError
-from tancat.expr import build, log, sin
+from tancat import expr
+from tancat.expr import build, cos, log, sin
 from tancat.fields import (ScalarField, VectorField, act_on_function,
                            bracket_by_jacobians, check_bracket_laws,
                            check_related, field_add, field_scale,
                            jacobian_at, kernel_residual, lie_bracket)
 from tancat.randexpr import random_expr
 from tancat.report import rng_for
-from tancat.tower import Tower, join_top
+from tancat.tower import Tower, _mul, join_top
 
 D2 = box_domain(2, -2, 2)
 
@@ -178,5 +179,23 @@ class TestKernelCertificate:
         w = vf(dom, lambda xs: [xs[1], -xs[0]])
         pts = np.array([[0.7, -0.4], [0.3, 1.1]])
         assert kernel_residual(v, w, pts) == np.inf
+        with pytest.raises(KernelViolationError):
+            lie_bracket(v, w).at(pts)
+
+    def test_drifting_product_under_sin_and_cos_violates(self, monkeypatch):
+        # sin and cos steps keep the jets of their last base; a product
+        # that drifts at order 1 moves the bases of the crossed
+        # evaluation, which must not get the plain evaluation's jets
+        def drifting(x, y):
+            out = _mul(x, y)
+            if len(out) == 2:
+                out[0] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setitem(expr._BINARY_OPS, "mul", drifting)
+        v = vf(D2, lambda xs: [sin(xs[0] * xs[1]), cos(xs[0] * xs[1])])
+        w = vf(D2, lambda xs: [xs[1], -xs[0]])
+        pts = np.array([[0.7, -0.4, 1.3], [0.3, 1.1, -0.8]])
+        assert kernel_residual(w, v, pts) > 1e-8
         with pytest.raises(KernelViolationError):
             lie_bracket(v, w).at(pts)
