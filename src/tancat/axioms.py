@@ -392,6 +392,8 @@ def run_axiom_suite(config: RunConfig | None = None,
         rng = rng_for(cfg.seed, "axioms/" + name)
         try:
             samples, worst = ALL_CHECKS[name](cfg, ops, rng)
+        except MemoryError:
+            raise  # no check ran: the samples do not fit in memory
         except Exception:
             # a structural op refused the data outright; report as failed
             report.add(CheckResult(name, 0, float("inf"), cfg.tol, False))

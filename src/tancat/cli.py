@@ -11,8 +11,8 @@ with the same flags are byte identical.  The human summary goes to
 stderr; stdout carries only the report (unless --out redirects it).
 
 Exit status: 0 when every check passes, 1 when some check fails, 2 when
-the input could not be read or parsed or the report could not be
-written.
+the input could not be read or parsed, the samples did not fit in
+memory, or the report could not be written.
 """
 
 from __future__ import annotations
@@ -253,6 +253,9 @@ def main(argv=None) -> int:
         # that passes its gate at a loose --tol but fails a construction
         # check of fixed tolerance
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # a --samples past what memory holds
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
 
 

@@ -8,12 +8,13 @@ defined when source(g) = target(h).
 
 Because all structure maps are expression-backed they can be pushed
 through the tangent construction: :func:`tangent_groupoid` doubles the
-charts and lifts every map.  One law suite,
-:func:`check_groupoid_axioms`, checks G at order 0 and its iterated
-tangent T^n G at order n, on composable strings of order-n tangent
-points (block arrays of shape ``(2**n, dim, samples)``) with each
-structure map evaluated on nilpotent towers; the doubled-chart lifts
-are played against those tower evaluations.
+charts and lifts every map, and is the one place that lifts them.  One
+law suite, :func:`check_groupoid_axioms`, checks G at order 0 and its
+iterated tangent T^n G at order n, on composable strings of order-n
+tangent points (block arrays of shape ``(2**n, dim, samples)``) with
+each structure map evaluated on nilpotent towers;
+:func:`check_chart_functoriality` plays all four maps of T G and T T G
+against those tower evaluations.
 """
 
 from __future__ import annotations
@@ -197,26 +198,21 @@ def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
 
 # -- the tangent groupoid ---------------------------------------------
 
-def tangent_domain(dom: Domain, sizes, name: str = "") -> Domain:
+def tangent_domain(dom: Domain, sizes) -> Domain:
     """The doubled chart, with velocity slots in [-2, 2]; constraints
     keep watching the value slots."""
     if sum(sizes) != dom.dim:
         raise ValueError("block sizes do not sum to the chart dimension")
-    rows = []
-    slot_map = [0] * dom.dim
-    flat, pos = 0, 0
-    for s in sizes:
-        rows.append(dom.box[flat:flat + s])
-        rows.append(np.tile([-2.0, 2.0], (s, 1)))
-        for l in range(s):
-            slot_map[flat + l] = pos + l
+    rows, slot_map, flat = [], [], 0
+    for s in sizes:  # the block's values start at slot 2 * flat
+        rows += [dom.box[flat:flat + s], np.tile([-2.0, 2.0], (s, 1))]
+        slot_map += range(2 * flat, 2 * flat + s)
         flat += s
-        pos += 2 * s
     lift = lambda c: reindex_inputs(c, slot_map, 2 * dom.dim)
     split = (2 * sizes[0], 2 * sizes[1]) if len(sizes) == 2 else None
     return Domain(2 * dom.dim, np.concatenate(rows),
                   tuple(lift(c) for c in dom.constraints),
-                  name=name or ("T" + dom.name if dom.name else ""),
+                  name="T" + dom.name if dom.name else "",
                   split=split,
                   sample_constraints=tuple(lift(c)
                                            for c in dom.sample_constraints))
@@ -227,20 +223,19 @@ def tangent_groupoid(G: FiberedGroupoid) -> FiberedGroupoid:
     p, q = G.base.dim, G.fiber_dim
     base_t = tangent_domain(G.base, [p])
     arrows_t = tangent_domain(G.arrows, [p, q])
-    lift = tangent_chart_map
-    return FiberedGroupoid(
-        base=base_t,
-        arrows=arrows_t,
-        target=SmoothMap(arrows_t, base_t, lift(G.target.body, [p, q], [p]),
-                         name="T" + (G.target.name or "target")),
-        compose=SmoothMap(product_domain(arrows_t, arrows_t), arrows_t,
-                          lift(G.compose.body, [p, q, p, q], [p, q]),
-                          name="T" + (G.compose.name or "compose")),
-        unit=SmoothMap(base_t, arrows_t, lift(G.unit.body, [p], [p, q]),
-                       name="T" + (G.unit.name or "unit")),
-        inverse=SmoothMap(arrows_t, arrows_t, lift(G.inverse.body, [p, q], [p, q]),
-                          name="T" + (G.inverse.name or "inverse")),
-        name="T" + (G.name or "G"))
+    # each map's doubled charts, and its argument and value blocks
+    charts = {"target": (arrows_t, base_t, [p, q], [p]),
+              "compose": (product_domain(arrows_t, arrows_t), arrows_t,
+                          [p, q, p, q], [p, q]),
+              "unit": (base_t, arrows_t, [p], [p, q]),
+              "inverse": (arrows_t, arrows_t, [p, q], [p, q])}
+    maps = {}
+    for label, (dom, cod, ins, outs) in charts.items():
+        f = getattr(G, label)
+        maps[label] = SmoothMap(dom, cod, tangent_chart_map(f.body, ins, outs),
+                                name="T" + (f.name or label))
+    return FiberedGroupoid(base=base_t, arrows=arrows_t,
+                           name="T" + (G.name or "G"), **maps)
 
 
 def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
@@ -261,33 +256,33 @@ def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def check_chart_functoriality(G: FiberedGroupoid, rng,
                               samples: int = 100) -> dict[str, float]:
-    """Doubled-chart structure maps versus tower evaluation of the same
-    maps; closing this square is what makes the tangent groupoid an
+    """Each structure map of T^n G (:func:`tangent_groupoid` applied n
+    times, n = 1 and 2) against the order-n tower evaluation of the same
+    map of G; closing this square is what makes the tangent groupoid an
     object of the same kind rather than a formal symbol.
 
-    The compose and unit maps are lifted level by level as
-    :func:`tangent_groupoid` lifts them; the other maps and the charts
-    of the tangent groupoids are not compared, so they are not built.
+    The maps read the doubled-chart coordinates (:func:`t_flatten`) of
+    an order-n composable pair g, h and of the tangent target x of h:
+    compose reads (g, h), unit x, target h and inverse g.  Over a point
+    base the target maps into R^0, and its check compares empty arrays.
     """
-    p, q = G.base.dim, G.fiber_dim
-    sizes = [p, q]
+    # a base point is an arrow chart point with an empty fiber block
+    flat = lambda pt: t_flatten(pt, [G.base.dim, G.fiber_dim])
     res: dict[str, float] = {}
-    compose, unit = G.compose.body, G.unit.body
+    T = G
     for order in (1, 2):
-        k = 1 << (order - 1)    # the level below has blocks k * p, k * q
-        compose = tangent_chart_map(compose, [k * p, k * q] * 2,
-                                    [k * p, k * q])
-        unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
+        T = tangent_groupoid(T)
         g, h = G.sample_composable(rng, samples, 2, order)
-        tower = _tcompose(G, g, h)
-        chart = compose(np.concatenate([t_flatten(g, sizes),
-                                        t_flatten(h, sizes)]))
-        key = "chart_route/order%d" % order
-        res[key] = residual(chart, t_flatten(tower, sizes))
         x = G.target.body.on_blocks(h)
-        chart_u = unit(t_flatten(x, [p]))
-        tower_u = G.unit.body.on_blocks(x)
-        res[key + "_unit"] = residual(chart_u, t_flatten(tower_u, sizes))
+        for suffix, label, args in (("", "compose", (g, h)),
+                                    ("_unit", "unit", (x,)),
+                                    ("_target", "target", (h,)),
+                                    ("_inverse", "inverse", (g,))):
+            tower = getattr(G, label).body.on_blocks(
+                np.concatenate(args, axis=1))
+            chart = getattr(T, label)(np.concatenate([flat(a) for a in args]))
+            res[f"chart_route/order{order}{suffix}"] = residual(
+                chart, flat(tower))
     return res
 
 

@@ -288,6 +288,19 @@ def test_bad_flag_values_are_exit_2(flags, capsys):
     assert cap.out == "" and flags[0] in cap.err
 
 
+@pytest.mark.parametrize("command", ["axioms", "groupoid", "differentiate",
+                                     "bracket"])
+def test_samples_beyond_memory_are_exit_2(command, capsys):
+    # 10**15 samples ask for petabyte arrays, past any address space, so
+    # numpy refuses the first of them at once; the axiom runner does not
+    # turn that refusal into failed checks
+    assert main([command, "--samples", str(10 ** 15)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in cap.err and cap.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", [
     {"base": {"dim": None}, "arrows": {"dim": 1}},
     {"base": {"dim": 1}, "arrows": "x"},

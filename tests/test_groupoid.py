@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import tancat.groupoid as groupoid
 from tancat.domain import (CANDIDATES, Domain, SmoothMap, box_domain,
                            product_domain)
 from tancat.errors import DomainError, SamplerError, StructureError
 from tancat.expr import Expr, ExprBuilder, build, log, reindex_inputs
 from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
                              _each, _tcompose, action_groupoid,
+                             check_chart_functoriality,
                              check_differentiability,
                              check_groupoid_axioms,
                              groupoid_from_json_dict,
@@ -561,11 +563,65 @@ def test_differentiability_checks_every_law_at_orders_one_and_two(name):
     laws = check_groupoid_axioms(G, rng_for(1, "groupoid/lawset"), 5)
     assert "vertical_closure" not in laws
     got = check_differentiability(G, rng_for(2, "groupoid/lawset"), 5)
-    want = {f"chart_route/order{n}{unit}" for n in (1, 2)
-            for unit in ("", "_unit")}
+    # a chart route without a CHART_ROUTES row, which the corrupted-lift
+    # test runs, fails here
+    want = {f"chart_route/order{n}{suffix}" for n in (1, 2)
+            for suffix in CHART_ROUTES.values()}
     want |= {f"order{n}/{law}" for n in (1, 2)
              for law in [*laws, "vertical_closure"]}
     assert set(got) == want
+
+
+# -- the chart routes under a corrupted lift ---------------------------
+
+# the chart_route check of each structure map, by the map's label
+CHART_ROUTES = {"compose": "", "unit": "_unit", "target": "_target",
+                "inverse": "_inverse"}
+
+
+def _nudged(m: SmoothMap) -> SmoothMap:
+    # the last output, a velocity slot of the doubled chart, moves by 1e-3
+    b = ExprBuilder(m.dom.dim)
+    out = b.splice(m.body, b.inputs())
+    out[-1] = out[-1] + 1e-3
+    return SmoothMap(m.dom, m.cod, b.finish(out), name=m.name + "_nudged")
+
+
+@pytest.mark.parametrize("label", sorted(CHART_ROUTES))
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_corrupted_lift_fails_exactly_its_chart_routes(label, level,
+                                                         monkeypatch):
+    # the lift to T^level G carries one nudged map; T^2 G is the lift of
+    # T G, so a nudge in T G fails the map's route at both orders.  The
+    # base of action_gl2 is the plane, so its target has outputs to nudge
+    lift = groupoid.tangent_groupoid
+    built = []
+
+    def corrupted(G):
+        T = lift(G)
+        built.append(T)
+        if len(built) == level:
+            T = dataclasses.replace(T, **{label: _nudged(getattr(T, label))})
+        return T
+
+    monkeypatch.setattr(groupoid, "tangent_groupoid", corrupted)
+    res = check_chart_functoriality(BUILTIN_GROUPOIDS["action_gl2"](),
+                                    rng_for(level, "groupoid/lift/" + label),
+                                    20)
+    assert len(built) == 2
+    assert failing(res) == {f"chart_route/order{n}{CHART_ROUTES[label]}"
+                            for n in range(level, 3)}
+
+
+@pytest.mark.parametrize("name", ["matrix2", "matrix3"])
+def test_the_target_route_over_a_point_base_compares_empty_arrays(name):
+    # a group's target maps into R^0 at every order, so its route
+    # compares empty arrays and reads 0.0: no corrupted lift can fail it
+    G = BUILTIN_GROUPOIDS[name]()
+    assert tangent_groupoid(tangent_groupoid(G)).target.body.n_outputs == 0
+    res = check_chart_functoriality(G, rng_for(1, "groupoid/lift/pt"), 5)
+    assert res["chart_route/order1_target"] == 0.0
+    assert res["chart_route/order2_target"] == 0.0
 
 
 # -- the batched laws against one map evaluation per law term --------

@@ -44,18 +44,34 @@ FINGERPRINTS = {
         "f177deb08bdc316a97a3f955b12a62f9aca55e1e865d276cdf7a4a76dc6e43e2",
     "lift2/action_gl2/compose":
         "68131caa517c1633c8239f403556ab836eb5707c2ffe9b53feedd7464f6be7ce",
+    "lift2/action_gl2/inverse":
+        "24b511a3d63f3aea9080e2d9614f0d482107e4adc28d058a2a76a9ebcdb80f68",
+    "lift2/action_gl2/target":
+        "016e9add511e8e63d3bd123d51a885f27504439fe68071b7f9022939e5505820",
     "lift2/action_gl2/unit":
         "be3a4b10eb3a9492f9597591320cd2d9948b39d18ef779ef911e2b1e7f945121",
     "lift2/matrix2/compose":
         "708af08e5e9c9a1f8942256d28a699d5edf0d00b8c4387ca78717ce6711ca399",
+    "lift2/matrix2/inverse":
+        "2a5b8c340805eba4cb7aa733466079e153d2241b120abe5f9f4da3d1c6e44355",
+    "lift2/matrix2/target":
+        "4aabef6e457d0ac7e4efebd164ac5e0ec684b3d47146cf4f91b47c101168ea9a",
     "lift2/matrix2/unit":
         "3821a9e937dcccff6269da7029cf768e022f42e466f1f84d116d02b43d7f6169",
     "lift2/matrix3/compose":
         "c7ef1950359fb2d10609d0001b2ce92740f15fb6e478b71492048b8385a74d7b",
+    "lift2/matrix3/inverse":
+        "fbb4727fb420cd1fcd20364cdf1c80a1321e1ddc22f7e9f11cb0f4cf0d93bdb8",
+    "lift2/matrix3/target":
+        "dece5ab76681fb3c171a3f803596020954758be4e19d41268c49e6fd67322909",
     "lift2/matrix3/unit":
         "7ca2f5eae112bd06456762438136e77de45f9267cf78219cd175c8b356f9a4ac",
     "lift2/pair/compose":
         "ef8ecc7bf77b93783511c66e0b46cf1d7ebb4afed3986e9ef7703cb2f7e0190d",
+    "lift2/pair/inverse":
+        "5e0a0cb7f3364bdab8f656a135106fbe7b1ec98f7d2a43fc5bde1a749a63ff50",
+    "lift2/pair/target":
+        "d3a27bfa65067c9c0cb2326df6fa8ce0460f93a11dd17d348361496e734e13ec",
     "lift2/pair/unit":
         "7585e737a53f2b772e214f5b9d84c791206981d0026e0c2ac933ce652bdc9556",
     "random/dim1":
@@ -80,15 +96,11 @@ def digest(obj) -> str:
 
 
 def chart_lifts(G):
-    # the compose and unit lifts of check_chart_functoriality, by order
-    p, q = G.base.dim, G.fiber_dim
-    compose, unit = G.compose.body, G.unit.body
+    # the maps of T G and T T G, which check_chart_functoriality compares
+    T = G
     for order in (1, 2):
-        k = 1 << (order - 1)
-        compose = tangent_chart_map(compose, [k * p, k * q] * 2,
-                                    [k * p, k * q])
-        unit = tangent_chart_map(unit, [k * p], [k * p, k * q])
-        yield order, compose, unit
+        T = tangent_groupoid(T)
+        yield order, T
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
@@ -98,11 +110,13 @@ def test_builtins_and_their_lifts_keep_their_programs(name):
     assert digest(groupoid_to_json_dict(G)) == FINGERPRINTS[f"builtin/{name}"]
     assert (digest(groupoid_to_json_dict(tangent_groupoid(G)))
             == FINGERPRINTS[f"tangent/{name}"])
-    for order, compose, unit in chart_lifts(G):
-        assert (digest(compose.to_json_dict())
-                == FINGERPRINTS[f"lift{order}/{name}/compose"])
-        assert (digest(unit.to_json_dict())
-                == FINGERPRINTS[f"lift{order}/{name}/unit"])
+    # order 1's target and inverse are pinned by tangent/<name>
+    for order, T in chart_lifts(G):
+        labels = ("compose", "unit") + (("target", "inverse") if order == 2
+                                        else ())
+        for label in labels:
+            assert (digest(getattr(T, label).body.to_json_dict())
+                    == FINGERPRINTS[f"lift{order}/{name}/{label}"])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
