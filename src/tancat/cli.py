@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,23 +43,6 @@ DEFAULT_SEED = 7
 
 class InputError(Exception):
     """A problem with what the user handed us, reported as exit code 2."""
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        if value < 0:
-            raise InputError(f"--seed wants a non-negative integer, got {value}")
-        return value
-    env = os.environ.get("TANCAT_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(env)
-    except ValueError:
-        raise InputError(f"TANCAT_SEED={env!r} is not an integer") from None
-    if seed < 0:
-        raise InputError(f"TANCAT_SEED={env!r} is negative")
-    return seed
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -88,12 +70,15 @@ def _load_groupoid(args) -> FiberedGroupoid:
             raise InputError(f"{args.spec}: invalid JSON: {err}") from None
         try:
             return groupoid_from_json_dict(data)
-        except (ValueError, TypeError, AttributeError) as err:
+        except (ValueError, TypeError, AttributeError, OverflowError) as err:
+            # OverflowError: an integer past the range of a float
             raise InputError(f"{args.spec}: malformed spec: {err}") from None
     return BUILTIN_GROUPOIDS[args.suite]()
 
 
 def _check_flags(args) -> None:
+    if args.seed < 0:  # numpy's SeedSequence refuses it with a traceback
+        raise InputError(f"--seed wants a non-negative integer, got {args.seed}")
     if args.samples < 1:
         raise InputError(f"--samples wants a positive count, got {args.samples}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -127,31 +112,28 @@ def _finish(report: Report, args) -> int:
 # -- subcommands ------------------------------------------------------
 
 def _cmd_axioms(args) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = RunConfig(seed=seed, samples=args.samples, tol=args.tol,
+    cfg = RunConfig(seed=args.seed, samples=args.samples, tol=args.tol,
                     dims=_parse_dims(args.dims))
     return _finish(run_axiom_suite(cfg), args)
 
 
 def _cmd_groupoid(args) -> int:
-    seed = _resolve_seed(args.seed)
     G = _load_groupoid(args)
-    rep = Report(suite=f"groupoid/{G.name or 'spec'}", seed=seed)
-    rng = rng_for(seed, "cli/groupoid/laws")
+    rep = Report(suite=f"groupoid/{G.name or 'spec'}", seed=args.seed)
+    rng = rng_for(args.seed, "cli/groupoid/laws")
     _add_checks(rep, "laws/", check_groupoid_axioms(G, rng, args.samples),
                 args.samples, args.tol)
     n_diff = max(20, args.samples // 4)
-    rng = rng_for(seed, "cli/groupoid/diff")
+    rng = rng_for(args.seed, "cli/groupoid/diff")
     _add_checks(rep, "differentiability/",
                 check_differentiability(G, rng, n_diff), n_diff, args.tol)
     return _finish(rep, args)
 
 
 def _cmd_differentiate(args) -> int:
-    seed = _resolve_seed(args.seed)
     G = _load_groupoid(args)
-    rep = Report(suite=f"differentiate/{G.name or 'spec'}", seed=seed)
-    rng = rng_for(seed, "cli/differentiate/gate")
+    rep = Report(suite=f"differentiate/{G.name or 'spec'}", seed=args.seed)
+    rng = rng_for(args.seed, "cli/differentiate/gate")
     _add_checks(rep, "gate/", check_groupoid_axioms(G, rng, args.samples),
                 args.samples, args.tol)
     if not rep.ok:
@@ -159,10 +141,10 @@ def _cmd_differentiate(args) -> int:
         return _finish(rep, args)
     # the gate/* checks above are the axioms algebroid_of would run again
     al = Algebroid(G, name=f"A({G.name})")
-    laws = check_algebroid_laws(al, rng_for(seed, "cli/differentiate/laws"),
+    laws = check_algebroid_laws(al, rng_for(args.seed, "cli/differentiate/laws"),
                                 samples=args.samples)
     _add_checks(rep, "laws/", laws, args.samples, args.tol)
-    pts = al.base.sample(rng_for(seed, "cli/differentiate/table"), 16)
+    pts = al.base.sample(rng_for(args.seed, "cli/differentiate/table"), 16)
     rep.extra["base_dim"] = al.base.dim
     rep.extra["rank"] = al.rank
     rep.extra["bracket_table"] = bracket_table(al, pts)
@@ -170,10 +152,9 @@ def _cmd_differentiate(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    seed = _resolve_seed(args.seed)
-    rep = Report(suite="bracket", seed=seed)
+    rep = Report(suite="bracket", seed=args.seed)
     for d in _parse_dims(args.dims):
-        rng = rng_for(seed, f"cli/bracket/dim{d}")
+        rng = rng_for(args.seed, f"cli/bracket/dim{d}")
         dom = box_domain(d, -1.5, 1.5, name=f"box{d}")
         u = VectorField.from_expr(dom, random_expr(rng, d, d, depth=4), name="u")
         v = VectorField.from_expr(dom, random_expr(rng, d, d, depth=4), name="v")
@@ -200,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, groupoid_input: bool = False):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: $TANCAT_SEED or 7)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--samples", type=int, default=200,
                        help="sample points per check (default 200)")
         p.add_argument("--tol", type=float, default=1e-9,

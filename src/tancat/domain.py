@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SamplerError
-from .expr import Expr, ExprBuilder, json_int, reindex_inputs
+from .expr import Expr, ExprBuilder, json_float, json_int, reindex_inputs
 from .report import ROUNDOFF_TOL, uniform_width
 
 # rejection-sampling rounds before a sampler gives up
@@ -157,8 +157,11 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Domain":
+        box = data.get("box")
         return cls(dim=json_int(data["dim"], "dim"),
-                   box=np.asarray(data.get("box")) if data.get("box") is not None else None,
+                   box=(None if box is None else
+                        [[json_float(v, "box entry") for v in row]
+                         for row in box]),
                    constraints=tuple(Expr.from_json_dict(c)
                                      for c in data.get("constraints", ())),
                    name=str(data.get("name", "")),
@@ -231,28 +234,13 @@ class SmoothMap:
     name: str = ""
 
     def __post_init__(self):
+        what = self.name or "map"
         if self.body.n_inputs != self.dom.dim:
-            raise ValueError(f"body takes {self.body.n_inputs} inputs but "
-                             f"dom has dim {self.dom.dim}")
+            raise ValueError(f"{what} takes {self.body.n_inputs} inputs but "
+                             f"its domain has dim {self.dom.dim}")
         if self.body.n_outputs != self.cod.dim:
-            raise ValueError(f"body yields {self.body.n_outputs} outputs but "
-                             f"cod has dim {self.cod.dim}")
+            raise ValueError(f"{what} yields {self.body.n_outputs} outputs "
+                             f"but its codomain has dim {self.cod.dim}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.body(points)
-
-    def to_json_dict(self) -> dict:
-        return {"dom": self.dom.to_json_dict(), "cod": self.cod.to_json_dict(),
-                "body": self.body.to_json_dict(), "name": self.name}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SmoothMap":
-        dom = Domain.from_json_dict(data["dom"])
-        body = data["body"]
-        # the arity is checked before the body is compiled
-        if json_int(body["inputs"], "inputs") != dom.dim:
-            raise ValueError(f"body takes {body['inputs']} inputs but dom "
-                             f"has dim {dom.dim}")
-        return cls(dom=dom, cod=Domain.from_json_dict(data["cod"]),
-                   body=Expr.from_json_dict(body),
-                   name=str(data.get("name", "")))

@@ -416,7 +416,8 @@ class Expr:
         try:
             nodes = [Node(op=str(n["op"]),
                           args=tuple(json_int(a, "arg") for a in n.get("args", ())),
-                          value=(float(n["value"]) if "value" in n else None),
+                          value=(json_float(n["value"], "value")
+                                 if "value" in n else None),
                           index=(json_int(n["index"], "index")
                                  if "index" in n else None))
                      for n in data["nodes"]]
@@ -440,6 +441,14 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"{what} must be an integer, got {value!r:.40}")
     return int(value)
+
+
+def json_float(value, what: str) -> float:
+    """A number read from JSON: an integer or a float, and not a bool
+    or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r:.40}")
+    return float(value)
 
 
 def _unary(prim: str) -> Callable:

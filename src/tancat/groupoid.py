@@ -1,10 +1,13 @@
 """Groupoid objects presented in fibered charts.
 
 Arrows live in one chart of the form (base block, fiber block); the
-source map is literally the base projection, the target is a smooth
-map, and composition, units and inverses are smooth maps between the
-evident charts.  Multiplication m(g, h) means "g after h" and is
-defined when source(g) = target(h).
+source map is literally the base projection.  The two charts fix the
+domain and codomain of the other structure maps (``MAP_CHARTS``), so a
+groupoid is its base and arrow charts and four programs: target,
+composition, unit and inverse, put together by :func:`fibered_groupoid`.
+Multiplication m(g, h) means "g after h" and is defined when
+source(g) = target(h).  A spec (:func:`groupoid_to_json_dict`) holds the
+two charts and each map's program, and nothing more.
 
 Because all structure maps are expression-backed they can be pushed
 through the tangent construction: :func:`tangent_groupoid` doubles the
@@ -40,29 +43,38 @@ def _tangent(rng: np.random.Generator, vals: np.ndarray,
         [vals[None], uniform(rng, -1.0, 1.0, ((1 << order) - 1,) + vals.shape)])
 
 
+# Each structure map's (domain, codomain), as charts of the groupoid;
+# "pairs" is product_domain(arrows, arrows), the chart of the pairs
+# (g, h) on which compose reads g after h.
+MAP_CHARTS = {"target": ("arrows", "base"),
+              "compose": ("pairs", "arrows"),
+              "unit": ("base", "arrows"),
+              "inverse": ("arrows", "arrows")}
+
+
 @dataclass(frozen=True)
 class FiberedGroupoid:
     base: Domain
     arrows: Domain           # dim = base.dim + fiber_dim, split recorded
-    target: SmoothMap        # arrows -> base
-    compose: SmoothMap       # (arrows, arrows) -> arrows, on source(g) = target(h)
-    unit: SmoothMap          # base -> arrows
-    inverse: SmoothMap       # arrows -> arrows
+    # the structure maps, each on its MAP_CHARTS charts; compose is
+    # defined where source(g) = target(h)
+    target: SmoothMap
+    compose: SmoothMap
+    unit: SmoothMap
+    inverse: SmoothMap
     name: str = ""
 
     def __post_init__(self):
         p, a = self.base.dim, self.arrows.dim
         if self.arrows.split != (p, a - p):
             raise StructureError(f"arrow chart must split as ({p}, {a - p})")
-        shapes = {"target": (self.target, a, p),
-                  "compose": (self.compose, 2 * a, a),
-                  "unit": (self.unit, p, a),
-                  "inverse": (self.inverse, a, a)}
-        for label, (m, n_in, n_out) in shapes.items():
-            if m.dom.dim != n_in or m.cod.dim != n_out:
+        dims = {"base": p, "arrows": a, "pairs": 2 * a}
+        for label, (dom, cod) in MAP_CHARTS.items():
+            m = getattr(self, label)
+            if m.dom.dim != dims[dom] or m.cod.dim != dims[cod]:
                 raise StructureError(
                     f"{label} map is {m.dom.dim}->{m.cod.dim}, "
-                    f"expected {n_in}->{n_out}")
+                    f"expected {dims[dom]}->{dims[cod]}")
 
     @property
     def arrow_dim(self) -> int:
@@ -104,6 +116,18 @@ class FiberedGroupoid:
 
     def compose_pair(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return self.compose(np.concatenate([g, h], axis=0))
+
+
+def fibered_groupoid(base: Domain, arrows: Domain, name: str = "",
+                     **programs: Expr) -> FiberedGroupoid:
+    """The groupoid on these charts whose structure maps run the
+    programs ``target``, ``compose``, ``unit`` and ``inverse``, each on
+    its ``MAP_CHARTS`` charts and named by its label."""
+    charts = {"base": base, "arrows": arrows,
+              "pairs": product_domain(arrows, arrows)}
+    return FiberedGroupoid(base=base, arrows=arrows, name=name, **{
+        label: SmoothMap(charts[dom], charts[cod], programs[label], name=label)
+        for label, (dom, cod) in MAP_CHARTS.items()})
 
 
 # -- the groupoid laws ------------------------------------------------
@@ -221,21 +245,15 @@ def tangent_domain(dom: Domain, sizes) -> Domain:
 def tangent_groupoid(G: FiberedGroupoid) -> FiberedGroupoid:
     """Apply the tangent construction to every chart and structure map."""
     p, q = G.base.dim, G.fiber_dim
-    base_t = tangent_domain(G.base, [p])
-    arrows_t = tangent_domain(G.arrows, [p, q])
-    # each map's doubled charts, and its argument and value blocks
-    charts = {"target": (arrows_t, base_t, [p, q], [p]),
-              "compose": (product_domain(arrows_t, arrows_t), arrows_t,
-                          [p, q, p, q], [p, q]),
-              "unit": (base_t, arrows_t, [p], [p, q]),
-              "inverse": (arrows_t, arrows_t, [p, q], [p, q])}
-    maps = {}
-    for label, (dom, cod, ins, outs) in charts.items():
-        f = getattr(G, label)
-        maps[label] = SmoothMap(dom, cod, tangent_chart_map(f.body, ins, outs),
-                                name="T" + (f.name or label))
-    return FiberedGroupoid(base=base_t, arrows=arrows_t,
-                           name="T" + (G.name or "G"), **maps)
+    # the chart blocks of each chart of MAP_CHARTS
+    blocks = {"base": [p], "arrows": [p, q], "pairs": [p, q, p, q]}
+    return fibered_groupoid(
+        tangent_domain(G.base, blocks["base"]),
+        tangent_domain(G.arrows, blocks["arrows"]),
+        name="T" + (G.name or "G"),
+        **{label: tangent_chart_map(getattr(G, label).body, blocks[dom],
+                                    blocks[cod])
+           for label, (dom, cod) in MAP_CHARTS.items()})
 
 
 def t_flatten(pt: np.ndarray, sizes) -> np.ndarray:
@@ -300,30 +318,15 @@ def check_differentiability(G: FiberedGroupoid, rng,
 
 # -- builders ---------------------------------------------------------
 
-def _slots(n: int, idx) -> Expr:
-    b = ExprBuilder(n)
-    xs = b.inputs()
-    return b.finish([xs[i] for i in idx])
-
-
 def pair_groupoid(space: Domain, name: str = "") -> FiberedGroupoid:
     """Arrows are ordered pairs (source, target) of chart points."""
     p = space.dim
-    arrows = product_domain(space, space, name=f"pairs({space.name})")
-    idx = list(range(4 * p))
-    return FiberedGroupoid(
-        base=space,
-        arrows=arrows,
-        target=SmoothMap(arrows, space, _slots(2 * p, range(p, 2 * p)),
-                         name="target"),
-        compose=SmoothMap(product_domain(arrows, arrows), arrows,
-                          _slots(4 * p, idx[2 * p:3 * p] + idx[p:2 * p]),
-                          name="compose"),
-        unit=SmoothMap(space, arrows, _slots(p, list(range(p)) * 2),
-                       name="unit"),
-        inverse=SmoothMap(arrows, arrows,
-                          _slots(2 * p, idx[p:2 * p] + idx[:p]),
-                          name="inverse"),
+    return fibered_groupoid(
+        space, product_domain(space, space, name=f"pairs({space.name})"),
+        target=build(2 * p, lambda xs: xs[p:]),
+        compose=build(4 * p, lambda xs: xs[2 * p:3 * p] + xs[p:2 * p]),
+        unit=build(p, lambda xs: xs + xs),
+        inverse=build(2 * p, lambda xs: xs[p:] + xs[:p]),
         name=name or f"pair({space.name})")
 
 
@@ -389,17 +392,10 @@ def matrix_group(n: int) -> FiberedGroupoid:
         return out
 
     eye = np.eye(n).reshape(-1)
-    return FiberedGroupoid(
-        base=base,
-        arrows=arrows,
-        target=SmoothMap(arrows, base, build(nn, lambda xs: []),
-                         name="target"),
-        compose=SmoothMap(product_domain(arrows, arrows), arrows,
-                          build(2 * nn, matmul), name="matmul"),
-        unit=SmoothMap(base, arrows, build(0, lambda xs: list(eye)),
-                       name="unit"),
-        inverse=SmoothMap(arrows, arrows, build(nn, inv), name="inverse"),
-        name=f"gl{n}")
+    return fibered_groupoid(
+        base, arrows, target=build(nn, lambda xs: []),
+        compose=build(2 * nn, matmul), unit=build(0, lambda xs: list(eye)),
+        inverse=build(nn, inv), name=f"gl{n}")
 
 
 def linear_action(n: int, space: Domain) -> SmoothMap:
@@ -443,64 +439,59 @@ def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
     arrows = product_domain(space, group.arrows,
                             name=f"{space.name}x{group.name}")
 
-    def tgt():
-        b = ExprBuilder(p + ng)
-        hs = b.inputs()
-        return b.finish(b.splice(action.body, hs[p:] + hs[:p]))
+    def program(n: int, outs) -> Expr:
+        """The program whose outputs ``outs(builder, inputs)`` gives."""
+        b = ExprBuilder(n)
+        return b.finish(outs(b, b.inputs()))
 
-    def comp():
-        b = ExprBuilder(2 * (p + ng))
-        hs = b.inputs()
-        g1 = hs[p:p + ng]
-        m2 = hs[p + ng:2 * p + ng]
-        g2 = hs[2 * p + ng:]
-        gg = b.splice(group.compose.body, g1 + g2)
-        return b.finish(m2 + gg)
+    def moved(b, hs):  # the point a(g, m) of the arrow (m, g)
+        return b.splice(action.body, hs[p:] + hs[:p])
 
-    def unit():
-        b = ExprBuilder(p)
-        hs = b.inputs()
-        return b.finish(hs + b.splice(group.unit.body, []))
+    def comp(b, hs):  # (m1, g1) after (m2, g2) is (m2, g1 g2)
+        g1, m2, g2 = hs[p:p + ng], hs[p + ng:2 * p + ng], hs[2 * p + ng:]
+        return m2 + b.splice(group.compose.body, g1 + g2)
 
-    def inv():
-        b = ExprBuilder(p + ng)
-        hs = b.inputs()
-        moved = b.splice(action.body, hs[p:] + hs[:p])
-        return b.finish(moved + b.splice(group.inverse.body, hs[p:]))
-
-    return FiberedGroupoid(
-        base=space,
-        arrows=arrows,
-        target=SmoothMap(arrows, space, tgt(), name="act"),
-        compose=SmoothMap(product_domain(arrows, arrows), arrows, comp(),
-                          name="compose"),
-        unit=SmoothMap(space, arrows, unit(), name="unit"),
-        inverse=SmoothMap(arrows, arrows, inv(), name="inverse"),
+    return fibered_groupoid(
+        space, arrows, target=program(p + ng, moved),
+        compose=program(2 * (p + ng), comp),
+        unit=program(p, lambda b, hs: hs + b.splice(group.unit.body, [])),
+        inverse=program(p + ng, lambda b, hs: moved(b, hs) + b.splice(
+            group.inverse.body, hs[p:])),
         name=name or f"{group.name}:{space.name}")
 
 
 # -- serialization and builtins ---------------------------------------
 
 def groupoid_to_json_dict(G: FiberedGroupoid) -> dict:
+    """The two charts, and each structure map as its program alone."""
     return {"name": G.name,
             "base": G.base.to_json_dict(),
             "arrows": G.arrows.to_json_dict(),
-            "target": G.target.to_json_dict(),
-            "compose": G.compose.to_json_dict(),
-            "unit": G.unit.to_json_dict(),
-            "inverse": G.inverse.to_json_dict()}
+            **{label: getattr(G, label).body.to_json_dict()
+               for label in MAP_CHARTS}}
+
+
+def _program(data: dict, label: str) -> Expr:
+    """The program of the map ``label`` in a spec; an error names the
+    map."""
+    charts = isinstance(data, dict) and {"dom", "cod", "body"} & data.keys()
+    if charts:
+        raise ValueError(f"{label} map has keys {sorted(charts)}: a spec "
+                         f"gives each map as its program alone, and its "
+                         f"charts follow from base and arrows")
+    try:
+        return Expr.from_json_dict(data)
+    except ValueError as err:
+        raise ValueError(f"{label} map: {err}") from None
 
 
 def groupoid_from_json_dict(data: dict) -> FiberedGroupoid:
     try:
-        return FiberedGroupoid(
-            base=Domain.from_json_dict(data["base"]),
-            arrows=Domain.from_json_dict(data["arrows"]),
-            target=SmoothMap.from_json_dict(data["target"]),
-            compose=SmoothMap.from_json_dict(data["compose"]),
-            unit=SmoothMap.from_json_dict(data["unit"]),
-            inverse=SmoothMap.from_json_dict(data["inverse"]),
-            name=str(data.get("name", "")))
+        return fibered_groupoid(
+            Domain.from_json_dict(data["base"]),
+            Domain.from_json_dict(data["arrows"]),
+            name=str(data.get("name", "")),
+            **{label: _program(data[label], label) for label in MAP_CHARTS})
     except KeyError as exc:
         raise ValueError(f"groupoid spec is missing {exc}") from None
 

@@ -12,14 +12,14 @@ from tancat.algebroid import (Section, _anchor_blocks, algebroid_bracket,
                               extend_to_invariant, on_slots, pullback_target,
                               restrict_to_unit, section_scale,
                               stack_sections)
-from tancat.domain import Domain, SmoothMap, box_domain, product_domain
+from tancat.domain import Domain, SmoothMap, box_domain
 from tancat.errors import StructureError, VerticalityError
 from tancat.expr import build, sin
 from tancat.fields import (ScalarField, VectorField, act_on_function,
                            _sum, bracket_by_jacobians, check_related,
                            lie_bracket, related_sides)
 from tancat.groupoid import (_STACK_BELOW, BUILTIN_GROUPOIDS, FiberedGroupoid,
-                             matrix_group, pair_groupoid)
+                             fibered_groupoid, matrix_group, pair_groupoid)
 from tancat.randexpr import random_expr
 from tancat.report import rng_for
 from tancat.tanpoint import residual
@@ -375,14 +375,11 @@ def test_bracket_table_is_the_loop_over_pairs(als, name):
 def _units_of_interval() -> FiberedGroupoid:
     """The unit groupoid of an interval: rank 0, every arrow a unit."""
     line = box_domain(1, name="interval")
-    units = Domain(1, line.box, name="units", split=(1, 0))
     ident = build(1, lambda s: [s[0]])
-    return FiberedGroupoid(
-        base=line, arrows=units, target=SmoothMap(units, line, ident),
-        compose=SmoothMap(product_domain(units, units), units,
-                          build(2, lambda s: [s[1]])),
-        unit=SmoothMap(line, units, ident),
-        inverse=SmoothMap(units, units, ident), name="units(interval)")
+    return fibered_groupoid(
+        line, Domain(1, line.box, name="units", split=(1, 0)), target=ident,
+        compose=build(2, lambda s: [s[1]]), unit=ident, inverse=ident,
+        name="units(interval)")
 
 
 @pytest.mark.parametrize("make, rank", [(lambda: matrix_group(1), 1),

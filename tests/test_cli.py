@@ -15,11 +15,11 @@ import tancat.algebroid
 import tancat.cli
 import tancat.errors
 from tancat.cli import main
-from tancat.domain import Domain, SmoothMap, box_domain, product_domain
+from tancat.domain import Domain, SmoothMap, box_domain
 from tancat.expr import ExprBuilder, build
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
-                             check_groupoid_axioms, groupoid_to_json_dict,
-                             pair_groupoid)
+                             check_groupoid_axioms, fibered_groupoid,
+                             groupoid_to_json_dict, pair_groupoid)
 from tancat.report import CheckResult, Report
 
 
@@ -86,11 +86,34 @@ def test_groupoid_builtins(tmp_path):
         assert any(n.startswith("differentiability/") for n in names)
 
 
-def test_groupoid_from_spec_file(tmp_path):
-    spec = tmp_path / "pair.json"
-    G = pair_groupoid(box_domain(2, name="square"))
-    spec.write_text(json.dumps(groupoid_to_json_dict(G)))
-    assert main(["groupoid", "--spec", str(spec), "--samples", "50"]) == 0
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
+def test_groupoid_from_spec_file(name, tmp_path, capsys):
+    # a written spec reloads to the groupoid it was written from
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(groupoid_to_json_dict(BUILTIN_GROUPOIDS[name]())))
+    reports = []
+    for source in (["--spec", str(spec)], ["--suite", name]):
+        assert main(["groupoid", "--samples", "50"] + source) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("label", ["target", "compose", "unit", "inverse"])
+def test_map_charts_in_a_spec_are_exit_2(label, tmp_path, capsys):
+    # the spec format that gave every map its charts: each map's charts
+    # follow from base and arrows, so a map that states them is refused
+    G = BUILTIN_GROUPOIDS["action_gl2"]()
+    m = getattr(G, label)
+    data = groupoid_to_json_dict(G)
+    data[label] = {"dom": m.dom.to_json_dict(), "cod": m.cod.to_json_dict(),
+                   "body": data[label], "name": label}
+    spec = tmp_path / "old.json"
+    spec.write_text(json.dumps(data))
+    assert main(["groupoid", "--spec", str(spec)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {spec}: malformed spec: {label} map "
+                              f"has keys ['body', 'cod', 'dom']")
 
 
 def test_differentiate_matrix2(tmp_path):
@@ -187,25 +210,19 @@ def _units_of_interval() -> FiberedGroupoid:
     # the unit groupoid of an interval: every arrow is a unit, so the
     # fiber and every section are empty
     line = box_domain(1, name="interval")
-    units = Domain(1, line.box, name="units", split=(1, 0))
     ident = build(1, lambda s: [s[0]])
-    return FiberedGroupoid(
-        base=line, arrows=units, target=SmoothMap(units, line, ident),
-        compose=SmoothMap(product_domain(units, units), units,
-                          build(2, lambda s: [s[1]])),
-        unit=SmoothMap(line, units, ident),
-        inverse=SmoothMap(units, units, ident), name="units(interval)")
+    return fibered_groupoid(
+        line, Domain(1, line.box, name="units", split=(1, 0)), target=ident,
+        compose=build(2, lambda s: [s[1]]), unit=ident, inverse=ident,
+        name="units(interval)")
 
 
 def _trivial_group() -> FiberedGroupoid:
     # one object and one arrow: base, arrows and fiber are all empty
-    pt = box_domain(0, name="pt")
-    e = Domain(0, name="e", split=(0, 0))
     empty = build(0, lambda s: [])
-    return FiberedGroupoid(
-        base=pt, arrows=e, target=SmoothMap(e, pt, empty),
-        compose=SmoothMap(product_domain(e, e), e, empty),
-        unit=SmoothMap(pt, e, empty), inverse=SmoothMap(e, e, empty),
+    return fibered_groupoid(
+        box_domain(0, name="pt"), Domain(0, name="e", split=(0, 0)),
+        target=empty, compose=empty, unit=empty, inverse=empty,
         name="trivial")
 
 
@@ -323,13 +340,13 @@ def test_malformed_node_in_a_spec_is_exit_2(bad, message, tmp_path, capsys):
     # a node that no output reads is appended to the inverse map, so only
     # validation at construction can refuse it
     spec = groupoid_to_json_dict(BUILTIN_GROUPOIDS["action_gl2"]())
-    spec["inverse"]["body"]["nodes"].append(bad)
+    spec["inverse"]["nodes"].append(bad)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     for command in ("groupoid", "differentiate"):
         assert main([command, "--spec", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "malformed spec" in err and message in err
+        assert "malformed spec: inverse map: " in err and message in err
 
 
 def test_reports_are_strict_json():
@@ -349,29 +366,12 @@ def test_reports_are_strict_json():
     assert data["bracket_table"] == [{"mean": ["-inf", 1.0], "spread": "inf"}]
 
 
-def test_env_seed(tmp_path, monkeypatch):
-    out = tmp_path / "s.json"
-    monkeypatch.setenv("TANCAT_SEED", "123")
-    assert main(["axioms", "--samples", "20", "--dims", "1",
-                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 123
-    assert main(["axioms", "--samples", "20", "--dims", "1", "--seed", "5",
-                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 5
-    monkeypatch.setenv("TANCAT_SEED", "elephant")
-    assert main(["axioms", "--samples", "20"]) == 2
-
-
-def test_negative_seed_is_exit_2(monkeypatch, capsys):
+def test_negative_seed_is_exit_2(capsys):
     # numpy's SeedSequence refuses a negative seed with a traceback
     assert main(["axioms", "--samples", "20", "--dims", "1",
                  "--seed", "-1"]) == 2
     cap = capsys.readouterr()
     assert cap.out == "" and "error: --seed" in cap.err
-    monkeypatch.setenv("TANCAT_SEED", "-5")
-    assert main(["axioms", "--samples", "20", "--dims", "1"]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == "" and "error: TANCAT_SEED='-5'" in cap.err
 
 
 @pytest.mark.parametrize("where", ["missing/r.json", "."])
@@ -407,7 +407,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 def _huge_arity(d):
-    d["compose"]["body"]["inputs"] = 1e308
+    d["compose"]["inputs"] = 1e308
 
 
 def _box_lo_above_hi(d):
@@ -428,19 +428,51 @@ def _negative_dim(d):
 
 # counts and indices that once loaded truncated by int()
 def _fractional_arity(d):
-    d["compose"]["body"]["inputs"] = 8.7
+    d["compose"]["inputs"] = 8.7
 
 
 def _fractional_index(d):
-    d["compose"]["body"]["nodes"][2]["index"] = 2.9
+    d["compose"]["nodes"][2]["index"] = 2.9
 
 
 def _bool_index(d):
-    d["compose"]["body"]["nodes"][1]["index"] = True
+    d["compose"]["nodes"][1]["index"] = True
 
 
 def _string_arity(d):
-    d["compose"]["body"]["inputs"] = "8"
+    d["compose"]["inputs"] = "8"
+
+
+def _arity_off_its_chart(d):
+    # compose reads the pair chart, of dim 8
+    d["compose"]["inputs"] = 9
+
+
+# numbers that once loaded through float(): a bool, a string, and an
+# integer past the range of a float
+def _constant_constraint(d, value):
+    # the base constraint x0 + value > 0, which 1.0 keeps on the square
+    d["base"]["constraints"] = [
+        {"inputs": 2, "outputs": [2],
+         "nodes": [{"op": "input", "args": [], "index": 0},
+                   {"op": "const", "args": [], "value": value},
+                   {"op": "add", "args": [0, 1]}]}]
+
+
+def _bool_value(d):
+    _constant_constraint(d, True)
+
+
+def _string_value(d):
+    _constant_constraint(d, "1.0")
+
+
+def _string_box_row(d):
+    d["base"]["box"][0] = ["-1", " 1 "]
+
+
+def _box_entry_past_float(d):
+    d["base"]["box"][0] = [-1, 10 ** 400]
 
 
 def _constraint_leaves_domain(d):
@@ -456,7 +488,10 @@ def _constraint_leaves_domain(d):
                                   _box_not_finite, _box_too_wide,
                                   _negative_dim, _fractional_arity,
                                   _fractional_index, _bool_index,
-                                  _string_arity, _constraint_leaves_domain])
+                                  _string_arity, _arity_off_its_chart,
+                                  _bool_value, _string_value,
+                                  _string_box_row, _box_entry_past_float,
+                                  _constraint_leaves_domain])
 def test_malformed_spec_exits_2_under_a_memory_limit(tmp_path, edit, command):
     data = groupoid_to_json_dict(BUILTIN_GROUPOIDS["pair"]())
     edit(data)

@@ -19,13 +19,37 @@ from tancat.randexpr import random_expr
 
 FINGERPRINTS = {
     "builtin/action_gl2":
-        "daa7640592e3ee35e6a30f97166c05f71b30882b50f77e4c0ec4269cfd891fbb",
+        "c58b52f62acbc18417a4188ff52fcc5679646c73d0eb0d6382d1b8da36d84aac",
     "builtin/matrix2":
-        "152dd65d7b01284f4af9e49b765c53246c282c0cd12cee7ca2a0d6a041db9383",
+        "d10b3aff946e7ea616e9ac95fcb95c1e2a9d742a0251523e950c692b8c274bff",
     "builtin/matrix3":
-        "64a25e6be23d600372134e9a574f7a16870d7fd8c431eaf146320669b5c992a6",
+        "342f796d013c7238ea7744bffa2a6b8f90e15ce5bb8a175e59ae14269cb582db",
     "builtin/pair":
-        "0a89ccc95d6ddba09e940c9fd1509b2130e5b789f94e5a4114c6b1ad76e46905",
+        "8b67ade262658caa66200cabf3cfbe5dc84454974da53535caadfc4d85c7b5b2",
+    "charts0/action_gl2":
+        "89aac2d07bb3f6070d671b1b8ca6092ae2b8051047d8bc4b957cc50daa991905",
+    "charts0/matrix2":
+        "7c41c1fd542d4b9870582ac6ad313526d6c563223ef7718fa99bb119ea7cfcc9",
+    "charts0/matrix3":
+        "1a308cef568d5356d298c0eeeee8474d297f0944a097178b81b34b29016a32e9",
+    "charts0/pair":
+        "3885387357435478d38de39259547e157671e5a1e624f8091df65ea2edc70b99",
+    "charts1/action_gl2":
+        "49a67dca791d77aa13914a47c000e2597cb042bde228c7fe1a84eccfa48e7819",
+    "charts1/matrix2":
+        "120b79d88f1014724c7b373bfc26a750a0f6feede5142fc069a95bc3cc10c1ec",
+    "charts1/matrix3":
+        "67318573c6feef1cdcc73c29ccbb2440c6cd75f37b97415367393c818352deaa",
+    "charts1/pair":
+        "1456865bd0a2892a89199862ac1be350425f9a4988777caf2dfe5f7f61c58f37",
+    "charts2/action_gl2":
+        "1faa7272f071a423aad3e5a8c5862f23f9c7e0f37d8c8415afca11f5045772ea",
+    "charts2/matrix2":
+        "f5d7a98032ef1d342e817a13e3b169768e8533f434fb4512522aabf90e72d5c9",
+    "charts2/matrix3":
+        "c5df248f86972d67af124f2a533a05db0110d55311f511186dc77ddf9778f6ca",
+    "charts2/pair":
+        "9cec4ae22add4b866b8676add2209c8076747bd76823ba161a8e8ca512510dc8",
     "lift1/action_gl2/compose":
         "bc82a412ee88ebcdb15cc039a551cca421c3619f29909f302a768e091091422d",
     "lift1/action_gl2/unit":
@@ -81,13 +105,13 @@ FINGERPRINTS = {
     "random/dim3":
         "99418aa8e7bb22e3f9e0994bfd80dc1204c71fcc8fa5138c1ec48c8bf6bb28ab",
     "tangent/action_gl2":
-        "bef0a45fbd6d46d3d97881a950f26c8caa517a3ecb3f360ada1cc7ece2c7db5f",
+        "888989c5438908815ff07cf5e5e33f9e066f5f16509ff75f15208ed01a9c0c22",
     "tangent/matrix2":
-        "3f3534fc449e64445725a6c29ecc44c65e256bb11e38bb81795e57ebb34b623b",
+        "d735770426d42749e2584f31efee2a1ab720db5937bedfe7a34ee0c4b94eb9c5",
     "tangent/matrix3":
-        "82391030712cf14a9651dd40b2ce3e7525c8d79fbf074d8a38ecc1ecb12a230c",
+        "2cde1f5982042ad114d7753f6535a46ef70bbd4ea85ea7565a83c09d24de8210",
     "tangent/pair":
-        "ba68302edc7363687fc00f8d86ae9c467f3d0fc5ad53838797923a00add7fb6a",
+        "b7494ce06bbdc1fc211c4a2586c19dab836db9f4e4488ab58aee6581ee080b90",
 }
 
 
@@ -106,7 +130,7 @@ def chart_lifts(G):
 @pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
 def test_builtins_and_their_lifts_keep_their_programs(name):
     G = BUILTIN_GROUPOIDS[name]()
-    # the structure maps with their domains' constraints and guards
+    # the two charts, with their constraints and guards, and the programs
     assert digest(groupoid_to_json_dict(G)) == FINGERPRINTS[f"builtin/{name}"]
     assert (digest(groupoid_to_json_dict(tangent_groupoid(G)))
             == FINGERPRINTS[f"tangent/{name}"])
@@ -117,6 +141,19 @@ def test_builtins_and_their_lifts_keep_their_programs(name):
         for label in labels:
             assert (digest(getattr(T, label).body.to_json_dict())
                     == FINGERPRINTS[f"lift{order}/{name}/{label}"])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPOIDS))
+def test_each_structure_map_keeps_its_charts(name):
+    # a spec holds no map charts: fibered_groupoid derives them from the
+    # base and arrow charts, for G and for each tangent groupoid
+    T = BUILTIN_GROUPOIDS[name]()
+    for order in range(3):
+        charts = {label: [getattr(T, label).dom.to_json_dict(),
+                          getattr(T, label).cod.to_json_dict()]
+                  for label in ("target", "compose", "unit", "inverse")}
+        assert digest(charts) == FINGERPRINTS[f"charts{order}/{name}"]
+        T = tangent_groupoid(T)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
