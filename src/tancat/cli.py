@@ -66,7 +66,9 @@ def _load_groupoid(args) -> FiberedGroupoid:
         except json.JSONDecodeError as err:
             raise InputError(f"{args.spec}: invalid JSON at line {err.lineno} "
                              f"column {err.colno}: {err.msg}") from None
-        except ValueError as err:  # an integer past the digit limit
+        except (ValueError, RecursionError) as err:
+            # an integer past the digit limit, or nesting past the
+            # interpreter's recursion limit
             raise InputError(f"{args.spec}: invalid JSON: {err}") from None
         try:
             return groupoid_from_json_dict(data)

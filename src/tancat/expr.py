@@ -26,13 +26,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tower import (_PERIODIC, MAX_ORDER, Tower, _add, _constant, _div, _lift,
-                    _mul, _order_of, _periodic_lift, _pow, _sub, sparse_mul)
+from .tower import (MAX_ORDER, Tower, _add, _constant, _div, _lift_kernel,
+                    _mul, _order_of, _pow, _recip, _sub, sparse_mul)
 
-_UNARY_PRIMS = ("exp", "log", "sin", "cos", "sqrt")
 _ARITY = {"input": 0, "const": 0, "neg": 1, "pow_int": 1}
 _ARITY.update({op: 2 for op in ("add", "sub", "mul", "div")})
-_ARITY.update({op: 1 for op in _UNARY_PRIMS})
+_ARITY.update({op: 1 for op in ("exp", "log", "sin", "cos", "sqrt")})
 
 
 class Node(NamedTuple):
@@ -103,10 +102,12 @@ class Expr:
     about what reading the sets costs, so order 1, like ``evaluate``,
     always runs dense.
 
-    The schedule carries the memos of its ``sin`` and ``cos`` steps as
-    it carries ``plans``: each of those steps keeps the value and slope
-    of the last base it lifted, and reuses them on a base with the same
-    shape and bits (``tower._periodic_lift``).  A memo is replaced in one
+    Each primitive step runs a kernel that ``tower._lift_kernel`` builds
+    for its node, as ``tower.lift_primitive`` runs one, so the two agree
+    bit for bit.  Only the ``sin`` and ``cos`` kernels keep a memo, and
+    the schedule carries them as it carries ``plans``: each keeps the
+    value and slope of the last base it lifted, and reuses them on a
+    base with the same shape and bits.  A memo is replaced in one
     assignment, as a plan is added in one, and neither is changed in
     place, so a program stays safe to share between threads.
     """
@@ -132,8 +133,15 @@ class Expr:
                     raise ValueError(f"node {nid}: arg {a} not topologically "
                                      "earlier")
             if arity:
-                if index is None and op == "pow_int":
-                    raise ValueError(f"node {nid}: pow_int without exponent")
+                if op == "pow_int":
+                    if index is None:
+                        raise ValueError(f"node {nid}: pow_int without "
+                                         "exponent")
+                    try:
+                        float(index)  # the derivative rule scales by it
+                    except OverflowError:
+                        raise ValueError(f"node {nid}: pow_int exponent past "
+                                         "the range of a float") from None
             elif op == "input":
                 if index is None or not 0 <= index < n_inputs:
                     raise ValueError(f"node {nid}: input slot {index} out "
@@ -451,17 +459,7 @@ def json_float(value, what: str) -> float:
     return float(value)
 
 
-def _unary(prim: str) -> Callable:
-    def step(x, _):
-        return _lift(prim, x)
-    return step
-
-
 _BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
-# sin and cos are not here: each of their nodes gets a step of its own
-_UNARY_OPS = {prim: _unary(prim) for prim in _UNARY_PRIMS
-              if prim not in _PERIODIC}
-_UNARY_OPS["neg"] = lambda x, _: -x
 
 
 def _with_const(op: str, c: float, const_left: bool) -> Callable:
@@ -486,7 +484,7 @@ def _with_const(op: str, c: float, const_left: bool) -> Callable:
     if op == "mul":
         return lambda x, _: x * c
     if const_left:
-        return lambda x, _: _lift("recip", x) * c
+        return lambda x, _: _recip(x) * c
     inv = 1.0 / c  # the bits of t * recip(c), which t / c would not keep
     return lambda x, _: x * inv
 
@@ -497,8 +495,9 @@ def _step(op: str, args: tuple, index, consts: Sequence[float | None]) -> tuple:
 
     A constant operand is bound into ``fn`` (see ``_with_const``), and
     both indices then name the other operand.  Unary steps ignore ``b``.
-    A ``sin`` or ``cos`` step is built anew for its node, and keeps the
-    value and slope of the last base it lifted (``tower._periodic_lift``).
+    A primitive step runs a kernel built for its node by
+    ``tower._lift_kernel``, so each ``sin`` or ``cos`` node keeps the
+    value and slope of the last base it lifted.
     """
     a = b = args[0]
     if op in _BINARY_OPS:
@@ -511,10 +510,10 @@ def _step(op: str, args: tuple, index, consts: Sequence[float | None]) -> tuple:
         return _with_const(op, cb, False), a, a
     if op == "pow_int":
         return (lambda x, _: _pow(x, index)), a, b
-    if op in _PERIODIC:
-        lift = _periodic_lift(op)
-        return (lambda x, _: lift(x)), a, b
-    return _UNARY_OPS[op], a, b
+    if op == "neg":
+        return (lambda x, _: -x), a, b
+    lift = _lift_kernel(op)
+    return (lambda x, _: lift(x)), a, b
 
 
 # The order-0 kernels of these ops on Python floats: one IEEE operation

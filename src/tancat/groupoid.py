@@ -398,8 +398,9 @@ def matrix_group(n: int) -> FiberedGroupoid:
         inverse=build(nn, inv), name=f"gl{n}")
 
 
-def linear_action(n: int, space: Domain) -> SmoothMap:
-    """Matrix-vector multiplication as a smooth action map (g, m) -> g m."""
+def linear_action(n: int) -> Expr:
+    """Matrix-vector multiplication as a program (g, m) -> g m: the
+    ``n * n`` entries of g, row by row, then the ``n`` of m."""
     nn = n * n
 
     def act(xs):
@@ -413,19 +414,19 @@ def linear_action(n: int, space: Domain) -> SmoothMap:
             out.append(s)
         return out
 
-    dom = product_domain(box_domain(nn, -9, 9, name=f"gl{n}chart"), space)
-    return SmoothMap(dom, space, build(nn + n, act), name=f"gl{n}_on_{space.name}")
+    return build(nn + n, act)
 
 
-def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
+def action_groupoid(group: FiberedGroupoid, action: Expr, space: Domain,
                     name: str = "") -> FiberedGroupoid:
     """The groupoid of a right-to-left action: an arrow (m, g) runs from
-    m to the moved point a(g, m)."""
+    m to the moved point a(g, m), where the program ``action`` takes the
+    group's arrow, then the point of ``space``."""
     if group.base.dim != 0:
         raise StructureError("acting groupoid must be a group (point base)")
     ng = group.fiber_dim
     p = space.dim
-    if action.dom.dim != ng + p or action.cod.dim != p:
+    if action.n_inputs != ng + p or action.n_outputs != p:
         raise StructureError(f"action map must be ({ng}+{p})->{p}")
 
     m = space.sample(np.random.default_rng(0), 64)
@@ -445,7 +446,7 @@ def action_groupoid(group: FiberedGroupoid, action: SmoothMap, space: Domain,
         return b.finish(outs(b, b.inputs()))
 
     def moved(b, hs):  # the point a(g, m) of the arrow (m, g)
-        return b.splice(action.body, hs[p:] + hs[:p])
+        return b.splice(action, hs[p:] + hs[:p])
 
     def comp(b, hs):  # (m1, g1) after (m2, g2) is (m2, g1 g2)
         g1, m2, g2 = hs[p:p + ng], hs[p + ng:2 * p + ng], hs[2 * p + ng:]
@@ -498,7 +499,7 @@ def groupoid_from_json_dict(data: dict) -> FiberedGroupoid:
 
 def _builtin_action_gl2() -> FiberedGroupoid:
     plane = box_domain(2, name="plane")
-    return action_groupoid(matrix_group(2), linear_action(2, plane), plane)
+    return action_groupoid(matrix_group(2), linear_action(2), plane)
 
 
 BUILTIN_GROUPOIDS = {

@@ -26,21 +26,24 @@ so its result differs from the dense product only in the sign of a sum
 of zeros, or where a skipped zero met an inf or a NaN.
 ``Expr.on_blocks`` reads the sets of its input columns at orders 2-4
 and uses ``sparse_mul``; every other caller multiplies densely.
-``_lift`` applies a scalar primitive by the set-partition
-(multivariate Faa di Bruno) formula: each coefficient is a sum over the
+A scalar primitive lifts by the set-partition (multivariate Faa di
+Bruno) formula (``_faa_di_bruno``): each coefficient is a sum over the
 set partitions of its mask, read from tables built at import and added
 in an order fixed by the mask alone, so a lift keeps its bits when
 outer generators are dropped or a batch column is lifted alone.
-``Expr`` lifts each ``sin`` or ``cos`` node through a kernel of its own
-(``_periodic_lift``) that keeps a memo: the shape and a copy of the
-bytes of the last base it lifted, with that base's value and slope.
-The key is bitwise, so -0.0 and +0.0 are different bases and a NaN
-base matches its own bits only.  A base that matches reuses the value
-and slope at any order, every higher jet being a negation of one of
-them, so a program run at several orders over the same points, as the
-bracket's kernel certificate and nested brackets do, computes each
-sine and cosine once.  The memo holds one base and lives as long as the
-kernel, that is, as long as its program's compiled schedule.
+``_lift_kernel`` builds the kernel of a primitive, and every lift runs
+one: ``Expr``'s primitive steps, ``_lift``, :func:`lift_primitive`, and
+the one ``recip`` kernel of ``_div`` and negative powers.  Only the
+``sin`` and ``cos`` kernels (``_periodic_lift``) keep a memo: the shape
+and a copy of the bytes of the last base they lifted, with that base's
+value and slope.  The key is bitwise, so -0.0 and +0.0 are different
+bases and a NaN base matches its own bits only.  A base that matches
+reuses the value and slope at any order, every higher jet being a
+negation of one of them, so a program run at several orders over the
+same points, as the bracket's kernel certificate and nested brackets
+do, computes each sine and cosine once.  Each ``sin`` or ``cos`` node
+of a program gets a kernel of its own, whose memo holds one base and
+lives as long as the program's compiled schedule.
 Returned towers are immutable (the coefficient array is marked
 read-only), so values can be shared freely between threads.  ``Expr``
 runs its schedule on the kernels directly: its intermediates are
@@ -367,11 +370,18 @@ def sparse_mul(order: int, lefts: int, rights: int) -> Callable:
 
 
 def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _mul(x, _lift("recip", y))
+    return _mul(x, _recip(y))
 
 
 def _lift(name: str, c: np.ndarray) -> np.ndarray:
-    """A scalar primitive on coefficients, by the set-partition formula.
+    """A scalar primitive on coefficients: its kernel (``_lift_kernel``)
+    applied to ``c``."""
+    return _lift_kernel(name)(c)
+
+
+def _faa_di_bruno(c: np.ndarray, derivs: list) -> np.ndarray:
+    """``f(c)`` by the set-partition formula, from the derivatives
+    ``derivs[k] = f^(k)(c[0])``, ``k = 0..order``, which it only reads.
 
     The coefficient at mask ``r`` of ``f(c)`` is the sum, over the set
     partitions ``pi`` of ``r``'s bits, of ``f^(|pi|)(c[0])`` times the
@@ -385,18 +395,6 @@ def _lift(name: str, c: np.ndarray) -> np.ndarray:
     batch gets the bits it gets alone.  An infinite derivative reaches
     only the masks whose partitions use it, never the value.
     """
-    try:
-        prim = _PRIMITIVES[name]
-    except KeyError:
-        raise ValueError(f"unknown primitive {name!r}") from None
-    base = c[0]
-    prim.check(base)
-    return _faa_di_bruno(c, prim.jets(base, _order_of(c)))
-
-
-def _faa_di_bruno(c: np.ndarray, derivs: list) -> np.ndarray:
-    """The body of ``_lift``: ``f(c)`` from the derivatives ``derivs[k]
-    = f^(k)(c[0])``, ``k = 0..order``, which it only reads."""
     order = len(derivs) - 1
     out = np.empty(c.shape)
     out[0] = derivs[0]
@@ -415,7 +413,7 @@ def _faa_di_bruno(c: np.ndarray, derivs: list) -> np.ndarray:
 def _pow(c: np.ndarray, exponent: int) -> np.ndarray:
     """Integer power by square-and-multiply; ``c`` itself for exponent 1."""
     if exponent < 0:
-        return _lift("recip", _pow(c, -exponent))
+        return _recip(_pow(c, -exponent))
     if exponent == 0:
         return _constant(np.ones(c.shape[1:]), _order_of(c))
     result = None
@@ -493,47 +491,50 @@ def join_top(lo: Tower, hi: Tower) -> Tower:
     return Tower._raw(lo.order + 1, arr)
 
 
-class _Primitive(NamedTuple):
-    check: Callable[[np.ndarray], None]
-    jets: Callable[[np.ndarray, int], list]
-
-
-def _check_positive(name: str):
-    def check(base: np.ndarray) -> None:
-        if (base <= 0.0).any():
-            raise DomainError(f"{name} requires a strictly positive base point")
-    return check
-
-def _check_nonzero(name: str):
-    def check(base: np.ndarray) -> None:
-        if (base == 0.0).any():
-            raise DomainError(f"{name} requires a nonzero base point")
-    return check
-
-def _no_check(base: np.ndarray) -> None:
-    return None
-
-
 # Each returns the derivatives 0..order at ``base``, and computes no
 # other: the k-th derivative of log is (-1)^(k-1) (k-1)! / x^k, that of
 # 1/x is (-1)^k k! / x^(k+1), that of sqrt is a constant times
-# sqrt(x) / x^k, and sin and cos repeat with period four.  Powers go
-# through ``np.power``: on arrays it is what ``**`` calls, but ``**`` on
-# the scalar base of an unbatched tower takes numpy's scalar power,
-# whose last bit can differ, and a point's lift must not depend on
-# whether it is batched.
+# sqrt(x) / x^k, and sin and cos repeat with period four.  log and sqrt
+# first refuse a base that is not strictly positive, and recip a zero
+# base.  Powers go through ``np.power``: on arrays it is what ``**``
+# calls, but ``**`` on the scalar base of an unbatched tower takes
+# numpy's scalar power, whose last bit can differ, and a point's lift
+# must not depend on whether it is batched.
 
 def _jets_exp(base, order):
     e = np.exp(base)
     return [e] * (order + 1)
 
 def _jets_log(base, order):
+    if (base <= 0.0).any():
+        raise DomainError("log requires a strictly positive base point")
     if not order:
         return [np.log(base)]
     inv = 1.0 / base
     return [np.log(base), inv] + [
         c * np.power(inv, k)
         for k, c in zip(range(2, order + 1), (-1.0, 2.0, -6.0))]
+
+def _jets_sqrt(base, order):
+    if (base <= 0.0).any():
+        raise DomainError("sqrt requires a strictly positive base point")
+    r = np.sqrt(base)
+    if not order:
+        return [r]
+    inv = 1.0 / base
+    return [r] + [c * r * np.power(inv, k) for k, c in
+                  zip(range(1, order + 1), (0.5, -0.25, 0.375, -0.9375))]
+
+def _jets_recip(base, order):
+    if (base == 0.0).any():
+        raise DomainError("recip requires a nonzero base point")
+    inv = 1.0 / base
+    return [inv] + [c * np.power(inv, k + 1) for k, c in
+                    zip(range(1, order + 1), (-1.0, 2.0, -6.0, 24.0))]
+
+# the primitives whose kernels keep no memo
+_JETS = {"exp": _jets_exp, "log": _jets_log, "sqrt": _jets_sqrt,
+         "recip": _jets_recip}
 
 def _periodic_jets(value, slope, order):
     """``value, slope, -value, -slope, value``, up to ``order``."""
@@ -545,41 +546,10 @@ def _periodic_jets(value, slope, order):
 # sin and cos: the value and the slope at a base
 _PERIODIC = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda b: -np.sin(b))}
 
-def _periodic(name):
-    value_of, slope_of = _PERIODIC[name]
-
-    def jets(base, order):
-        return _periodic_jets(value_of(base), slope_of(base) if order else None,
-                              order)
-    return jets
-
-def _jets_sqrt(base, order):
-    r = np.sqrt(base)
-    if not order:
-        return [r]
-    inv = 1.0 / base
-    return [r] + [c * r * np.power(inv, k) for k, c in
-                  zip(range(1, order + 1), (0.5, -0.25, 0.375, -0.9375))]
-
-def _jets_recip(base, order):
-    inv = 1.0 / base
-    return [inv] + [c * np.power(inv, k + 1) for k, c in
-                    zip(range(1, order + 1), (-1.0, 2.0, -6.0, 24.0))]
-
-
-_PRIMITIVES: dict[str, _Primitive] = {
-    "exp": _Primitive(_no_check, _jets_exp),
-    "log": _Primitive(_check_positive("log"), _jets_log),
-    "sin": _Primitive(_no_check, _periodic("sin")),
-    "cos": _Primitive(_no_check, _periodic("cos")),
-    "sqrt": _Primitive(_check_positive("sqrt"), _jets_sqrt),
-    "recip": _Primitive(_check_nonzero("recip"), _jets_recip),
-}
-
 
 def _periodic_lift(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """``_lift`` of ``sin`` or ``cos`` as a kernel ``fn(c)`` that keeps
-    the value and the slope of the last base it lifted.
+    """The kernel ``fn(c)`` of ``sin`` or ``cos``: ``_faa_di_bruno`` on
+    its jets, keeping the value and the slope of the last base it lifted.
 
     The memo is one tuple, ``((shape, bytes), value, slope)``: the base's
     shape and a copy of its bytes, then its jets, the slope ``None`` until
@@ -606,6 +576,27 @@ def _periodic_lift(name: str) -> Callable[[np.ndarray], np.ndarray]:
         last = memo
         return _faa_di_bruno(c, _periodic_jets(memo[1], memo[2], _order_of(c)))
     return lift
+
+
+def _lift_kernel(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel ``fn(c)`` that lifts the primitive ``name``: the one
+    place that decides how a primitive lifts.
+
+    ``sin`` and ``cos`` get a new ``_periodic_lift``, with a memo of its
+    own; every other primitive gets ``_faa_di_bruno`` on its jets
+    (``_JETS``), which keep nothing between calls.
+    """
+    if name in _PERIODIC:
+        return _periodic_lift(name)
+    try:
+        jets = _JETS[name]
+    except KeyError:
+        raise ValueError(f"unknown primitive {name!r}") from None
+    return lambda c: _faa_di_bruno(c, jets(c[0], _order_of(c)))
+
+
+# the reciprocal of a quotient's divisor and of a negative power
+_recip = _lift_kernel("recip")
 
 
 def lift_primitive(name: str, a: Tower) -> Tower:

@@ -265,13 +265,20 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overlong_integer_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    '{"base": {"dim": %s}}' % ("1" * 5000),
+    "[" * 100000 + "]" * 100000,
+], ids=["long_integer", "deep_nesting"])
+def test_overlong_integer_is_exit_2(text, tmp_path, capsys):
     # json refuses integer literals past 4300 digits with a plain
-    # ValueError, not a JSONDecodeError
+    # ValueError, and nesting past the recursion limit with a
+    # RecursionError; neither is a JSONDecodeError
     spec = tmp_path / "long.json"
-    spec.write_text('{"base": {"dim": %s}}' % ("1" * 5000))
-    assert main(["groupoid", "--spec", str(spec)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    spec.write_text(text)
+    for command in ("groupoid", "differentiate"):
+        assert main([command, "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: invalid JSON: ")
 
 
 def test_missing_key_spec_is_exit_2(tmp_path, capsys):
@@ -335,6 +342,8 @@ def test_malformed_spec_is_exit_2(spec, tmp_path, capsys):
     ({"op": "neg", "args": [99]}, "not topologically earlier"),
     ({"op": "const"}, "const without value"),
     ({"op": "input", "args": [], "index": 99}, "input slot 99 out of range"),
+    ({"op": "pow_int", "args": [0], "index": 10**400},
+     "pow_int exponent past the range of a float"),
 ])
 def test_malformed_node_in_a_spec_is_exit_2(bad, message, tmp_path, capsys):
     # a node that no output reads is appended to the inverse map, so only

@@ -788,9 +788,9 @@ class TestSerialization:
         from tancat.expr import build
         plane = box_domain(2)
         # drifts by g00 on the first coordinate, so e no longer fixes points
-        twisted = SmoothMap(
-            linear_action(2, plane).dom, plane,
-            build(6, lambda xs: [xs[0] * xs[4] + xs[1] * xs[5] + xs[0],
-                                 xs[2] * xs[4] + xs[3] * xs[5]]))
-        with pytest.raises(StructureError):
+        twisted = build(6, lambda xs: [xs[0] * xs[4] + xs[1] * xs[5] + xs[0],
+                                       xs[2] * xs[4] + xs[3] * xs[5]])
+        with pytest.raises(StructureError, match="identity"):
             action_groupoid(matrix_group(2), twisted, plane)
+        with pytest.raises(StructureError, match=r"must be \(4\+2\)->2"):
+            action_groupoid(matrix_group(2), linear_action(3), plane)

@@ -255,18 +255,23 @@ def test_division_roundtrip_and_identity():
 
 
 def test_domain_violations_raise_not_nan():
-    with pytest.raises(DomainError):
+    # the texts are pinned: the CLI prints them in its exit-2 messages
+    positive = "requires a strictly positive base point$"
+    nonzero = "^recip requires a nonzero base point$"
+    with pytest.raises(DomainError, match="^log " + positive):
         _lift("log", coeffs(-1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^sqrt " + positive):
         _lift("sqrt", coeffs(0.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=nonzero):
         _lift("recip", coeffs(0.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=nonzero):
         _div(coeffs(1.0, 0.0), coeffs(0.0, 2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=nonzero):
         _pow(coeffs(0.0, 2.0), -1)
+    with pytest.raises(ValueError, match="^unknown primitive 'x'$"):
+        _lift("x", coeffs(1.0, 1.0))
     batch = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=nonzero):
         _lift("recip", batch)  # one bad sample poisons the whole batch
 
 
