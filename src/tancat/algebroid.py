@@ -31,11 +31,10 @@ from .expr import Expr, build
 from .fields import (BlockFn, ScalarField, VectorField, _check_arity,
                      _scaled, act_on_function, field_scale,
                      lie_bracket, related_sides)
-from .gbundle import invariance_defect
+from .gbundle import invariance_sides
 from .groupoid import FiberedGroupoid, _stacks, check_groupoid_axioms
 from .randexpr import random_expr
-from .report import ROUNDOFF_TOL, rng_for
-from .tanpoint import residual
+from .report import ROUNDOFF_TOL, Sides, reduced, residual, rng_for
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def restrict_to_unit(al: Algebroid, v: VectorField, check: bool = True,
     if check:
         rng = rng_for(31, "algebroid/verticality")
         pts = al.base.sample(rng, 64)
-        anchor_part = v.at(G.unit(pts))[:p]
-        drift = residual(anchor_part, np.zeros_like(anchor_part))
+        drift = residual(v.at(G.unit(pts))[:p], 0.0)
         if drift > ROUNDOFF_TOL:
             raise VerticalityError(
                 f"field {v.name or '?'} has anchor components of size "
@@ -237,10 +235,11 @@ def _default_sections(al: Algebroid,
                        name=f"s{k}") for k in range(3)]
 
 
+@reduced
 def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
                          samples: int = 150,
                          sections: Sequence[Section] | None = None,
-                         f: ScalarField | None = None) -> dict[str, float]:
+                         f: ScalarField | None = None) -> Sides:
     """Residuals of the section-level laws at sampled points.
 
     Laws that sum or compare several brackets evaluate them at once
@@ -249,8 +248,8 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     added in that order; antisymmetry and the left side of Leibniz are
     the bracket of ``(a,b,a)`` and ``(b,a,f*b)``, whose ``[a,b]`` slot the
     right side of Leibniz and ``anchor_morphism`` reuse.  ``psi_phi``
-    and ``t_related`` run one slot per section and take one residual per
-    slot, then the largest, so each residual keeps its own section's
+    and ``t_related`` run one slot per section and yield one pair of
+    sides per slot, so each residual keeps its own section's
     denominator.  Every slot has the bits of its own evaluation, so the
     residuals are those of one bracket at a time.  When the slots are
     stacked, the kernel certificate of a bracket is measured over the
@@ -269,47 +268,41 @@ def check_algebroid_laws(al: Algebroid, rng: np.random.Generator,
     br = lambda x, y: algebroid_bracket(al, x, y)
     each = [(s,) for s in sections]
 
-    res: dict[str, float] = {}
     phi_a = extend_to_invariant(al, a)
     back, vals = by_slots(lambda s, x: (restrict_to_unit(
         al, extend_to_invariant(al, s), check=False).at(x), s.at(x)),
         each, pts)
-    res["psi_phi"] = max(residual(back[:, j], vals[:, j])
-                         for j in range(len(each)))
-    res["phi_psi"] = residual(
-        extend_to_invariant(al, restrict_to_unit(al, phi_a)).at(gs),
-        phi_a.at(gs))
-    res["phi_invariant"] = max(
-        invariance_defect(G, phi_a, rng, samples).values())
+    for j in range(len(each)):
+        yield "psi_phi", back[:, j], vals[:, j]
+    yield ("phi_psi",
+           extend_to_invariant(al, restrict_to_unit(al, phi_a)).at(gs),
+           phi_a.at(gs))
+    yield from invariance_sides(G, phi_a, rng, samples, "phi_invariant")
 
     brs, = by_slots(lambda x, y, at: (br(x, y).at(at),),
                     [(a, b), (b, a), (a, section_scale(f, b))], pts)
     ab = brs[:, 0]
-    res["antisymmetry"] = residual(ab, -brs[:, 1])
+    yield "antisymmetry", ab, -brs[:, 1]
     terms, = by_slots(lambda x, y, z, at: (br(x, br(y, z)).at(at),),
                       [(a, b, c), (b, c, a), (c, a, b)], pts)
-    jac = terms[:, 0] + terms[:, 1] + terms[:, 2]
-    res["jacobi"] = residual(jac, np.zeros_like(jac))
+    yield "jacobi", terms[:, 0] + terms[:, 1] + terms[:, 2], 0.0
 
     rho_a = anchor_field(al, a)
     # f [a,b] and the anchor of [a,b] take [a,b] from slot 0 above
-    rhs = (f.at(pts) * ab
+    yield ("leibniz", brs[:, 2], f.at(pts) * ab
            + section_scale(act_on_function(rho_a, f), b).at(pts))
-    res["leibniz"] = residual(brs[:, 2], rhs)
 
-    res["anchor_morphism"] = residual(
-        _anchor_blocks(G, pts[None], ab[None])[0],
-        lie_bracket(rho_a, anchor_field(al, b)).at(pts))
+    yield ("anchor_morphism", _anchor_blocks(G, pts[None], ab[None])[0],
+           lie_bracket(rho_a, anchor_field(al, b)).at(pts))
     pushed, rho = by_slots(lambda s, x: related_sides(
         G.target, extend_to_invariant(al, s), anchor_field(al, s), x),
         each, gs)
-    res["t_related"] = max(residual(pushed[:, j], rho[:, j])
-                           for j in range(len(each)))
+    for j in range(len(each)):
+        yield "t_related", pushed[:, j], rho[:, j]
 
-    res["phi_module"] = residual(
-        extend_to_invariant(al, section_scale(f, a)).at(gs),
-        field_scale(pullback_target(al, f), phi_a).at(gs))
-    return res
+    yield ("phi_module",
+           extend_to_invariant(al, section_scale(f, a)).at(gs),
+           field_scale(pullback_target(al, f), phi_a).at(gs))
 
 
 def _frame_section(al: Algebroid, vecs: np.ndarray, name: str) -> Section:

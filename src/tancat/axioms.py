@@ -3,10 +3,11 @@
 Every check is a diagram: a generator that draws random points and
 random smooth maps for one chart dimension and yields the two sides of
 each structural identity.  One runner, :func:`_check`, loops over the
-dimensions, counts the samples and reports the worst relative mismatch;
-a residual that is not finite counts as infinite, so it fails.  Checks
-draw from independent seeded substreams keyed by check name, so reports
-are reproducible and insensitive to ordering.
+dimensions, counts the samples and hands the sides to the reducer of
+every report, ``report.worst_residuals``, for the worst relative
+mismatch; a residual that is not finite counts as infinite, so it
+fails.  Checks draw from independent seeded substreams keyed by check
+name, so reports are reproducible and insensitive to ordering.
 
 The block transformations enter through a :class:`TangentOps` table so
 tests can swap in deliberately corrupted operations and watch exactly
@@ -16,6 +17,7 @@ the related checks fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -24,8 +26,7 @@ from . import tanpoint as tp
 from .domain import SmoothMap, box_domain, product_domain
 from .expr import build, parallel, tangent_lift
 from .randexpr import random_expr
-from .report import CheckResult, Report, RunConfig, rng_for, uniform
-from .tanpoint import residual
+from .report import Report, RunConfig, rng_for, uniform, worst_residuals
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,15 @@ def _check(diagram, cases=None):
     ``diagram(ops, rng, case, n)`` draws ``n`` samples for one case, a
     chart dimension from ``cfg.dims`` unless ``cases`` fixes the cases,
     and yields ``(lhs, rhs)`` pairs of block arrays that must agree.
-    Each pair is dropped once its residual is taken, so it is freed
-    before the diagram draws and evaluates the next one.
+    They reach the reducer through a map, which keeps no frame, so each
+    pair is freed before the diagram draws and evaluates the next one.
     """
     def check(cfg, ops, rng):
-        worst, runs = 0.0, cases or cfg.dims
-        for case in runs:
-            for lhs, rhs in diagram(ops, rng, case, cfg.samples):
-                worst = max(worst, residual(lhs, rhs))
-                del lhs, rhs
-        return len(runs) * cfg.samples, worst
+        runs = cases or cfg.dims
+        pairs = chain.from_iterable(diagram(ops, rng, case, cfg.samples)
+                                    for case in runs)
+        worst = worst_residuals(map(lambda pair: ("", *pair), pairs))
+        return len(runs) * cfg.samples, worst[""]
     return check
 
 
@@ -396,7 +396,6 @@ def run_axiom_suite(config: RunConfig | None = None,
             raise  # no check ran: the samples do not fit in memory
         except Exception:
             # a structural op refused the data outright; report as failed
-            report.add(CheckResult(name, 0, float("inf"), cfg.tol, False))
-            continue
-        report.add(CheckResult.from_residual(name, samples, worst, cfg.tol))
+            samples, worst = 0, float("inf")
+        report.add_checks({name: worst}, samples, cfg.tol)
     return report

@@ -452,11 +452,14 @@ def json_int(value, what: str) -> int:
 
 
 def json_float(value, what: str) -> float:
-    """A number read from JSON: an integer or a float, and not a bool
-    or a string."""
+    """A number read from JSON: an integer or a float, and not a bool,
+    a string or an integer past the range of a float."""
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a number, got {value!r:.40}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} past the range of a float") from None
 
 
 _BINARY_OPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}

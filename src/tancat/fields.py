@@ -26,7 +26,7 @@ import numpy as np
 from .domain import Domain, SmoothMap
 from .errors import KernelViolationError
 from .expr import Expr
-from .tanpoint import residual
+from .report import Sides, reduced, residual
 from .tower import Tower, _mul
 
 KERNEL_TOL = 1e-10
@@ -223,31 +223,29 @@ def check_related(phi: SmoothMap, v: VectorField, w: VectorField,
     return residual(*related_sides(phi, v, w, points))
 
 
+@reduced
 def check_bracket_laws(u: VectorField, v: VectorField, w: VectorField,
                        f: ScalarField, g: ScalarField,
-                       points: np.ndarray) -> dict[str, float]:
-    """Residuals of the classical bracket identities at sample points."""
+                       points: np.ndarray) -> Sides:
+    """Residuals of the classical bracket identities at sample points,
+    and of [v, w] against its coordinate formula (``jacobian_route``)."""
     points = np.asarray(points, dtype=float)
 
     def ev(field):
         return field.at(points)
 
-    res: dict[str, float] = {}
     vw = lie_bracket(v, w)
-    res["antisymmetry"] = residual(ev(vw), -ev(lie_bracket(w, v)))
-    jac = (ev(lie_bracket(u, vw))
+    at_vw = ev(vw)
+    yield "jacobian_route", at_vw, bracket_by_jacobians(v, w, points)
+    yield "antisymmetry", at_vw, -ev(lie_bracket(w, v))
+    yield ("jacobi", ev(lie_bracket(u, vw))
            + ev(lie_bracket(v, lie_bracket(w, u)))
-           + ev(lie_bracket(w, lie_bracket(u, v))))
-    res["jacobi"] = residual(jac, np.zeros_like(jac))
-    lhs = ev(lie_bracket(v, field_scale(f, w)))
-    rhs = ev(field_add(field_scale(f, vw),
-                       field_scale(act_on_function(v, f), w)))
-    res["leibniz"] = residual(lhs, rhs)
-    lhs2 = act_on_function(vw, g).at(points)
-    rhs2 = (act_on_function(v, act_on_function(w, g)).at(points)
-            - act_on_function(w, act_on_function(v, g)).at(points))
-    res["derivation"] = residual(lhs2, rhs2)
-    res["bilinearity"] = residual(
-        ev(lie_bracket(field_add(u, v), w)),
-        ev(field_add(lie_bracket(u, w), lie_bracket(v, w))))
-    return res
+           + ev(lie_bracket(w, lie_bracket(u, v))), 0.0)
+    yield ("leibniz", ev(lie_bracket(v, field_scale(f, w))),
+           ev(field_add(field_scale(f, vw),
+                        field_scale(act_on_function(v, f), w))))
+    yield ("derivation", act_on_function(vw, g).at(points),
+           act_on_function(v, act_on_function(w, g)).at(points)
+           - act_on_function(w, act_on_function(v, g)).at(points))
+    yield ("bilinearity", ev(lie_bracket(field_add(u, v), w)),
+           ev(field_add(lie_bracket(u, w), lie_bracket(v, w))))

@@ -20,8 +20,8 @@ from . import tanpoint as tp
 from .errors import VerticalityError
 from .fields import VectorField, field_add, field_scale, lie_bracket
 from .groupoid import FiberedGroupoid, _tcompose
-from .report import ROUNDOFF_TOL, uniform
-from .tanpoint import order_of, residual
+from .report import ROUNDOFF_TOL, Sides, reduced, residual, uniform
+from .tanpoint import order_of
 
 
 def _action_pairs(G: FiberedGroupoid, rng: np.random.Generator,
@@ -50,13 +50,13 @@ def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray,
     p = G.base.dim
     if order_of(xi) != 1:
         raise ValueError("vertical transport takes order-1 tangents")
-    drift_in = residual(xi[1, :p], np.zeros_like(xi[1, :p]))
+    drift_in = residual(xi[1, :p], 0.0)
     if drift_in > ROUNDOFF_TOL:
         raise VerticalityError(f"input tangent has anchor velocity "
                                f"{drift_in:.3e} (tol {ROUNDOFF_TOL:.1e})")
     g = np.asarray(g, dtype=float)
     out = _tcompose(G, xi, np.stack([g, np.zeros_like(g)]))
-    drift = residual(out[1, :p], np.zeros_like(out[1, :p]))
+    drift = residual(out[1, :p], 0.0)
     if drift > ROUNDOFF_TOL:
         raise VerticalityError(f"transport leaked an anchor velocity of "
                                f"{drift:.3e} (tol {ROUNDOFF_TOL:.1e})")
@@ -66,19 +66,25 @@ def act_on_vertical(G: FiberedGroupoid, xi: np.ndarray,
 
 # -- invariant fields -------------------------------------------------
 
-def invariance_defect(G: FiberedGroupoid, v: VectorField,
-                      rng: np.random.Generator,
-                      samples: int = 200) -> dict[str, float]:
-    """How far a field is from being a right-invariant vertical field."""
+def invariance_sides(G: FiberedGroupoid, v: VectorField,
+                     rng: np.random.Generator, samples: int = 200,
+                     name: str = "") -> Sides:
+    """The sides of :func:`invariance_defect`, all named ``name`` if given."""
     p = G.base.dim
     e, g = _action_pairs(G, rng, samples)
     ve = v.at(e)
-    res = {"verticality": residual(ve[:p], np.zeros_like(ve[:p]))}
+    yield name or "verticality", ve[:p], 0.0
     xi = vertical_tangent(e, ve[p:], p)
     moved = act_on_vertical(G, xi, g)
     direct = v.at(G.compose_pair(e, g))
-    res["equivariance"] = residual(moved[1, p:], direct[p:])
-    return res
+    yield name or "equivariance", moved[1, p:], direct[p:]
+
+
+@reduced
+def invariance_defect(G: FiberedGroupoid, v: VectorField,
+                      rng: np.random.Generator, samples: int = 200) -> Sides:
+    """How far a field is from being a right-invariant vertical field."""
+    return invariance_sides(G, v, rng, samples)
 
 
 def is_invariant(G: FiberedGroupoid, v: VectorField, rng: np.random.Generator,
@@ -86,8 +92,9 @@ def is_invariant(G: FiberedGroupoid, v: VectorField, rng: np.random.Generator,
     return max(invariance_defect(G, v, rng, samples).values()) <= ROUNDOFF_TOL
 
 
+@reduced
 def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,
-                             samples: int = 100) -> dict[str, float]:
+                             samples: int = 100) -> Sides:
     """Transport commutes with the fiberwise tangent structure.
 
     These are the vertical instances of naturality: addition, scaling,
@@ -95,7 +102,6 @@ def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,
     tangents and a frozen arrow slot.
     """
     p, r = G.base.dim, G.fiber_dim
-    res: dict[str, float] = {}
     e, g = _action_pairs(G, rng, samples)
     u1 = uniform(rng, -1.0, 1.0, (r, samples))
     u2 = uniform(rng, -1.0, 1.0, (r, samples))
@@ -104,39 +110,34 @@ def check_vertical_structure(G: FiberedGroupoid, rng: np.random.Generator,
     eta = vertical_tangent(e, u2, p)
     mxi, meta = act_on_vertical(G, xi, g), act_on_vertical(G, eta, g)
 
-    res["fiber_add"] = residual(act_on_vertical(G, tp.add_fiber(xi, eta), g),
-                                tp.add_fiber(mxi, meta))
-    res["fiber_scale"] = residual(act_on_vertical(G, tp.scale_level(xi, s), g),
-                                  tp.scale_level(mxi, s))
+    yield ("fiber_add", act_on_vertical(G, tp.add_fiber(xi, eta), g),
+           tp.add_fiber(mxi, meta))
+    yield ("fiber_scale", act_on_vertical(G, tp.scale_level(xi, s), g),
+           tp.scale_level(mxi, s))
 
     g0 = tp.zero_lift(g[None], 2)
     pair = tp.vertical_lift_pair(xi, eta)
     moved = _tcompose(G, pair, g0)
     swapped = tp.swap_levels(_tcompose(G, tp.swap_levels(pair, 1), g0), 1)
-    res["level_swap"] = residual(swapped, moved)
-    res["vertical_lift"] = residual(_tcompose(G, tp.vertical_lift(xi, 1), g0),
-                                    tp.vertical_lift(mxi, 1))
-    res["vertical_pair"] = residual(moved, tp.vertical_lift_pair(mxi, meta))
-    return res
+    yield "level_swap", swapped, moved
+    yield ("vertical_lift", _tcompose(G, tp.vertical_lift(xi, 1), g0),
+           tp.vertical_lift(mxi, 1))
+    yield "vertical_pair", moved, tp.vertical_lift_pair(mxi, meta)
 
 
+@reduced
 def check_invariant_closure(G: FiberedGroupoid, fields, base_fn,
                             rng: np.random.Generator,
-                            samples: int = 200) -> dict[str, float]:
+                            samples: int = 200) -> Sides:
     """Invariance survives bracket, sum, and invariant-function scaling.
 
     ``fields`` is a sequence of invariant fields on the arrow chart;
     ``base_fn`` is a scalar field on the arrow chart constant along the
     action, such as any function of the target.
     """
-    res: dict[str, float] = {}
-    for i, v in enumerate(fields):
-        res[f"given_{i}"] = max(invariance_defect(G, v, rng, samples).values())
     v, w = fields[0], fields[1]
-    res["bracket"] = max(invariance_defect(
-        G, lie_bracket(v, w), rng, samples).values())
-    res["sum"] = max(invariance_defect(
-        G, field_add(v, w), rng, samples).values())
-    res["scaled"] = max(invariance_defect(
-        G, field_scale(base_fn, v), rng, samples).values())
-    return res
+    checked = {**{f"given_{i}": u for i, u in enumerate(fields)},
+               "bracket": lie_bracket(v, w), "sum": field_add(v, w),
+               "scaled": field_scale(base_fn, v)}
+    for name, field in checked.items():
+        yield from invariance_sides(G, field, rng, samples, name)

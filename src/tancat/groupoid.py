@@ -30,8 +30,7 @@ from .domain import Domain, SmoothMap, box_domain, product_domain
 from .errors import StructureError
 from .expr import (Expr, ExprBuilder, build, order_of, reindex_inputs,
                    tangent_chart_map)
-from .report import ROUNDOFF_TOL, uniform
-from .tanpoint import residual
+from .report import ROUNDOFF_TOL, Sides, reduced, residual, uniform
 
 
 def _tangent(rng: np.random.Generator, vals: np.ndarray,
@@ -170,8 +169,9 @@ def _each(f: SmoothMap, calls) -> list[np.ndarray]:
     return pieces
 
 
+@reduced
 def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
-                          samples: int = 200, order: int = 0) -> dict[str, float]:
+                          samples: int = 200, order: int = 0) -> Sides:
     """Residuals of the groupoid laws at sampled order-n tangent strings.
 
     Order 0 checks G; order n checks its iterated tangent groupoid,
@@ -204,20 +204,19 @@ def check_groupoid_axioms(G: FiberedGroupoid, rng: np.random.Generator,
         G.compose, pairs)
     tux, tgh = _each(G.target, [(ux,), (gh,)])
     ab_c, a_bc = _each(G.compose, [(ab, c), (a, bc)])
-    res = {"unit_section": max(residual(ux[:, :p], x), residual(tux, x)),
-           "compose_source": residual(gh[:, :p], h1[:, :p]),
-           "compose_target": residual(tgh, tg1),
-           "associativity": residual(ab_c, a_bc),
-           "unit_left": residual(unit_left, g),
-           "unit_right": residual(unit_right, g),
-           "inverse_exchange": max(residual(gi[:, :p], tg),
-                                   residual(tgi, sg)),
-           "inverse_left": residual(inv_left, usg),
-           "inverse_right": residual(inv_right, utg)}
+    yield "unit_section", ux[:, :p], x
+    yield "unit_section", tux, x
+    yield "compose_source", gh[:, :p], h1[:, :p]
+    yield "compose_target", tgh, tg1
+    yield "associativity", ab_c, a_bc
+    yield "unit_left", unit_left, g
+    yield "unit_right", unit_right, g
+    yield "inverse_exchange", gi[:, :p], tg
+    yield "inverse_exchange", tgi, sg
+    yield "inverse_left", inv_left, usg
+    yield "inverse_right", inv_right, utg
     if order:
-        vert = out[0][1:, :p]
-        res["vertical_closure"] = residual(vert, np.zeros_like(vert))
-    return res
+        yield "vertical_closure", out[0][1:, :p], 0.0
 
 
 # -- the tangent groupoid ---------------------------------------------
@@ -272,8 +271,9 @@ def _tcompose(G: FiberedGroupoid, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return G.compose.body.on_blocks(np.concatenate([g, h], axis=1))
 
 
+@reduced
 def check_chart_functoriality(G: FiberedGroupoid, rng,
-                              samples: int = 100) -> dict[str, float]:
+                              samples: int = 100) -> Sides:
     """Each structure map of T^n G (:func:`tangent_groupoid` applied n
     times, n = 1 and 2) against the order-n tower evaluation of the same
     map of G; closing this square is what makes the tangent groupoid an
@@ -286,7 +286,6 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
     """
     # a base point is an arrow chart point with an empty fiber block
     flat = lambda pt: t_flatten(pt, [G.base.dim, G.fiber_dim])
-    res: dict[str, float] = {}
     T = G
     for order in (1, 2):
         T = tangent_groupoid(T)
@@ -299,21 +298,16 @@ def check_chart_functoriality(G: FiberedGroupoid, rng,
             tower = getattr(G, label).body.on_blocks(
                 np.concatenate(args, axis=1))
             chart = getattr(T, label)(np.concatenate([flat(a) for a in args]))
-            res[f"chart_route/order{order}{suffix}"] = residual(
-                chart, flat(tower))
-    return res
+            yield f"chart_route/order{order}{suffix}", chart, flat(tower)
 
 
 def check_differentiability(G: FiberedGroupoid, rng,
                             samples: int = 100) -> dict[str, float]:
     """The groupoid laws at orders 1 and 2, plus the chart-route
     comparisons."""
-    res: dict[str, float] = {}
-    for n in (1, 2):
-        for k, v in check_groupoid_axioms(G, rng, samples, n).items():
-            res[f"order{n}/{k}"] = v
-    res.update(check_chart_functoriality(G, rng, samples))
-    return res
+    return {**{f"order{n}/{k}": v for n in (1, 2)
+               for k, v in check_groupoid_axioms(G, rng, samples, n).items()},
+            **check_chart_functoriality(G, rng, samples)}
 
 
 # -- builders ---------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Check results, deterministic reports, seeded substreams and their
-uniform draws."""
+"""Residuals and their one reducer, check results, deterministic
+reports, seeded substreams and their uniform draws."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -16,6 +18,60 @@ import numpy as np
 # combining structures, and the slack of chart membership, reads this
 # one bound.
 ROUNDOFF_TOL = 1e-9
+
+
+def residual(a, b) -> float:
+    """Relative mismatch with an absolute floor near zero.
+
+    Infinite when either side holds a value that is not finite, so a
+    NaN can never read as agreement.  Two sides that are equal
+    everywhere and finite give 0.0 after one comparison pass, as the
+    full formula would; equal sides hold no NaN (NaN != NaN), so only
+    an infinity needs the finiteness test, made on the smaller side,
+    whose every entry meets an equal one of the other.  Empty sides
+    are equal everywhere, so they give 0.0 on the same path.  A side
+    that must vanish is the scalar 0.0: it gives the bits of zeros.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    same = a == b
+    if same.all() and np.isfinite(a if a.size <= b.size else b).all():
+        return 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
+        diff = a - b
+    # max(x.max(), -x.min()) is max(abs(x)) without a temporary; a NaN
+    # in the difference makes both reductions NaN.  Unequal sides have a
+    # difference that is NaN, infinite or nonzero somewhere, so num is
+    # never 0.0 here
+    num = float(max(diff.max(), -diff.min()))
+    den = 1.0 + float(max(a.max(), -a.min(), b.max(), -b.min()))
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.inf
+    return num / den
+
+
+Sides = Iterator[tuple[str, Any, Any]]  # (name, lhs, rhs)
+
+
+def worst_residuals(sides: Iterable) -> dict[str, float]:
+    """The largest residual per name over ``sides``, each ``(name, lhs,
+    rhs)``: two arrays that must agree, under their check's name, which
+    may repeat.  Each pair is freed before the next is drawn.  A residual
+    is never NaN, so the max is exact and independent of the order."""
+    worst: dict[str, float] = {}
+    for name, lhs, rhs in sides:
+        worst[name] = max(worst.get(name, 0.0), residual(lhs, rhs))
+        del lhs, rhs
+    return worst
+
+
+def reduced(suite: Callable[..., Iterable]) -> Callable[..., dict]:
+    """The suite returning :func:`worst_residuals` of its sides, all drawn
+    within the call, so that what wraps or times the call sees it whole."""
+    @functools.wraps(suite)
+    def check(*args, **kwargs) -> dict[str, float]:
+        return worst_residuals(suite(*args, **kwargs))
+    return check
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -79,14 +135,6 @@ class CheckResult:
     tolerance: float
     passed: bool
 
-    @classmethod
-    def from_residual(cls, name: str, samples: int, max_residual: float,
-                      tolerance: float) -> "CheckResult":
-        """A check passes only with at least one sample and a residual
-        within the tolerance; a NaN residual fails."""
-        return cls(name, samples, float(max_residual), tolerance,
-                   bool(samples >= 1 and max_residual <= tolerance))
-
     def to_json_dict(self) -> dict:
         return {"name": self.name, "samples": self.samples,
                 "max_residual": self.max_residual,
@@ -100,8 +148,13 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
-    def add(self, result: CheckResult) -> None:
-        self.checks.append(result)
+    def add_checks(self, residuals: dict[str, float], samples: int,
+                   tol: float, prefix: str = "") -> None:
+        """One check per residual, named ``prefix + key``; it passes only
+        with at least one sample and a residual within ``tol``, not NaN."""
+        for k, v in sorted(residuals.items()):
+            self.checks.append(CheckResult(prefix + k, samples, float(v), tol,
+                                           bool(samples >= 1 and v <= tol)))
 
     @property
     def ok(self) -> bool:

@@ -37,44 +37,13 @@ lifts); ``swap_levels`` exchanges the two level axes of width 2.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, FiberMismatchError, StructureError
 from .expr import order_of
 from .tower import MAX_ORDER
 from .domain import SmoothMap
-from .report import ROUNDOFF_TOL
-
-
-def residual(a, b) -> float:
-    """Relative mismatch with an absolute floor near zero.
-
-    Infinite when either side holds a value that is not finite, so a
-    NaN can never read as agreement.  Two sides that are equal
-    everywhere and finite give 0.0 after one comparison pass, as the
-    full formula would; equal sides hold no NaN (NaN != NaN), so only
-    an infinity needs the finiteness test, made on the smaller side,
-    whose every entry meets an equal one of the other.  Empty sides
-    are equal everywhere, so they give 0.0 on the same path.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    same = a == b
-    if same.all() and np.isfinite(a if a.size <= b.size else b).all():
-        return 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
-        diff = a - b
-    # max(x.max(), -x.min()) is max(abs(x)) without a temporary; a NaN
-    # in the difference makes both reductions NaN.  Unequal sides have a
-    # difference that is NaN, infinite or nonzero somewhere, so num is
-    # never 0.0 here
-    num = float(max(diff.max(), -diff.min()))
-    den = 1.0 + float(max(a.max(), -a.min(), b.max(), -b.min()))
-    if not (math.isfinite(num) and math.isfinite(den)):
-        return math.inf
-    return num / den
+from .report import ROUNDOFF_TOL, residual
 
 
 def _check_level(order: int, level: int | None) -> int:

@@ -20,7 +20,7 @@ from tancat.expr import ExprBuilder, build
 from tancat.groupoid import (BUILTIN_GROUPOIDS, FiberedGroupoid,
                              check_groupoid_axioms, fibered_groupoid,
                              groupoid_to_json_dict, pair_groupoid)
-from tancat.report import CheckResult, Report
+from tancat.report import Report
 
 
 def test_axioms_deterministic(tmp_path):
@@ -344,6 +344,8 @@ def test_malformed_spec_is_exit_2(spec, tmp_path, capsys):
     ({"op": "input", "args": [], "index": 99}, "input slot 99 out of range"),
     ({"op": "pow_int", "args": [0], "index": 10**400},
      "pow_int exponent past the range of a float"),
+    ({"op": "const", "args": [], "value": 10**400},
+     "value past the range of a float"),
 ])
 def test_malformed_node_in_a_spec_is_exit_2(bad, message, tmp_path, capsys):
     # a node that no output reads is appended to the inverse map, so only
@@ -360,8 +362,8 @@ def test_malformed_node_in_a_spec_is_exit_2(bad, message, tmp_path, capsys):
 
 def test_reports_are_strict_json():
     rep = Report("strict", 1)
-    rep.add(CheckResult.from_residual("a/nan", 5, float("nan"), 1e-9))
-    rep.add(CheckResult.from_residual("b/no_samples", 0, 0.0, 1e-9))
+    rep.add_checks({"a/nan": float("nan")}, 5, 1e-9)
+    rep.add_checks({"no_samples": 0.0}, 0, 1e-9, prefix="b/")
     rep.extra["bracket_table"] = [{"mean": [float("-inf"), 1.0],
                                    "spread": float("inf")}]
 

@@ -3,6 +3,10 @@
 ``perfbench/tracing.py`` wraps tancat's functions and methods by name,
 in its ``CALLS`` list and in ``Tracer.install``.  A deleted or renamed
 name would otherwise fail only inside a ``--trace 1`` run.
+
+None of them, nor any entry of ``axioms.ALL_CHECKS``, may be a
+generator function: its span would time only the generator's creation,
+and its layer would read near 0 without any error.
 """
 
 import os
@@ -13,8 +17,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+import inspect
 import tracing
+from tancat import axioms
 before = [getattr(owner, attr) for owner, attr, _ in tracing.CALLS]
+lazy = [attr for (_, attr, _), fn in zip(tracing.CALLS, before)
+        if inspect.isgeneratorfunction(fn)]
+lazy += [k for k, fn in axioms.ALL_CHECKS.items()
+         if inspect.isgeneratorfunction(fn)]
+assert not lazy, f"generator functions: {lazy}"
 with tracing.Tracer().installed():
     during = [getattr(owner, attr) for owner, attr, _ in tracing.CALLS]
 after = [getattr(owner, attr) for owner, attr, _ in tracing.CALLS]
